@@ -3,8 +3,9 @@
 Every subcommand reads one JSON experiment config (``--config``), optionally
 patched with repeatable dotted overrides (``--set train.lr=1e-4``). Staged
 subcommands (synth, preprocess, train, calibrate, predict, evaluate) compose
-into exactly the artifacts the integrated ``run-lead-sweep`` writes, because
-both paths share the same helpers and per-purpose seed derivation.
+into exactly the artifacts the integrated ``run-lead-sweep`` writes: each of
+train, calibrate, predict and evaluate makes one call to the harness stage
+function that ``run_single_lead`` also calls, with the same per-purpose seeds.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 """
@@ -16,17 +17,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fileio, harness
-from .core import WindSeries
 from .errors import ConfigError, GwindcastError
 from .harness import ExperimentConfig, merge_config, parse_override
-from .metrics import evaluate_series, read_report, write_report
-from .model import load_model, predict_denormalized, save_model
-from .postprocess import apply_cdf_map, fit_cdf_map, read_cdf_map, write_cdf_map
+from .metrics import read_report, write_report
+from .model import load_model
+from .postprocess import read_cdf_map
 from .preprocess import gap_report
-from .trainer import write_history
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -108,10 +105,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     samples, lead_steps = _samples_for(args, cfg)
-    model, result = harness.train_run_model(samples, cfg, lead_steps)
-    os.makedirs(args.out, exist_ok=True)
-    save_model(os.path.join(args.out, "checkpoint.gwc"), model)
-    write_history(os.path.join(args.out, "history.csv"), result.history)
+    model, result = harness.train_stage(samples, cfg, lead_steps, args.out)
     print(f"trained {model.config.arch} for lead {format(args.lead, 'g')} min: "
           f"best val mse {result.best_val:.6g} at epoch {result.best_epoch} "
           f"({len(result.history)} epochs run)")
@@ -121,13 +115,7 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     samples, _ = _samples_for(args, cfg)
-    model = load_model(args.model)
-    cdf = fit_cdf_map(
-        model, samples,
-        mode=cfg.raw["postprocess"]["mode"],
-        n_quantiles=int(cfg.raw["postprocess"]["n_quantiles"]),
-    )
-    write_cdf_map(args.out, cdf)
+    cdf = harness.calibrate_stage(load_model(args.model), samples, cfg, args.out)
     print(f"fit {cdf.mode} calibration over {cdf.n_channels} channels -> {args.out}")
     return 0
 
@@ -137,28 +125,15 @@ def cmd_predict(args) -> int:
     samples, _ = _samples_for(args, cfg)
     model = load_model(args.model)
     cdf = read_cdf_map(args.cdf) if args.cdf else None
-    pred = predict_denormalized(model, samples, args.split)
-    if cdf is not None:
-        flat = pred.values.reshape(pred.values.shape[0], -1)
-        cal = apply_cdf_map(cdf, flat).reshape(pred.values.shape)
-        pred = WindSeries(pred.times, pred.levels, pred.stations, cal, pred.mask)
-    idx = samples.indices(args.split)
-    idx = idx[np.argsort(samples.target_times[idx], kind="stable")]
-    truth_values = samples.targets[idx].reshape(pred.values.shape)
-    truth = WindSeries(pred.times, pred.levels, pred.stations, truth_values,
-                       np.ones(truth_values.shape, dtype=bool))
-    os.makedirs(args.out, exist_ok=True)
-    fileio.write_series(os.path.join(args.out, "predictions.gwcs"), pred)
-    fileio.write_series(os.path.join(args.out, "truth.gwcs"), truth)
-    print(f"wrote {pred.values.shape[0]} {args.split}-split predictions to {args.out}")
+    pred, _ = harness.predict_stage(model, samples, args.split, cdf, args.out)
+    print(f"wrote {len(pred.times)} {args.split}-split predictions to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     pred = fileio.read_series(args.pred)
     truth = fileio.read_series(args.truth)
-    report = evaluate_series(pred, truth, lead_minutes=args.lead)
-    write_report(args.out, report)
+    report = harness.evaluate_stage(pred, truth, args.lead, args.out)
     for comp in ("u", "v", "w"):
         row = report.row("all", comp)
         print(f"{comp}: rmse={row.rmse:.6g} mae={row.mae:.6g} "

@@ -14,7 +14,7 @@ Container constructors are deliberately permissive about content so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -325,6 +325,19 @@ class SampleSet:
         """Sample indices of a split ('train'|'val'|'test' or code), in sample order."""
         code = SPLIT_NAMES.index(split) if isinstance(split, str) else int(split)
         return np.nonzero(self.split_labels == code)[0]
+
+    def time_ordered(self, split) -> np.ndarray:
+        """Sample indices of a split in stable ascending target-time order."""
+        idx = self.indices(split)
+        return idx[np.argsort(self.target_times[idx], kind="stable")]
+
+    def series(self, idx, rows) -> WindSeries:
+        """Per-sample rows (one ``output_dim`` row per index in ``idx``) as a
+        fully observed WindSeries at those samples' target times, unfolded to
+        (time, level, station, component)."""
+        values = np.reshape(rows, (len(idx), len(self.levels), len(self.target_stations), 3))
+        return WindSeries(self.target_times[idx], self.levels, self.target_stations,
+                          values, np.ones(values.shape, dtype=bool))
 
 
 def validate(obj) -> list:

@@ -69,10 +69,6 @@ class EmptySplit(DataError):
     """The requested sample split contains no samples."""
 
 
-# Two call sites historically used different names for the same condition.
-SplitEmpty = EmptySplit
-
-
 class NoTemporalOverlap(DataError):
     """Baseline grid and truth series share no time range."""
 
@@ -99,7 +95,3 @@ class NonFiniteGradient(NumericError):
 
 class NonFiniteLoss(NumericError):
     """Training or validation loss left the finite range."""
-
-
-class SingularDesign(NumericError):
-    """Normal equations rank-deficient beyond what ridge regularization fixes."""

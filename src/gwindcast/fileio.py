@@ -72,6 +72,35 @@ def _fmt(x) -> str:
 # ------------------------------------------------------------------ CSV ----
 
 
+def malformed_row(path, lineno: int, exc: ValueError) -> DataError:
+    """The error for a CSV row with a bad number, timestamp or field count."""
+    return DataError(f"{path}, line {lineno}: malformed row ({exc})")
+
+
+def read_level_kind(f, what: str, default: str):
+    """Read the optional ``# level_kind=...`` line and the header line.
+
+    Returns (level kind, header, line number of the first data row)."""
+    line = f.readline().strip()
+    if not line.startswith("#"):
+        return default, line, 2
+    key, _, val = line.lstrip("# ").partition("=")
+    if key.strip() != "level_kind" or val.strip() not in LEVEL_KINDS:
+        raise DataError(f"unexpected {what} metadata line: {line!r}")
+    return val.strip(), f.readline().strip(), 3
+
+
+def _row_axis(path, rows, step: int) -> TimeAxis:
+    """The grid through the rows' timestamps (first field): its step is the
+    smallest positive gap between them, ``step`` when there is one time."""
+    times = sorted({r[0] for r in rows})
+    if len(times) > 1:
+        step = min(b - a for a, b in zip(times, times[1:]))
+    if any((t - times[0]) % step for t in times):
+        raise DataError(f"{path}: timestamps do not sit on one {step}s grid")
+    return TimeAxis(times[0], step, (times[-1] - times[0]) // step + 1)
+
+
 def write_station_csv(path, table: StationTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("station_id,lat,lon\n")
@@ -82,15 +111,19 @@ def write_station_csv(path, table: StationTable) -> None:
 def read_station_csv(path) -> StationTable:
     entries = []
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "station_id,lat,lon":
-            raise DataError(f"unexpected station file header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            sid, la, lo = line.split(",")
-            entries.append((sid, float(la), float(lo)))
+        lineno = 1  # the header; text decodes in chunks, so it can fail here
+        try:
+            header = f.readline().strip()
+            if header != "station_id,lat,lon":
+                raise DataError(f"unexpected station file header: {header!r}")
+            for lineno, line in enumerate(f, 2):
+                line = line.strip()
+                if not line:
+                    continue
+                sid, la, lo = line.split(",")
+                entries.append((sid, float(la), float(lo)))
+        except ValueError as e:
+            raise malformed_row(path, lineno, e) from e
     return StationTable.from_entries(entries)
 
 
@@ -114,21 +147,22 @@ def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
     """
     rows = []
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "timestamp,station_id,ztd_m":
-            raise DataError(f"unexpected delay file header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            ts, sid, val = line.split(",")
-            rows.append((parse_iso8601(ts), sid, float(val)))
+        lineno = 1  # the header; text decodes in chunks, so it can fail here
+        try:
+            header = f.readline().strip()
+            if header != "timestamp,station_id,ztd_m":
+                raise DataError(f"unexpected delay file header: {header!r}")
+            for lineno, line in enumerate(f, 2):
+                line = line.strip()
+                if not line:
+                    continue
+                ts, sid, val = line.split(",")
+                rows.append((parse_iso8601(ts), sid, float(val)))
+        except ValueError as e:
+            raise malformed_row(path, lineno, e) from e
     if not rows:
         raise DataError("delay file contains no data rows")
-    times = sorted({r[0] for r in rows})
-    if len(times) > 1:
-        step = min(b - a for a, b in zip(times, times[1:]))
-    axis = TimeAxis(times[0], step, (times[-1] - times[0]) // step + 1)
+    axis = _row_axis(path, rows, step)
     col = {sid: i for i, sid in enumerate(stations.ids)}
     values = np.full((axis.count, len(stations)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
@@ -165,29 +199,23 @@ def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
     from .preprocess import decompose_wind
 
     rows = []
-    kind = HEIGHT_M
     with open(path, "r", encoding="utf-8") as f:
-        line = f.readline().strip()
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key.strip() != "level_kind" or val.strip() not in LEVEL_KINDS:
-                raise DataError(f"unexpected wind metadata line: {line!r}")
-            kind = val.strip()
-            line = f.readline().strip()
-        if line != "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms":
-            raise DataError(f"unexpected wind file header: {line!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            ts, sid, lev, spd, drc, w = line.split(",")
-            rows.append((parse_iso8601(ts), sid, float(lev), float(spd), float(drc), float(w)))
+        lineno = 1  # the header; text decodes in chunks, so it can fail here
+        try:
+            kind, line, lineno = read_level_kind(f, "wind", HEIGHT_M)
+            if line != "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms":
+                raise DataError(f"unexpected wind file header: {line!r}")
+            for lineno, line in enumerate(f, lineno):
+                line = line.strip()
+                if not line:
+                    continue
+                ts, sid, lev, spd, drc, w = line.split(",")
+                rows.append((parse_iso8601(ts), sid, float(lev), float(spd), float(drc), float(w)))
+        except ValueError as e:
+            raise malformed_row(path, lineno, e) from e
     if not rows:
         raise DataError("wind file contains no data rows")
-    times = sorted({r[0] for r in rows})
-    if len(times) > 1:
-        step = min(b - a for a, b in zip(times, times[1:]))
-    axis = TimeAxis(times[0], step, (times[-1] - times[0]) // step + 1)
+    axis = _row_axis(path, rows, step)
     lev_values = sorted({r[2] for r in rows}, reverse=(kind != HEIGHT_M))
     levels = LevelSpec(kind, tuple(lev_values))
     lev_idx = {v: i for i, v in enumerate(levels.values)}

@@ -22,7 +22,6 @@ from . import __version__, fileio, geo
 from .core import (
     COMPONENTS,
     LevelSpec,
-    StationTable,
     TimeAxis,
     WindCube,
     WindSeries,
@@ -31,7 +30,7 @@ from .core import (
     parse_iso8601,
 )
 from .errors import ConfigError, DataError, KTooLarge, Misaligned, NoTemporalOverlap
-from .metrics import MetricReport, evaluate_series, write_mosaic_tables, write_report
+from .metrics import MetricReport, _fmt, evaluate_series, write_mosaic_tables, write_report
 from .model import ModelConfig, WindModel, predict_denormalized, save_model
 from .postprocess import apply_cdf_map, fit_cdf_map, write_cdf_map
 from .preprocess import SplitConfig, build_samples, fill_gaps
@@ -110,6 +109,25 @@ def parse_override(text: str) -> dict:
     return out
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _expect_types(d: dict, defaults: dict, where: str = "") -> None:
+    """Each value must have the kind of its default: an object, a number
+    (not a bool) or a list of numbers."""
+    for key, default in defaults.items():
+        val, name = d[key], where + key
+        if isinstance(default, dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{name} must be an object, got {val!r}")
+            _expect_types(val, default, name + ".")
+        elif _is_number(default) and not _is_number(val):
+            raise ConfigError(f"{name} must be a number, got {val!r}")
+        elif isinstance(default, list) and not (isinstance(val, list) and all(map(_is_number, val))):
+            raise ConfigError(f"{name} must be a list of numbers, got {val!r}")
+
+
 def _expect_keys(d: dict, allowed, where: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
@@ -125,6 +143,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = merge_config(DEFAULT_CONFIG, d)
+        _expect_types(d, DEFAULT_CONFIG)
         _expect_keys(d, DEFAULT_CONFIG, "config")
         _expect_keys(d["synth"], DEFAULT_CONFIG["synth"], "synth")
         _expect_keys(d["train"], DEFAULT_CONFIG["train"], "train")
@@ -226,8 +245,8 @@ def load_raw_scene(cfg: ExperimentConfig):
         cube = fileio.read_wind_csv(data["wind"], wst)
     t0, t1 = cfg.raw.get("time_start"), cfg.raw.get("time_end")
     if t0 is not None or t1 is not None:
-        panel = _slice_panel(panel, t0, t1)
-        cube = _slice_cube(cube, t0, t1)
+        panel = panel.slice_time(*_time_window_indices(panel.axis, t0, t1))
+        cube = cube.slice_time(*_time_window_indices(cube.axis, t0, t1))
     return panel, cube
 
 
@@ -259,17 +278,9 @@ def _time_window_indices(axis: TimeAxis, t0, t1):
     return lo, hi
 
 
-def _slice_panel(panel: ZtdPanel, t0, t1) -> ZtdPanel:
-    lo, hi = _time_window_indices(panel.axis, t0, t1)
-    return panel.slice_time(lo, hi)
-
-
-def _slice_cube(cube: WindCube, t0, t1) -> WindCube:
-    lo, hi = _time_window_indices(cube.axis, t0, t1)
-    return cube.slice_time(lo, hi)
-
-
-# --------------------------------------------------------- single run ----
+# ---------------------------------------------------- per-lead stages ----
+# Each staged command makes one of the *_stage calls and run_single_lead makes
+# them in sequence, so both routes write the same bytes by running the same code.
 
 
 def build_run_samples(panel: ZtdPanel, cube: WindCube, cfg: ExperimentConfig, lead_steps: int):
@@ -277,66 +288,65 @@ def build_run_samples(panel: ZtdPanel, cube: WindCube, cfg: ExperimentConfig, le
     return build_samples(panel, cube, cfg.window_steps, lead_steps, split)
 
 
-def train_run_model(samples, cfg: ExperimentConfig, lead_steps: int):
-    mcfg = cfg.model_config(
-        n_stations=samples.inputs.shape[2], output_dim=samples.output_dim
-    )
+def train_stage(samples, cfg: ExperimentConfig, lead_steps: int, out_dir):
+    """Train one lead's model; write checkpoint.gwc and history.csv."""
+    mcfg = cfg.model_config(n_stations=samples.inputs.shape[2], output_dim=samples.output_dim)
     model = WindModel(mcfg, seed=derive_seed(cfg.seed, lead_steps, _SEED_INIT))
     tcfg = cfg.train_config(seed=derive_seed(cfg.seed, lead_steps, _SEED_TRAIN))
     result = train(model, samples, tcfg)
+    os.makedirs(out_dir, exist_ok=True)
+    save_model(os.path.join(out_dir, "checkpoint.gwc"), model)
+    write_history(os.path.join(out_dir, "history.csv"), result.history)
     return model, result
 
 
-def calibrated_predictions(model, samples, cfg: ExperimentConfig, cdf=None):
-    """Test-split predictions pushed through the calibration map.
+def calibrate_stage(model, samples, cfg: ExperimentConfig, path):
+    """Fit the calibration map the ``postprocess`` config sets; write it to path."""
+    pp = cfg.raw["postprocess"]
+    cdf = fit_cdf_map(model, samples, mode=pp["mode"], n_quantiles=int(pp["n_quantiles"]))
+    write_cdf_map(path, cdf)
+    return cdf
 
-    Returns (cdf_map, calibrated WindSeries, truth WindSeries)."""
-    if cdf is None:
-        cdf = fit_cdf_map(
-            model,
-            samples,
-            mode=cfg.raw["postprocess"]["mode"],
-            n_quantiles=int(cfg.raw["postprocess"]["n_quantiles"]),
-        )
-    pred = predict_denormalized(model, samples, "test")
-    flat = pred.values.reshape(pred.values.shape[0], -1)
-    cal = apply_cdf_map(cdf, flat).reshape(pred.values.shape)
-    pred_cal = WindSeries(pred.times, pred.levels, pred.stations, cal, pred.mask)
-    te = samples.indices("test")
-    order = np.argsort(samples.target_times[te], kind="stable")
-    te = te[order]
-    truth_values = samples.targets[te].reshape(pred.values.shape)
-    truth = WindSeries(pred.times, pred.levels, pred.stations, truth_values,
-                       np.ones(truth_values.shape, dtype=bool))
-    return cdf, pred_cal, truth
+
+def predict_stage(model, samples, split, cdf, out_dir):
+    """Predict one split, push it through ``cdf`` unless that is None, and
+    write predictions.gwcs and truth.gwcs, rows in ascending target time.
+
+    Returns (prediction WindSeries, truth WindSeries)."""
+    pred = predict_denormalized(model, samples, split)
+    idx = samples.time_ordered(split)
+    if cdf is not None:
+        pred = samples.series(idx, apply_cdf_map(cdf, pred.values.reshape(len(idx), -1)))
+    truth = samples.series(idx, samples.targets[idx])
+    os.makedirs(out_dir, exist_ok=True)
+    fileio.write_series(os.path.join(out_dir, "predictions.gwcs"), pred)
+    fileio.write_series(os.path.join(out_dir, "truth.gwcs"), truth)
+    return pred, truth
+
+
+def evaluate_stage(pred: WindSeries, truth: WindSeries, lead_minutes: float, path) -> MetricReport:
+    """Score predictions against truth; write the report to path."""
+    report = evaluate_series(pred, truth, lead_minutes)
+    write_report(path, report)
+    return report
+
+
+def calibrated_predictions(model, samples, cfg: ExperimentConfig, out_dir):
+    """The calibrate and predict stages on the test split, written to out_dir.
+
+    Returns (calibrated WindSeries, truth WindSeries)."""
+    cdf = calibrate_stage(model, samples, cfg, os.path.join(out_dir, "cdf_map.json"))
+    return predict_stage(model, samples, "test", cdf, out_dir)
 
 
 def mean_predictor_report(samples, lead_minutes: float, eval_station: int | None = None) -> MetricReport:
     """Score the constant per-channel train-mean prediction on the test split."""
-    tr = samples.indices("train")
-    te = samples.indices("test")
-    order = np.argsort(samples.target_times[te], kind="stable")
-    te = te[order]
-    mean = samples.targets[tr].mean(axis=0)
-    n_l, n_s = len(samples.levels), len(samples.target_stations)
-    shape = (len(te), n_l, n_s, 3)
-    pred = WindSeries(
-        times=samples.target_times[te],
-        levels=samples.levels,
-        stations=samples.target_stations,
-        values=np.broadcast_to(mean.reshape(1, n_l, n_s, 3), shape).copy(),
-        mask=np.ones(shape, dtype=bool),
-    )
-    truth = WindSeries(
-        times=samples.target_times[te],
-        levels=samples.levels,
-        stations=samples.target_stations,
-        values=samples.targets[te].reshape(shape),
-        mask=np.ones(shape, dtype=bool),
-    )
+    te = samples.time_ordered("test")
+    mean = samples.targets[samples.indices("train")].mean(axis=0)
+    pred = samples.series(te, np.broadcast_to(mean, (len(te), samples.output_dim)))
+    truth = samples.series(te, samples.targets[te])
     if eval_station is not None:
-        pred = pred.select_stations([eval_station])
-        truth = truth.select_stations([eval_station])
+        pred, truth = pred.select_stations([eval_station]), truth.select_stations([eval_station])
     return evaluate_series(pred, truth, lead_minutes)
 
 
@@ -348,27 +358,17 @@ def run_single_lead(
     out_dir,
     eval_station: int | None = None,
 ):
-    """Train, calibrate, predict and evaluate one lead; write run artifacts."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Train, calibrate, predict and evaluate one lead, as the staged commands
+    do, and score the train-mean baseline; write the run artifacts."""
     lead_steps = lead_steps_for(cfg, lead_minutes, panel.axis.step)
     samples = build_run_samples(panel, cube, cfg, lead_steps)
-    model, result = train_run_model(samples, cfg, lead_steps)
-    cdf, pred_cal, truth = calibrated_predictions(model, samples, cfg)
+    model, _ = train_stage(samples, cfg, lead_steps, out_dir)
+    pred, truth = calibrated_predictions(model, samples, cfg, out_dir)
     if eval_station is not None:
-        pred_eval = pred_cal.select_stations([eval_station])
-        truth_eval = truth.select_stations([eval_station])
-    else:
-        pred_eval, truth_eval = pred_cal, truth
-    report = evaluate_series(pred_eval, truth_eval, lead_minutes)
-    baseline = mean_predictor_report(samples, lead_minutes, eval_station)
-
-    save_model(os.path.join(out_dir, "checkpoint.gwc"), model)
-    write_history(os.path.join(out_dir, "history.csv"), result.history)
-    write_cdf_map(os.path.join(out_dir, "cdf_map.json"), cdf)
-    fileio.write_series(os.path.join(out_dir, "predictions.gwcs"), pred_cal)
-    fileio.write_series(os.path.join(out_dir, "truth.gwcs"), truth)
-    write_report(os.path.join(out_dir, "report.json"), report)
-    write_report(os.path.join(out_dir, "baseline_mean_report.json"), baseline)
+        pred, truth = pred.select_stations([eval_station]), truth.select_stations([eval_station])
+    report = evaluate_stage(pred, truth, lead_minutes, os.path.join(out_dir, "report.json"))
+    write_report(os.path.join(out_dir, "baseline_mean_report.json"),
+                 mean_predictor_report(samples, lead_minutes, eval_station))
     return report
 
 
@@ -425,10 +425,6 @@ def run_station_ablation(cfg: ExperimentConfig, out_dir) -> dict:
         write_report(os.path.join(out_dir, f"report_k{k}.json"), report)
     write_manifest(out_dir, cfg, panel, cube)
     return reports
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _write_ablation_tables(out_dir, reports: dict) -> None:
@@ -492,27 +488,22 @@ class GriddedBaseline:
 def read_baseline_csv(path) -> GriddedBaseline:
     """Delimited grid: ``timestamp,lat,lon,level,u_ms,v_ms,w_ms`` preceded by
     a ``# level_kind=...`` metadata line; every grid combination must appear."""
-    from .core import LEVEL_KINDS
-
     rows = []
-    kind = "pressure_hPa"
     with open(path, "r", encoding="utf-8") as f:
-        line = f.readline().strip()
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key.strip() != "level_kind" or val.strip() not in LEVEL_KINDS:
-                raise DataError(f"unexpected baseline metadata line: {line!r}")
-            kind = val.strip()
-            line = f.readline().strip()
-        if line != "timestamp,lat,lon,level,u_ms,v_ms,w_ms":
-            raise DataError(f"unexpected baseline header: {line!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            ts, la, lo, lev, u, v, w = line.split(",")
-            rows.append((parse_iso8601(ts), float(la), float(lo), float(lev),
-                         float(u), float(v), float(w)))
+        lineno = 1  # the header; text decodes in chunks, so it can fail here
+        try:
+            kind, line, lineno = fileio.read_level_kind(f, "baseline", "pressure_hPa")
+            if line != "timestamp,lat,lon,level,u_ms,v_ms,w_ms":
+                raise DataError(f"unexpected baseline header: {line!r}")
+            for lineno, line in enumerate(f, lineno):
+                line = line.strip()
+                if not line:
+                    continue
+                ts, la, lo, lev, u, v, w = line.split(",")
+                rows.append((parse_iso8601(ts), float(la), float(lo), float(lev),
+                             float(u), float(v), float(w)))
+        except ValueError as e:
+            raise fileio.malformed_row(path, lineno, e) from e
     if not rows:
         raise DataError("baseline file contains no data rows")
     times = sorted({r[0] for r in rows})

@@ -196,25 +196,14 @@ def predict_denormalized(model: WindModel, samples, split) -> WindSeries:
     Rows are ordered by ascending target time; output channels are unfolded
     to (time, level, station, component) using the sample set's layout.
     """
-    idx = samples.indices(split)
+    idx = samples.time_ordered(split)
     if len(idx) == 0:
         raise EmptySplit(f"split {split!r} has no samples")
     if samples.norm_stats is None:
         raise UnnormalizedInput("sample set carries no normalization statistics")
-    order = np.argsort(samples.target_times[idx], kind="stable")
-    idx = idx[order]
     stats = samples.norm_stats
     x = stats.normalize_inputs(samples.inputs[idx])
-    y = stats.denormalize_targets(model.predict(x))
-    n_l, n_s = len(samples.levels), len(samples.target_stations)
-    values = y.reshape(len(idx), n_l, n_s, 3)
-    return WindSeries(
-        times=samples.target_times[idx],
-        levels=samples.levels,
-        stations=samples.target_stations,
-        values=values,
-        mask=np.ones(values.shape, dtype=bool),
-    )
+    return samples.series(idx, stats.denormalize_targets(model.predict(x)))
 
 
 def save_model(path, model: WindModel) -> None:

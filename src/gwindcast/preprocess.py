@@ -7,7 +7,6 @@ conversion, nearest-station selection, and sliding-window sample assembly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np

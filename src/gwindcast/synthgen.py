@@ -12,8 +12,7 @@ linear readout leaves structured residuals.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +25,7 @@ from .core import (
     WindCube,
     ZtdPanel,
 )
-from .errors import ConfigError, SingularDesign
-from .metrics import MetricReport, evaluate_series
-from .preprocess import SplitConfig, build_samples
+from .errors import ConfigError
 
 _AR_COEFF = 0.95
 _PERIODS_S = (3 * 3600, 24 * 3600)
@@ -161,59 +158,3 @@ def generate(cfg: SynthConfig = SynthConfig()):
         mask=np.ones(wind_values.shape, dtype=bool),
     )
     return ztd_stations, panel, cube, latent
-
-
-_RIDGE = 1e-8
-
-
-def oracle_linear_fit(
-    ztd: ZtdPanel,
-    wind: WindCube,
-    window_steps: int,
-    lead_steps: int,
-    split: SplitConfig = SplitConfig(ratios=(0.7, 0.15, 0.15), seed=0),
-) -> MetricReport:
-    """Ordinary least squares from flattened delay windows to wind targets.
-
-    Fits intercept-augmented OLS on the train split and reports test-split
-    metrics; a diagnostic ceiling for any learned model. Rank-deficient
-    normal equations are ridge-regularized (1e-8) with a warning.
-    """
-    samples = build_samples(ztd, wind, window_steps, lead_steps, split)
-    tr = samples.indices("train")
-    te = samples.indices("test")
-    x = samples.inputs.reshape(samples.n_samples, -1)
-    x = np.concatenate([x, np.ones((samples.n_samples, 1))], axis=1)
-    gram = x[tr].T @ x[tr]
-    rhs = x[tr].T @ samples.targets[tr]
-    if np.linalg.matrix_rank(gram) < gram.shape[0]:
-        warnings.warn("normal equations rank-deficient; applying ridge 1e-8",
-                      category=RuntimeWarning, stacklevel=2)
-        gram = gram + _RIDGE * np.eye(gram.shape[0])
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign(f"normal equations unsolvable even with ridge: {exc}") from exc
-    preds = x[te] @ coef
-    order = np.argsort(samples.target_times[te], kind="stable")
-    te = te[order]
-    preds = preds[order]
-    n_l, n_s = len(samples.levels), len(samples.target_stations)
-    from .core import WindSeries
-
-    pred_series = WindSeries(
-        times=samples.target_times[te],
-        levels=samples.levels,
-        stations=samples.target_stations,
-        values=preds.reshape(len(te), n_l, n_s, 3),
-        mask=np.ones((len(te), n_l, n_s, 3), dtype=bool),
-    )
-    truth_series = WindSeries(
-        times=samples.target_times[te],
-        levels=samples.levels,
-        stations=samples.target_stations,
-        values=samples.targets[te].reshape(len(te), n_l, n_s, 3),
-        mask=np.ones((len(te), n_l, n_s, 3), dtype=bool),
-    )
-    lead_minutes = lead_steps * samples.step_seconds / 60.0
-    return evaluate_series(pred_series, truth_series, lead_minutes)

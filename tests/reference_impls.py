@@ -2,12 +2,19 @@
 
 Everything here is written as plain loops over scalars, deliberately
 avoiding the vectorized formulations in the package, so that agreement
-between the two is meaningful evidence of correctness.
+between the two is meaningful evidence of correctness. The exception is the
+OLS oracle at the end, a linear-readout ceiling the synthetic-scene tests
+measure learned models and scene difficulty against.
 """
 
 import math
+import warnings
 
 import numpy as np
+
+from gwindcast.errors import NumericError
+from gwindcast.metrics import evaluate_series
+from gwindcast.preprocess import SplitConfig, build_samples
 
 
 # ------------------------------------------------------------- metrics ----
@@ -216,3 +223,45 @@ def loop_quantiles(sample, n_q):
         frac = pos - lo
         out.append(s[lo] * (1 - frac) + s[hi] * frac)
     return out
+
+
+# ---------------------------------------------------------- OLS oracle ----
+
+_RIDGE = 1e-8
+
+
+class SingularDesign(NumericError):
+    """Normal equations rank-deficient beyond what ridge regularization fixes."""
+
+
+def oracle_linear_fit(
+    ztd,
+    wind,
+    window_steps,
+    lead_steps,
+    split=SplitConfig(ratios=(0.7, 0.15, 0.15), seed=0),
+):
+    """Ordinary least squares from flattened delay windows to wind targets.
+
+    Fits intercept-augmented OLS on the train split and reports test-split
+    metrics; a diagnostic ceiling for any learned model. Rank-deficient
+    normal equations are ridge-regularized (1e-8) with a warning.
+    """
+    samples = build_samples(ztd, wind, window_steps, lead_steps, split)
+    tr = samples.indices("train")
+    te = samples.time_ordered("test")
+    x = samples.inputs.reshape(samples.n_samples, -1)
+    x = np.concatenate([x, np.ones((samples.n_samples, 1))], axis=1)
+    gram = x[tr].T @ x[tr]
+    rhs = x[tr].T @ samples.targets[tr]
+    if np.linalg.matrix_rank(gram) < gram.shape[0]:
+        warnings.warn("normal equations rank-deficient; applying ridge 1e-8",
+                      category=RuntimeWarning, stacklevel=2)
+        gram = gram + _RIDGE * np.eye(gram.shape[0])
+    try:
+        coef = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesign(f"normal equations unsolvable even with ridge: {exc}") from exc
+    pred = samples.series(te, x[te] @ coef)
+    truth = samples.series(te, samples.targets[te])
+    return evaluate_series(pred, truth, lead_steps * samples.step_seconds / 60.0)

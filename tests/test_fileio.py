@@ -104,6 +104,11 @@ def test_station_csv_rejects_wrong_header(tmp_path):
     path.write_text("id,latitude,longitude\nA,1,2\n")
     with pytest.raises(DataError):
         read_station_csv(path)
+    # a missing field or a bad number names the file and line
+    for row in ("A,1", "A,north,2"):
+        path.write_text(f"station_id,lat,lon\nB,3,4\n{row}\n")
+        with pytest.raises(DataError, match=r"bad\.csv, line 3"):
+            read_station_csv(path)
 
 
 def test_ztd_csv_round_trip_preserves_grid_and_gaps(tmp_path):
@@ -145,6 +150,21 @@ def test_ztd_csv_rejects_empty_and_bad_header(tmp_path):
     bad.write_text("time,id,val\n")
     with pytest.raises(DataError):
         read_ztd_csv(bad, stations(2))
+    # bad number, bad timestamp, wrong field count: file and line named
+    for row in ("2025-05-07T05:30:00Z,Z0001,abc", "2025-05-07T25:30:00Z,Z0001,2.4",
+                "2025-05-07T05:30:00Z,Z0001", "2025-05-07T05:30:00Z,Z0001,2.4,7"):
+        bad.write_text(f"timestamp,station_id,ztd_m\n\n{row}\n")
+        with pytest.raises(DataError, match=r"bad\.csv, line 3"):
+            read_ztd_csv(bad, stations(2))
+    # a byte that is not UTF-8
+    bad.write_bytes(b"timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z\xff,2.4\n")
+    with pytest.raises(DataError, match=r"bad\.csv, line"):
+        read_ztd_csv(bad, stations(2))
+    # a timestamp off the grid the others set
+    bad.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z0000,2.4\n"
+                   "2025-05-07T05:35:00Z,Z0000,2.4\n2025-05-07T05:37:00Z,Z0000,2.4\n")
+    with pytest.raises(DataError, match="grid"):
+        read_ztd_csv(bad, stations(2))
 
 
 def test_wind_csv_round_trip_through_speed_direction(tmp_path):
@@ -182,6 +202,11 @@ def test_wind_csv_rejects_bad_metadata(tmp_path):
     path = tmp_path / "wind.csv"
     path.write_text("# level_kind=fathoms\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n")
     with pytest.raises(DataError):
+        read_wind_csv(path, stations(1, "W"))
+    # a bad row is named by file and line, counting the metadata line
+    path.write_text("# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+                    "2025-05-07T05:30:00Z,W0000,110.0,3.0,calm,0.1\n")
+    with pytest.raises(DataError, match=r"wind\.csv, line 3"):
         read_wind_csv(path, stations(1, "W"))
 
 

@@ -324,6 +324,10 @@ def test_read_baseline_csv_rejects_bad_header(tmp_path):
     empty.write_text("# level_kind=pressure_hPa\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n")
     with pytest.raises(DataError):
         read_baseline_csv(empty)
+    short = tmp_path / "short.csv"
+    short.write_text("timestamp,lat,lon,level,u_ms,v_ms,w_ms\n1970-01-01T00:00:00Z,29,120,1000,1,2\n")
+    with pytest.raises(DataError, match=r"short\.csv, line 2"):
+        read_baseline_csv(short)
 
 
 def _truth_cube(times_start, step, count, lats, lons, levels, values, kind=HEIGHT_M):
@@ -550,7 +554,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     with open(bad, "w", encoding="utf-8") as f:
         f.write("{not json")
     assert cli.main(["synth", "--config", bad, "--out", os.path.join(tmp_path, "y")]) == 2
-    capsys.readouterr()
+    # a value of another kind than its default -> configuration error
+    for override in ('train.batch_size="abc"', "synth.n_steps=true", "synth=5",
+                     'leads_minutes="abc"', "split.ratios=5", 'station_counts=["a"]'):
+        assert cli.main([
+            "synth", "--config", cfg_path, "--set", override, "--out", os.path.join(tmp_path, "z"),
+        ]) == 2
+    assert "train.batch_size must be a number" in capsys.readouterr().err
+    # a malformed delay row in a data.kind="files" scene -> data error
+    raw = os.path.join(tmp_path, "raw")
+    assert cli.main(["synth", "--config", cfg_path, "--out", raw]) == 0
+    files = {name: os.path.join(raw, name + ".csv")
+             for name in ("ztd_stations", "ztd", "wind_stations", "wind")}
+    with open(files["ztd"], "a", encoding="utf-8") as f:
+        f.write("2025-05-07T05:30:00Z,Z0001,abc\n")
+    assert cli.main([
+        "preprocess", "--config", cfg_path, "--set", "data=" + json.dumps({"kind": "files", **files}),
+        "--out", os.path.join(tmp_path, "prep"),
+    ]) == 3
+    assert "ztd.csv, line" in capsys.readouterr().err
 
 
 def test_cli_ablation_runs(tmp_path, capsys):

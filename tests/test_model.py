@@ -219,6 +219,33 @@ def test_predict_denormalized_orders_and_unfolds():
     manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(inputs[25:])))
     np.testing.assert_array_equal(series.values.reshape(5, 3), manual)
 
+    # test-split target times out of order, two levels x two stations: rows
+    # follow ascending target time, channels unfold as (level, station, uvw)
+    from dataclasses import replace
+
+    from gwindcast.core import LevelSpec, StationTable
+
+    targets = rng.normal(size=(n, 12))
+    times = rng.permutation(n).astype(np.int64) * 300
+    assert not np.all(np.diff(times[25:]) > 0)
+    mixed = replace(
+        test_trainer._pack_samples(inputs, targets, split),
+        target_times=times,
+        levels=LevelSpec("height_m", (100.0, 200.0)),
+        target_stations=StationTable(ids=("W0", "W1"), lats=[29.0, 29.1], lons=[120.0, 120.1]),
+    )
+    model = WindModel(cfg(output_dim=12), seed=0)
+    pred = predict_denormalized(model, mixed, "test")
+    idx = mixed.time_ordered("test")
+    np.testing.assert_array_equal(idx, 25 + np.argsort(times[25:]))
+    truth = mixed.series(idx, mixed.targets[idx])
+    np.testing.assert_array_equal(pred.times, truth.times)
+    np.testing.assert_array_equal(pred.times, np.sort(times[25:]))
+    np.testing.assert_array_equal(truth.values, targets[idx].reshape(5, 2, 2, 3))
+    stats = mixed.norm_stats
+    manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(inputs[idx])))
+    np.testing.assert_array_equal(pred.values, manual.reshape(5, 2, 2, 3))
+
 
 def test_predict_denormalized_rejects_empty_or_unnormalized():
     import test_trainer

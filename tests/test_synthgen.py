@@ -3,7 +3,8 @@ import pytest
 
 from gwindcast.core import HEIGHT_M
 from gwindcast.errors import ConfigError
-from gwindcast.synthgen import SynthConfig, generate, oracle_linear_fit
+from gwindcast.synthgen import SynthConfig, generate
+from reference_impls import oracle_linear_fit
 
 
 def small_cfg(**kwargs):

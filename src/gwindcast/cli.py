@@ -32,8 +32,8 @@ def _load_config(args) -> ExperimentConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from e
+        except ValueError as e:  # bad JSON, bad UTF-8, or an oversized integer
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError("config file must hold a JSON object")
     for text in args.set or []:
@@ -51,14 +51,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_prepared(data_dir):
-    panel = fileio.read_panel(os.path.join(data_dir, "panel_prepared.gwcp"))
-    cube = fileio.read_cube(os.path.join(data_dir, "cube_prepared.gwcc"))
-    return panel, cube
+# (panel, cube) file names of the scene synth writes and of the one
+# preprocess writes for train, calibrate and predict
+RAW_SCENE = ("panel.gwcp", "cube.gwcc")
+PREPARED_SCENE = ("panel_prepared.gwcp", "cube_prepared.gwcc")
+
+
+def _read_scene(data_dir, names):
+    return (fileio.read_panel(os.path.join(data_dir, names[0])),
+            fileio.read_cube(os.path.join(data_dir, names[1])))
+
+
+def _write_scene(out_dir, names, panel, cube) -> None:
+    fileio.write_panel(os.path.join(out_dir, names[0]), panel)
+    fileio.write_cube(os.path.join(out_dir, names[1]), cube)
 
 
 def _samples_for(args, cfg: ExperimentConfig):
-    panel, cube = _read_prepared(args.data)
+    panel, cube = _read_scene(args.data, PREPARED_SCENE)
     lead_steps = harness.lead_steps_for(cfg, args.lead, panel.axis.step)
     return harness.build_run_samples(panel, cube, cfg, lead_steps), lead_steps
 
@@ -74,8 +84,7 @@ def cmd_synth(args) -> int:
     fileio.write_station_csv(os.path.join(args.out, "wind_stations.csv"), cube.stations)
     fileio.write_ztd_csv(os.path.join(args.out, "ztd.csv"), panel)
     fileio.write_wind_csv(os.path.join(args.out, "wind.csv"), cube)
-    fileio.write_panel(os.path.join(args.out, "panel.gwcp"), panel)
-    fileio.write_cube(os.path.join(args.out, "cube.gwcc"), cube)
+    _write_scene(args.out, RAW_SCENE, panel, cube)
     print(f"wrote synthetic scene to {args.out}: "
           f"{len(panel.stations)} delay stations x {panel.axis.count} steps, "
           f"{len(cube.stations)} wind stations x {len(cube.levels.values)} levels")
@@ -85,15 +94,13 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
     if args.data:
-        panel = fileio.read_panel(os.path.join(args.data, "panel.gwcp"))
-        cube = fileio.read_cube(os.path.join(args.data, "cube.gwcc"))
+        panel, cube = _read_scene(args.data, RAW_SCENE)
     else:
         panel, cube = harness.load_raw_scene(cfg)
     report = gap_report(panel)
     panel, cube = harness.finish_scene(panel, cube, cfg)
     os.makedirs(args.out, exist_ok=True)
-    fileio.write_panel(os.path.join(args.out, "panel_prepared.gwcp"), panel)
-    fileio.write_cube(os.path.join(args.out, "cube_prepared.gwcc"), cube)
+    _write_scene(args.out, PREPARED_SCENE, panel, cube)
     with open(os.path.join(args.out, "gap_report.json"), "w", encoding="utf-8", newline="\n") as f:
         f.write(fileio.canonical_json(report))
         f.write("\n")
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="fill gaps and canonicalize station order")
     _add_common(p)
-    p.add_argument("--data", help="directory with panel.gwcp/cube.gwcc (else per config)")
+    p.add_argument("--data", help="directory with {}/{} (else per config)".format(*RAW_SCENE))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_preprocess)
 
@@ -286,8 +293,8 @@ def main(argv=None) -> int:
     except GwindcastError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except FileNotFoundError as e:
-        print(f"error: missing file: {e}", file=sys.stderr)
+    except OSError as e:  # a missing, unreadable or unwritable path
+        print(f"error: {e}", file=sys.stderr)
         return 3
 
 

@@ -159,6 +159,7 @@ class ExperimentConfig:
         cfg = cls(raw=d)
         cfg.synth_config()  # validates
         cfg.train_config(seed=0)
+        cfg.model_config(n_stations=1, output_dim=1)  # the scene sets the real sizes
         if not d["leads_minutes"]:
             raise ConfigError("leads_minutes must not be empty")
         if d["window_steps"] < 1:

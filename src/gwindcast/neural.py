@@ -6,6 +6,14 @@ deposits gradients into the ``Param`` leaves. Only the operations actually
 used by the models are implemented: broadcast add/sub/mul, (stacked) matmul,
 tanh, softmax over the last axis, reshape/swapaxes, full mean, batch
 normalization and mean-squared-error loss.
+
+Each op records a backward function that maps the gradient ``g`` of its
+output to one gradient (or ``None``) per parent, in the order of the
+parents. It never refers to its own output, so a graph holds no reference
+cycle and is freed by reference counting as soon as the loss is dropped.
+The gradients it returns may be ``g`` itself or views of it;
+``Tensor.backward()`` stores them and adds later ones out of place, so no
+gradient array is ever written to.
 """
 
 from __future__ import annotations
@@ -18,14 +26,14 @@ from .errors import BatchTooSmall, GraphNotRecorded, OddWidth, ShapeMismatch
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad", "_param")
 
-    def __init__(self, data, parents=(), requires_grad=False):
+    def __init__(self, data, parents=(), backward=None, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad = None
         self._parents = tuple(parents)
-        self._backward = None
+        self._backward = backward
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._param = None
 
@@ -71,8 +79,11 @@ class Tensor:
             node.grad = None  # clear residue so graphs can share leaf tensors
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node._backward is None or node.grad is None:
+                continue
+            for p, g in zip(node._parents, node._backward(node.grad)):
+                if g is not None and p.requires_grad:
+                    p.grad = g if p.grad is None else p.grad + g
         for node in topo:
             if node._param is not None and node.grad is not None:
                 node._param.grad += node.grad
@@ -97,36 +108,17 @@ class Param:
         self.grad[...] = 0.0
 
 
-def _accum(node: Tensor, g: np.ndarray, own: bool = False) -> None:
-    # ``own=True`` promises g is a fresh array no other node references, so
-    # it can be adopted without copying; borrowed arrays (views of a live
-    # downstream .grad) are copied on first store. Accumulating += is safe
-    # in both cases because an adopted buffer is private.
-    if not node.requires_grad:
-        return
-    if node.grad is None:
-        node.grad = g if own else np.array(g, dtype=np.float64)
-    else:
-        node.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape):
-    """Collapse gradient of a broadcast operand back to its own shape.
-
-    Returns (array, owned): owned is True when a reduction made the result
-    private to the caller."""
-    owned = False
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Collapse gradient of a broadcast operand back to its own shape."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-        owned = True
     axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-        owned = True
     if g.shape != tuple(shape):
         g = g.reshape(shape)
-    return g, owned
+    return g
 
 
 def _as_tensor(x) -> Tensor:
@@ -135,54 +127,36 @@ def _as_tensor(x) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
-    def _bw():
-        ga, own_a = _unbroadcast(out.grad, a.shape)
-        _accum(a, ga, own_a)
-        gb, own_b = _unbroadcast(out.grad, b.shape)
-        _accum(b, gb, own_b)
+    def _bw(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data + b.data, (a, b), _bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, parents=(a, b))
 
-    def _bw():
-        ga, own_a = _unbroadcast(out.grad, a.shape)
-        _accum(a, ga, own_a)
-        gb, _ = _unbroadcast(-out.grad, b.shape)
-        _accum(b, gb, True)
+    def _bw(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data - b.data, (a, b), _bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
-    def _bw():
-        ga, _ = _unbroadcast(out.grad * b.data, a.shape)
-        _accum(a, ga, True)
-        gb, _ = _unbroadcast(out.grad * a.data, b.shape)
-        _accum(b, gb, True)
+    def _bw(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data * b.data, (a, b), _bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c, parents=(a,))
+    def _bw(g):
+        return (g * c,)
 
-    def _bw():
-        _accum(a, out.grad * c, True)
-
-    out._backward = _bw
-    return out
+    return Tensor(a.data * c, (a,), _bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -194,44 +168,33 @@ def matmul(a, b) -> Tensor:
         # stacked-by-plain case runs as one flat product, not a GEMM per slab
         n_in, n_out = b.shape
         a2 = a.data.reshape(-1, n_in)
-        out = Tensor(np.matmul(a2, b.data).reshape(a.shape[:-1] + (n_out,)),
-                     parents=(a, b))
 
-        def _bw_flat():
-            g2 = out.grad.reshape(-1, n_out)
-            if a.requires_grad:
-                ga = np.matmul(g2, b.data.T)
-                ga.shape = a.shape  # in-place reshape keeps ownership
-                _accum(a, ga, True)
-            if b.requires_grad:
-                _accum(b, np.matmul(a2.T, g2), True)
+        def _bw_flat(g):
+            g2 = g.reshape(-1, n_out)
+            ga = np.matmul(g2, b.data.T).reshape(a.shape) if a.requires_grad else None
+            gb = np.matmul(a2.T, g2) if b.requires_grad else None
+            return ga, gb
 
-        out._backward = _bw_flat
-        return out
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
+        return Tensor(np.matmul(a2, b.data).reshape(a.shape[:-1] + (n_out,)), (a, b), _bw_flat)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
+        ga = gb = None
         if a.requires_grad:
-            ga, _ = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-            _accum(a, ga, True)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if b.requires_grad:
-            gb, _ = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-            _accum(b, gb, True)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
-    out._backward = _bw
-    return out
+    return Tensor(np.matmul(a.data, b.data), (a, b), _bw)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,))
 
-    def _bw():
-        _accum(a, out.grad * (1.0 - y * y), True)
+    def _bw(g):
+        return (g * (1.0 - y * y),)
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (a,), _bw)
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -239,44 +202,32 @@ def softmax_last(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, parents=(a,))
 
-    def _bw():
-        g = out.grad
-        _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)), True)
+    def _bw(g):
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (a,), _bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), parents=(a,))
+    def _bw(g):
+        return (g.reshape(a.shape),)
 
-    def _bw():
-        _accum(a, out.grad.reshape(a.shape))
-
-    out._backward = _bw
-    return out
+    return Tensor(a.data.reshape(shape), (a,), _bw)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    out = Tensor(np.swapaxes(a.data, ax1, ax2), parents=(a,))
+    def _bw(g):
+        return (np.swapaxes(g, ax1, ax2),)
 
-    def _bw():
-        _accum(a, np.swapaxes(out.grad, ax1, ax2))
-
-    out._backward = _bw
-    return out
+    return Tensor(np.swapaxes(a.data, ax1, ax2), (a,), _bw)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean(), parents=(a,))
+    def _bw(g):
+        return (np.full(a.shape, float(g) / a.data.size),)
 
-    def _bw():
-        _accum(a, np.full(a.shape, float(out.grad) / a.data.size), True)
-
-    out._backward = _bw
-    return out
+    return Tensor(a.data.mean(), (a,), _bw)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -285,13 +236,11 @@ def mse_loss(pred: Tensor, target) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeMismatch(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred.data - target
-    out = Tensor(np.mean(diff * diff), parents=(pred,))
 
-    def _bw():
-        _accum(pred, out.grad * 2.0 * diff / diff.size, True)
+    def _bw(g):
+        return (g * 2.0 * diff / diff.size,)
 
-    out._backward = _bw
-    return out
+    return Tensor(np.mean(diff * diff), (pred,), _bw)
 
 
 def positional_encoding(n_positions: int, width: int) -> np.ndarray:
@@ -426,19 +375,14 @@ class BatchNorm:
         self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + self.EPS)
         x_hat = (x.data - mu) * inv
-        gamma_t, beta_t = self.gamma.tensor(), self.beta.tensor()
-        out = Tensor(self.gamma.value * x_hat + self.beta.value,
-                     parents=(x, gamma_t, beta_t))
 
-        def _bw():
-            g = out.grad
-            _accum(gamma_t, (g * x_hat).sum(axis=0), True)
-            _accum(beta_t, g.sum(axis=0), True)
+        def _bw(g):
+            gx = None
             if x.requires_grad:
                 gx = (self.gamma.value * inv / m) * (
                     m * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0)
                 )
-                _accum(x, gx, True)
+            return gx, (g * x_hat).sum(axis=0), g.sum(axis=0)
 
-        out._backward = _bw
-        return out
+        return Tensor(self.gamma.value * x_hat + self.beta.value,
+                      (x, self.gamma.tensor(), self.beta.tensor()), _bw)

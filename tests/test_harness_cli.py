@@ -554,9 +554,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     with open(bad, "w", encoding="utf-8") as f:
         f.write("{not json")
     assert cli.main(["synth", "--config", bad, "--out", os.path.join(tmp_path, "y")]) == 2
-    # a value of another kind than its default -> configuration error
+    # a config file that is not UTF-8 -> configuration error
+    with open(bad, "wb") as f:
+        f.write(b'{"seed": "\xff"}')
+    assert cli.main(["synth", "--config", bad, "--out", os.path.join(tmp_path, "y")]) == 2
+    assert "not valid UTF-8 JSON" in capsys.readouterr().err
+    # an integer too long for Python to convert -> configuration error
+    with open(bad, "w", encoding="utf-8") as f:
+        f.write('{"seed": ' + "1" * 5000 + "}")
+    assert cli.main(["synth", "--config", bad, "--out", os.path.join(tmp_path, "y")]) == 2
+    # a directory where a file is expected -> data error
+    assert cli.main(["synth", "--config", str(tmp_path), "--out", os.path.join(tmp_path, "y")]) == 3
+    # a value of another kind than its default, or a model the package cannot
+    # build -> configuration error
     for override in ('train.batch_size="abc"', "synth.n_steps=true", "synth=5",
-                     'leads_minutes="abc"', "split.ratios=5", 'station_counts=["a"]'):
+                     'leads_minutes="abc"', "split.ratios=5", 'station_counts=["a"]',
+                     'model.arch="cnn"', "model.heads=0"):
         assert cli.main([
             "synth", "--config", cfg_path, "--set", override, "--out", os.path.join(tmp_path, "z"),
         ]) == 2

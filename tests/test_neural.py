@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from gwindcast import neural
+from gwindcast import neural, trainer
 from gwindcast.errors import BatchTooSmall, GraphNotRecorded, OddWidth, ShapeMismatch
+from gwindcast.model import ModelConfig, WindModel
 from gwindcast.neural import (
     BatchNorm,
     Dense,
@@ -164,6 +167,38 @@ def test_gradient_accumulates_across_shared_use():
     out = mean_all(add(mul(t, t), scale(t, 3.0)))  # x^2 + 3x -> 2x + 3
     out.backward()
     assert p.grad[0] == pytest.approx(7.0)
+    # add hands its gradient unchanged to a and b, and a also feeds mul, so a
+    # and b start from one shared array: adding mul's share into it in place
+    # would corrupt b's gradient. a + b + a*b = 8x + 15x^2 -> (8 + 30x) / 2
+    p = Param("x", np.array([2.0, -1.0]))
+    t = p.tensor()
+    a, b = scale(t, 3.0), scale(t, 5.0)
+    mean_all(add(add(a, b), mul(a, b))).backward()
+    assert np.allclose(p.grad, (8.0 + 30.0 * p.value) / 2.0, rtol=1e-14)
+
+
+def test_step_and_predict_leave_no_cyclic_garbage():
+    # backward functions never refer to their own output, so reference
+    # counting alone frees a training graph and an inference graph
+    mdl = WindModel(ModelConfig(n_stations=60), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(128, mdl.config.window_steps, mdl.config.n_stations))
+    y = rng.normal(size=(128, mdl.config.output_dim))
+    params = mdl.params()
+    adam = trainer.AdamState.for_params(params)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = mse_loss(mdl.forward_batch(x, training=True), y)
+        loss.backward()
+        trainer.adam_step(params, adam, trainer.TrainConfig())
+        del loss
+        step_garbage = gc.collect()
+        mdl.predict(x[:1])
+        predict_garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (step_garbage, predict_garbage) == (0, 0)
 
 
 def test_positional_encoding_matches_loop_reference():

@@ -101,9 +101,7 @@ def cmd_preprocess(args) -> int:
     panel, cube = harness.finish_scene(panel, cube, cfg)
     os.makedirs(args.out, exist_ok=True)
     _write_scene(args.out, PREPARED_SCENE, panel, cube)
-    with open(os.path.join(args.out, "gap_report.json"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(fileio.canonical_json(report))
-        f.write("\n")
+    fileio.write_json(os.path.join(args.out, "gap_report.json"), report)
     print(f"prepared scene in {args.out} "
           f"({report['missing_cells']} of {report['total_cells']} delay cells filled)")
     return 0

@@ -1,4 +1,4 @@
-"""On-disk formats.
+"""On-disk formats: the one module that encodes and decodes artifacts.
 
 Text formats (CSV, UTF-8, comma separated, one header row):
 
@@ -17,6 +17,11 @@ bit-exactly (NaN payloads included). Each starts with an 8-byte magic:
 The named-array container is a JSON manifest (array names, shapes, free-form
 ``extra`` metadata) followed by the concatenated float64 payloads in manifest
 order; model checkpoints use it with the model configuration in ``extra``.
+
+Text and JSON artifacts are written UTF-8 with LF line ends, JSON in the
+canonical form of :func:`canonical_json`. Every reader turns a malformed file
+into a :class:`DataError` naming it, and every station table, panel, cube and
+series it decodes must pass :func:`gwindcast.core.validate`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -39,13 +45,18 @@ from .core import (
     ZtdPanel,
     format_iso8601,
     parse_iso8601,
+    validate,
 )
 from .errors import DataError
 
-_PANEL_MAGIC = b"GWCPANL1"
-_CUBE_MAGIC = b"GWCCUBE1"
-_SERIES_MAGIC = b"GWCSERS1"
+_MAGIC = {ZtdPanel: b"GWCPANL1", WindCube: b"GWCCUBE1", WindSeries: b"GWCSERS1"}
+_WHAT = {ZtdPanel: "delay panel", WindCube: "wind cube", WindSeries: "wind series"}
 _ARRAYS_MAGIC = b"GWCNARR1"
+
+# what decoding a malformed field raises: bad numbers, bad UTF-8 and bad JSON
+# are ValueErrors, a missing key or an out-of-range index a LookupError, a
+# value of the wrong type a TypeError
+_MALFORMED = (ValueError, LookupError, TypeError)
 
 
 def canonical_json(obj) -> str:
@@ -69,25 +80,79 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _checked(obj, where: str):
+    """obj, unless core.validate finds violations: then a DataError naming
+    where and the first of them."""
+    problems = validate(obj)
+    if problems:
+        more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
+        raise DataError(f"{where}: {'; '.join(problems[:3])}{more}")
+    return obj
+
+
+# ------------------------------------------------------- text and JSON ----
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
+def write_json(path, obj) -> None:
+    """Write obj as canonical JSON plus a newline."""
+    write_text(path, canonical_json(obj) + "\n")
+
+
+def read_json(path, what: str, build):
+    """build(the JSON value in the file at path).
+
+    Malformed JSON, or a field that build finds missing or of the wrong type
+    (a LookupError, TypeError or ValueError), is a DataError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return build(json.load(f))
+    except _MALFORMED as e:
+        raise DataError(f"{path}: malformed {what} ({e})") from e
+
+
 # ------------------------------------------------------------------ CSV ----
 
 
-def malformed_row(path, lineno: int, exc: ValueError) -> DataError:
-    """The error for a CSV row with a bad number, timestamp or field count."""
-    return DataError(f"{path}, line {lineno}: malformed row ({exc})")
+def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
+    """Read a CSV file in one pass; returns (level kind, parsed rows).
 
-
-def read_level_kind(f, what: str, default: str):
-    """Read the optional ``# level_kind=...`` line and the header line.
-
-    Returns (level kind, header, line number of the first data row)."""
-    line = f.readline().strip()
-    if not line.startswith("#"):
-        return default, line, 2
-    key, _, val = line.lstrip("# ").partition("=")
-    if key.strip() != "level_kind" or val.strip() not in LEVEL_KINDS:
-        raise DataError(f"unexpected {what} metadata line: {line!r}")
-    return val.strip(), f.readline().strip(), 3
+    When ``level_kind`` gives a default kind, an optional first line
+    ``# level_kind=...`` may override it; otherwise the kind is None. The
+    next line must equal ``header``. Each non-blank row after it becomes
+    ``parse(fields)``, which unpacks its own fields, so a wrong field count
+    is a ValueError like a bad number or timestamp. Any ValueError (a byte
+    that is not UTF-8 included) is a DataError naming the file and line, and
+    so is a file with no data rows.
+    """
+    rows = []
+    kind = level_kind
+    with open(path, "r", encoding="utf-8") as f:
+        lineno = 1  # text decodes in chunks, so even the first line can fail
+        try:
+            line = f.readline().strip()
+            if level_kind is not None and line.startswith("#"):
+                key, _, kind = (s.strip() for s in line.lstrip("# ").partition("="))
+                if key != "level_kind" or kind not in LEVEL_KINDS:
+                    raise DataError(f"{path}: unexpected {what} metadata line: {line!r}")
+                line, lineno = f.readline().strip(), 2
+            if line != header:
+                raise DataError(f"{path}: unexpected {what} file header: {line!r}")
+            for lineno, line in enumerate(f, lineno + 1):
+                line = line.strip()
+                if line:
+                    rows.append(parse(line.split(",")))
+        except ValueError as e:
+            raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
+    if not rows:
+        raise DataError(f"{path}: {what} file contains no data rows")
+    return kind, rows
 
 
 def _row_axis(path, rows, step: int) -> TimeAxis:
@@ -102,40 +167,34 @@ def _row_axis(path, rows, step: int) -> TimeAxis:
 
 
 def write_station_csv(path, table: StationTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("station_id,lat,lon\n")
-        for sid, la, lo in table.entries:
-            f.write(f"{sid},{_fmt(la)},{_fmt(lo)}\n")
+    write_text(path, "station_id,lat,lon\n"
+               + "".join(f"{sid},{_fmt(la)},{_fmt(lo)}\n" for sid, la, lo in table.entries))
+
+
+def _station_row(fields):
+    sid, la, lo = fields
+    return sid, float(la), float(lo)
 
 
 def read_station_csv(path) -> StationTable:
-    entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        lineno = 1  # the header; text decodes in chunks, so it can fail here
-        try:
-            header = f.readline().strip()
-            if header != "station_id,lat,lon":
-                raise DataError(f"unexpected station file header: {header!r}")
-            for lineno, line in enumerate(f, 2):
-                line = line.strip()
-                if not line:
-                    continue
-                sid, la, lo = line.split(",")
-                entries.append((sid, float(la), float(lo)))
-        except ValueError as e:
-            raise malformed_row(path, lineno, e) from e
-    return StationTable.from_entries(entries)
+    _, entries = read_csv_rows(path, "station", "station_id,lat,lon", _station_row)
+    return _checked(StationTable.from_entries(entries), str(path))
 
 
 def write_ztd_csv(path, panel: ZtdPanel) -> None:
     times = panel.axis.timestamps()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("timestamp,station_id,ztd_m\n")
-        for k in range(panel.axis.count):
-            iso = format_iso8601(times[k])
-            for s, sid in enumerate(panel.stations.ids):
-                if panel.mask[k, s]:
-                    f.write(f"{iso},{sid},{_fmt(panel.values[k, s])}\n")
+    lines = ["timestamp,station_id,ztd_m\n"]
+    for k in range(panel.axis.count):
+        iso = format_iso8601(times[k])
+        for s, sid in enumerate(panel.stations.ids):
+            if panel.mask[k, s]:
+                lines.append(f"{iso},{sid},{_fmt(panel.values[k, s])}\n")
+    write_text(path, "".join(lines))
+
+
+def _ztd_row(fields):
+    ts, sid, val = fields
+    return parse_iso8601(ts), sid, float(val)
 
 
 def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
@@ -145,34 +204,18 @@ def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
     (``step`` when only one timestamp is present); every timestamp must sit
     on that grid. Stations not in ``stations`` are rejected.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        lineno = 1  # the header; text decodes in chunks, so it can fail here
-        try:
-            header = f.readline().strip()
-            if header != "timestamp,station_id,ztd_m":
-                raise DataError(f"unexpected delay file header: {header!r}")
-            for lineno, line in enumerate(f, 2):
-                line = line.strip()
-                if not line:
-                    continue
-                ts, sid, val = line.split(",")
-                rows.append((parse_iso8601(ts), sid, float(val)))
-        except ValueError as e:
-            raise malformed_row(path, lineno, e) from e
-    if not rows:
-        raise DataError("delay file contains no data rows")
+    _, rows = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m", _ztd_row)
     axis = _row_axis(path, rows, step)
     col = {sid: i for i, sid in enumerate(stations.ids)}
     values = np.full((axis.count, len(stations)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
     for ts, sid, val in rows:
         if sid not in col:
-            raise DataError(f"unknown station id in delay file: {sid!r}")
+            raise DataError(f"{path}: unknown station id in delay file: {sid!r}")
         k = axis.index_of(ts)
         values[k, col[sid]] = val
         mask[k, col[sid]] = True
-    return ZtdPanel(axis, stations, values, mask)
+    return _checked(ZtdPanel(axis, stations, values, mask), str(path))
 
 
 def write_wind_csv(path, cube: WindCube) -> None:
@@ -181,40 +224,32 @@ def write_wind_csv(path, cube: WindCube) -> None:
 
     speed, direction = compose_wind(cube.values[..., 0], cube.values[..., 1])
     times = cube.axis.timestamps()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# level_kind={cube.levels.kind}\n")
-        f.write("timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n")
-        for k in range(cube.axis.count):
-            iso = format_iso8601(times[k])
-            for l, lev in enumerate(cube.levels.values):
-                for s, sid in enumerate(cube.stations.ids):
-                    if cube.mask[k, l, s].all():
-                        f.write(
-                            f"{iso},{sid},{_fmt(lev)},{_fmt(speed[k, l, s])},"
-                            f"{_fmt(direction[k, l, s])},{_fmt(cube.values[k, l, s, 2])}\n"
-                        )
+    lines = [f"# level_kind={cube.levels.kind}\n",
+             "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"]
+    for k in range(cube.axis.count):
+        iso = format_iso8601(times[k])
+        for l, lev in enumerate(cube.levels.values):
+            for s, sid in enumerate(cube.stations.ids):
+                if cube.mask[k, l, s].all():
+                    lines.append(
+                        f"{iso},{sid},{_fmt(lev)},{_fmt(speed[k, l, s])},"
+                        f"{_fmt(direction[k, l, s])},{_fmt(cube.values[k, l, s, 2])}\n"
+                    )
+    write_text(path, "".join(lines))
+
+
+def _wind_row(fields):
+    ts, sid, lev, spd, drc, w = fields
+    return parse_iso8601(ts), sid, float(lev), float(spd), float(drc), float(w)
 
 
 def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
     from .preprocess import decompose_wind
 
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        lineno = 1  # the header; text decodes in chunks, so it can fail here
-        try:
-            kind, line, lineno = read_level_kind(f, "wind", HEIGHT_M)
-            if line != "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms":
-                raise DataError(f"unexpected wind file header: {line!r}")
-            for lineno, line in enumerate(f, lineno):
-                line = line.strip()
-                if not line:
-                    continue
-                ts, sid, lev, spd, drc, w = line.split(",")
-                rows.append((parse_iso8601(ts), sid, float(lev), float(spd), float(drc), float(w)))
-        except ValueError as e:
-            raise malformed_row(path, lineno, e) from e
-    if not rows:
-        raise DataError("wind file contains no data rows")
+    kind, rows = read_csv_rows(
+        path, "wind", "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms",
+        _wind_row, level_kind=HEIGHT_M,
+    )
     axis = _row_axis(path, rows, step)
     lev_values = sorted({r[2] for r in rows}, reverse=(kind != HEIGHT_M))
     levels = LevelSpec(kind, tuple(lev_values))
@@ -224,12 +259,12 @@ def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
     mask = np.zeros(values.shape, dtype=bool)
     for ts, sid, lev, spd, drc, w in rows:
         if sid not in col:
-            raise DataError(f"unknown station id in wind file: {sid!r}")
+            raise DataError(f"{path}: unknown station id in wind file: {sid!r}")
         u, v = decompose_wind(spd, drc)
         k, l, s = axis.index_of(ts), lev_idx[lev], col[sid]
         values[k, l, s] = (u, v, w)
         mask[k, l, s] = True
-    return WindCube(axis, levels, stations, values, mask)
+    return _checked(WindCube(axis, levels, stations, values, mask), str(path))
 
 
 # --------------------------------------------------------------- binary ----
@@ -241,171 +276,151 @@ class _Cursor:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
+        if n < 0:
+            raise DataError(f"negative length {n} in binary file")
         if self.pos + n > len(self.data):
             raise DataError("binary file truncated")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
+    def count(self) -> int:
+        n = self.unpack("<q")[0]
+        if n < 0:
+            raise DataError(f"negative count {n} in binary file")
+        return n
 
     def f64_array(self, shape) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(self.take(8 * n), dtype="<f8").reshape(shape)
+        arr = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         return arr.astype(np.float64, copy=True)
 
     def bool_array(self, shape) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        return np.frombuffer(self.take(n), dtype=np.uint8).reshape(shape).astype(bool)
-
-    def string(self) -> str:
-        n = struct.unpack("<H", self.take(2))[0]
-        return self.take(n).decode("utf-8")
-
-
-def _put_string(buf, text: str) -> None:
-    raw = text.encode("utf-8")
-    buf.write(struct.pack("<H", len(raw)))
-    buf.write(raw)
+        return np.frombuffer(self.take(math.prod(shape)), dtype=np.uint8).reshape(shape).astype(bool)
 
 
 def _put_f64(buf, arr) -> None:
     buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _put_stations(buf, table: StationTable) -> None:
-    buf.write(struct.pack("<q", len(table)))
-    for sid, la, lo in table.entries:
-        _put_string(buf, sid)
-        buf.write(struct.pack("<dd", la, lo))
+def _decode(data: bytes, magic: bytes, what: str, body):
+    """The one binary decode entry: check the magic, then run body on a
+    cursor past it. A malformed field (a bad count or level-kind byte, bytes
+    that are not UTF-8, a bad JSON manifest) becomes a DataError."""
+    cur = _Cursor(data)
+    if cur.take(8) != magic:
+        raise DataError(f"not a {what} file")
+    try:
+        return body(cur)
+    except _MALFORMED as e:
+        raise DataError(f"malformed {what} file ({e})") from e
 
 
-def _take_stations(cur: _Cursor) -> StationTable:
-    n = cur.i64()
-    entries = []
-    for _ in range(n):
-        sid = cur.string()
-        la, lo = struct.unpack("<dd", cur.take(16))
-        entries.append((sid, la, lo))
-    return StationTable.from_entries(entries)
-
-
-def _put_levels(buf, levels: LevelSpec) -> None:
-    buf.write(struct.pack("<q", len(levels)))
-    buf.write(bytes([LEVEL_KINDS.index(levels.kind)]))
-    _put_f64(buf, np.array(levels.values))
-
-
-def _take_levels(cur: _Cursor) -> LevelSpec:
-    n = cur.i64()
-    kind = LEVEL_KINDS[cur.u8()]
-    return LevelSpec(kind, tuple(cur.f64_array((n,))))
-
-
-def panel_to_bytes(panel: ZtdPanel) -> bytes:
+def _to_bytes(obj) -> bytes:
+    """Magic and time header of a panel, cube or series, then the body they
+    share: levels when present, stations, float64 values, uint8 mask."""
     buf = io.BytesIO()
-    buf.write(_PANEL_MAGIC)
-    buf.write(struct.pack("<qqq", panel.axis.start, panel.axis.step, panel.axis.count))
-    _put_stations(buf, panel.stations)
-    _put_f64(buf, panel.values)
-    buf.write(np.ascontiguousarray(panel.mask, dtype=np.uint8).tobytes())
+    buf.write(_MAGIC[type(obj)])
+    if isinstance(obj, WindSeries):
+        buf.write(struct.pack("<q", len(obj.times)))
+        buf.write(np.ascontiguousarray(obj.times, dtype="<i8").tobytes())
+    else:
+        buf.write(struct.pack("<qqq", obj.axis.start, obj.axis.step, obj.axis.count))
+    if not isinstance(obj, ZtdPanel):
+        buf.write(struct.pack("<q", len(obj.levels)))
+        buf.write(bytes([LEVEL_KINDS.index(obj.levels.kind)]))
+        _put_f64(buf, np.array(obj.levels.values))
+    buf.write(struct.pack("<q", len(obj.stations)))
+    for sid, la, lo in obj.stations.entries:
+        raw = sid.encode("utf-8")
+        buf.write(struct.pack("<H", len(raw)))
+        buf.write(raw)
+        buf.write(struct.pack("<dd", la, lo))
+    _put_f64(buf, obj.values)
+    buf.write(np.ascontiguousarray(obj.mask, dtype=np.uint8).tobytes())
     return buf.getvalue()
+
+
+def _from_bytes(data: bytes, kind):
+    """Inverse of :func:`_to_bytes` for the class ``kind``."""
+
+    def body(cur: _Cursor):
+        if kind is WindSeries:
+            n_t = cur.count()
+            parts = [np.frombuffer(cur.take(8 * n_t), dtype="<i8").astype(np.int64)]
+        else:
+            axis = TimeAxis(*cur.unpack("<qqq"))
+            n_t, parts = axis.count, [axis]
+        if kind is not ZtdPanel:
+            n_lev, kind_byte = cur.count(), cur.unpack("<B")[0]
+            parts.append(LevelSpec(LEVEL_KINDS[kind_byte], tuple(cur.f64_array((n_lev,)))))
+        entries = []
+        for _ in range(cur.count()):
+            sid = cur.take(cur.unpack("<H")[0]).decode("utf-8")
+            entries.append((sid, *cur.unpack("<dd")))
+        stations = StationTable.from_entries(entries)
+        shape = (n_t, len(stations)) if kind is ZtdPanel else (n_t, len(parts[1]), len(stations), 3)
+        obj = kind(*parts, stations, cur.f64_array(shape), cur.bool_array(shape))
+        return _checked(obj, f"invalid {_WHAT[kind]}")
+
+    return _decode(data, _MAGIC[kind], _WHAT[kind], body)
+
+
+def _write_bytes(path, data: bytes) -> None:
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def _read_decoded(path, decode):
+    """decode(the bytes of the file at path), its DataError naming the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return decode(data)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
+
+
+# a panel, cube and series share one encoder
+panel_to_bytes = cube_to_bytes = series_to_bytes = _to_bytes
 
 
 def panel_from_bytes(data: bytes) -> ZtdPanel:
-    cur = _Cursor(data)
-    if cur.take(8) != _PANEL_MAGIC:
-        raise DataError("not a delay panel file")
-    start, step, count = (cur.i64() for _ in range(3))
-    stations = _take_stations(cur)
-    shape = (count, len(stations))
-    values = cur.f64_array(shape)
-    mask = cur.bool_array(shape)
-    return ZtdPanel(TimeAxis(start, step, count), stations, values, mask)
-
-
-def cube_to_bytes(cube: WindCube) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_CUBE_MAGIC)
-    buf.write(struct.pack("<qqq", cube.axis.start, cube.axis.step, cube.axis.count))
-    _put_levels(buf, cube.levels)
-    _put_stations(buf, cube.stations)
-    _put_f64(buf, cube.values)
-    buf.write(np.ascontiguousarray(cube.mask, dtype=np.uint8).tobytes())
-    return buf.getvalue()
+    return _from_bytes(data, ZtdPanel)
 
 
 def cube_from_bytes(data: bytes) -> WindCube:
-    cur = _Cursor(data)
-    if cur.take(8) != _CUBE_MAGIC:
-        raise DataError("not a wind cube file")
-    start, step, count = (cur.i64() for _ in range(3))
-    levels = _take_levels(cur)
-    stations = _take_stations(cur)
-    shape = (count, len(levels), len(stations), 3)
-    values = cur.f64_array(shape)
-    mask = cur.bool_array(shape)
-    return WindCube(TimeAxis(start, step, count), levels, stations, values, mask)
-
-
-def series_to_bytes(series: WindSeries) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_SERIES_MAGIC)
-    buf.write(struct.pack("<q", len(series.times)))
-    buf.write(np.ascontiguousarray(series.times, dtype="<i8").tobytes())
-    _put_levels(buf, series.levels)
-    _put_stations(buf, series.stations)
-    _put_f64(buf, series.values)
-    buf.write(np.ascontiguousarray(series.mask, dtype=np.uint8).tobytes())
-    return buf.getvalue()
+    return _from_bytes(data, WindCube)
 
 
 def series_from_bytes(data: bytes) -> WindSeries:
-    cur = _Cursor(data)
-    if cur.take(8) != _SERIES_MAGIC:
-        raise DataError("not a wind series file")
-    n_t = cur.i64()
-    times = np.frombuffer(cur.take(8 * n_t), dtype="<i8").astype(np.int64)
-    levels = _take_levels(cur)
-    stations = _take_stations(cur)
-    shape = (n_t, len(levels), len(stations), 3)
-    values = cur.f64_array(shape)
-    mask = cur.bool_array(shape)
-    return WindSeries(times, levels, stations, values, mask)
+    return _from_bytes(data, WindSeries)
 
 
 def write_panel(path, panel: ZtdPanel) -> None:
-    with open(path, "wb") as f:
-        f.write(panel_to_bytes(panel))
+    _write_bytes(path, _to_bytes(panel))
 
 
 def read_panel(path) -> ZtdPanel:
-    with open(path, "rb") as f:
-        return panel_from_bytes(f.read())
+    return _read_decoded(path, panel_from_bytes)
 
 
 def write_cube(path, cube: WindCube) -> None:
-    with open(path, "wb") as f:
-        f.write(cube_to_bytes(cube))
+    _write_bytes(path, _to_bytes(cube))
 
 
 def read_cube(path) -> WindCube:
-    with open(path, "rb") as f:
-        return cube_from_bytes(f.read())
+    return _read_decoded(path, cube_from_bytes)
 
 
 def write_series(path, series: WindSeries) -> None:
-    with open(path, "wb") as f:
-        f.write(series_to_bytes(series))
+    _write_bytes(path, _to_bytes(series))
 
 
 def read_series(path) -> WindSeries:
-    with open(path, "rb") as f:
-        return series_from_bytes(f.read())
+    return _read_decoded(path, series_from_bytes)
 
 
 # --------------------------------------------- named-array container ----
@@ -432,22 +447,18 @@ def named_arrays_to_bytes(arrays: dict, extra: dict | None = None) -> bytes:
 
 def named_arrays_from_bytes(data: bytes):
     """Inverse of :func:`named_arrays_to_bytes`; returns (arrays, extra)."""
-    cur = _Cursor(data)
-    if cur.take(8) != _ARRAYS_MAGIC:
-        raise DataError("not a named-array container")
-    n = struct.unpack("<Q", cur.take(8))[0]
-    manifest = json.loads(cur.take(n).decode("utf-8"))
-    arrays = {}
-    for entry in manifest["arrays"]:
-        arrays[entry["name"]] = cur.f64_array(tuple(entry["shape"]))
-    return arrays, manifest.get("extra", {})
+
+    def body(cur: _Cursor):
+        manifest = json.loads(cur.take(cur.unpack("<Q")[0]).decode("utf-8"))
+        arrays = {e["name"]: cur.f64_array(tuple(e["shape"])) for e in manifest["arrays"]}
+        return arrays, manifest.get("extra", {})
+
+    return _decode(data, _ARRAYS_MAGIC, "named-array container", body)
 
 
 def write_named_arrays(path, arrays: dict, extra: dict | None = None) -> None:
-    with open(path, "wb") as f:
-        f.write(named_arrays_to_bytes(arrays, extra))
+    _write_bytes(path, named_arrays_to_bytes(arrays, extra))
 
 
 def read_named_arrays(path):
-    with open(path, "rb") as f:
-        return named_arrays_from_bytes(f.read())
+    return _read_decoded(path, named_arrays_from_bytes)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, fileio, geo
 from .core import (
     COMPONENTS,
+    PRESSURE_HPA,
     LevelSpec,
     TimeAxis,
     WindCube,
@@ -40,23 +41,7 @@ from .trainer import TrainConfig, train, write_history
 DEFAULT_CONFIG = {
     "seed": 20250807,
     "data": {"kind": "synthetic"},
-    "synth": {
-        "seed": 20250601,
-        "n_ztd_stations": 60,
-        "n_wind_stations": 3,
-        "n_levels": 3,
-        "n_steps": 4000,
-        "latent_dim": 8,
-        "noise_std": 0.05,
-        "missing_rate": 0.02,
-        "lead_coupling_steps": 6,
-        "step_seconds": 300,
-        "linear_gain": 1.0,
-        "tanh_gain": 0.35,
-        "center_lat": 29.36,
-        "center_lon": 120.07,
-        "start_epoch": 1746595800,
-    },
+    "synth": asdict(SynthConfig()),
     "window_steps": 6,
     "leads_minutes": [5, 10, 15, 20, 25, 30],
     "ablation_lead_minutes": 30,
@@ -77,6 +62,11 @@ DEFAULT_CONFIG = {
     "time_start": None,
     "time_end": None,
 }
+
+# the data section of a files scene; a synthetic one holds only its kind
+_FILES_DATA = {"kind": "files", "ztd_stations": "", "ztd": "", "wind_stations": "", "wind": ""}
+# integer defaults that may take fractional values (checked against the grid)
+_MINUTES = ("leads_minutes", "ablation_lead_minutes")
 
 _SEED_SPLIT, _SEED_INIT, _SEED_TRAIN = 1, 2, 3
 
@@ -109,29 +99,45 @@ def parse_override(text: str) -> dict:
     return out
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_number(x, integral: bool = False) -> bool:
+    """A number but not a bool; with ``integral``, one without a fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return not integral or isinstance(x, int) or x.is_integer()
+
+
+def _numbers(val, default, name: str):
+    """val, checked to have the kind of its numeric default: a number or a
+    list of numbers. Where the default is integral (lead minutes aside) so
+    must val be, and a float such as 5.0 becomes the int 5."""
+    many = isinstance(default, list)
+    integral = isinstance(default[0] if many else default, int) and name not in _MINUTES
+    items = val if many and isinstance(val, list) else [val]
+    if many != isinstance(val, list) or not all(_is_number(x, integral) for x in items):
+        raise ConfigError(f"{name} must be {'a list of numbers' if many else 'a number'}"
+                          f"{' with no fraction' if integral else ''}, got {val!r}")
+    items = [int(x) if integral else x for x in items]
+    return items if many else items[0]
 
 
 def _expect_types(d: dict, defaults: dict, where: str = "") -> None:
-    """Each value must have the kind of its default: an object, a number
-    (not a bool) or a list of numbers."""
+    """Each key must be one of the defaults' keys, and each value must have
+    the kind of its default: an object, a string, or as :func:`_numbers`
+    checks. Integral numbers are stored as ints."""
+    unknown = set(d) - set(defaults)
+    if unknown:
+        section = where.rstrip(".") or "config"
+        raise ConfigError(f"unknown config keys in {section}: {sorted(unknown)}")
     for key, default in defaults.items():
-        val, name = d[key], where + key
+        val, name = d.get(key), where + key
         if isinstance(default, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{name} must be an object, got {val!r}")
             _expect_types(val, default, name + ".")
-        elif _is_number(default) and not _is_number(val):
-            raise ConfigError(f"{name} must be a number, got {val!r}")
-        elif isinstance(default, list) and not (isinstance(val, list) and all(map(_is_number, val))):
-            raise ConfigError(f"{name} must be a list of numbers, got {val!r}")
-
-
-def _expect_keys(d: dict, allowed, where: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
+        elif isinstance(default, str) and not isinstance(val, str):
+            raise ConfigError(f"{name} must be a string, got {val!r}")
+        elif _is_number(default) or isinstance(default, list):
+            d[key] = _numbers(val, default, name)
 
 
 @dataclass(frozen=True)
@@ -143,36 +149,26 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = merge_config(DEFAULT_CONFIG, d)
-        _expect_types(d, DEFAULT_CONFIG)
-        _expect_keys(d, DEFAULT_CONFIG, "config")
-        _expect_keys(d["synth"], DEFAULT_CONFIG["synth"], "synth")
-        _expect_keys(d["train"], DEFAULT_CONFIG["train"], "train")
-        _expect_keys(d["model"], DEFAULT_CONFIG["model"], "model")
-        _expect_keys(d["reference"], DEFAULT_CONFIG["reference"], "reference")
-        _expect_keys(d["split"], DEFAULT_CONFIG["split"], "split")
-        _expect_keys(d["postprocess"], DEFAULT_CONFIG["postprocess"], "postprocess")
-        if d["data"].get("kind") not in ("synthetic", "files"):
+        if not isinstance(d["data"], dict) or d["data"].get("kind") not in ("synthetic", "files"):
             raise ConfigError("data.kind must be 'synthetic' or 'files'")
-        if d["data"]["kind"] == "files":
-            _expect_keys(d["data"], ("kind", "ztd_stations", "ztd", "wind_stations", "wind"),
-                         "data")
+        files = d["data"]["kind"] == "files"
+        _expect_types(d, dict(DEFAULT_CONFIG, data=_FILES_DATA) if files else DEFAULT_CONFIG)
         cfg = cls(raw=d)
         cfg.synth_config()  # validates
         cfg.train_config(seed=0)
         cfg.model_config(n_stations=1, output_dim=1)  # the scene sets the real sizes
+        cfg.split_config(seed=0)
         if not d["leads_minutes"]:
             raise ConfigError("leads_minutes must not be empty")
-        if d["window_steps"] < 1:
-            raise ConfigError("window_steps must be at least 1")
         return cfg
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     @property
     def window_steps(self) -> int:
-        return int(self.raw["window_steps"])
+        return self.raw["window_steps"]
 
     @property
     def leads_minutes(self) -> list:
@@ -180,7 +176,7 @@ class ExperimentConfig:
 
     @property
     def station_counts(self) -> list:
-        return [int(k) for k in self.raw["station_counts"]]
+        return list(self.raw["station_counts"])
 
     @property
     def ablation_lead_minutes(self) -> float:
@@ -206,8 +202,8 @@ class ExperimentConfig:
             window_steps=self.window_steps,
             n_stations=n_stations,
             output_dim=output_dim,
-            n_encoder_blocks=int(self.raw["model"]["n_encoder_blocks"]),
-            heads=int(self.raw["model"]["heads"]),
+            n_encoder_blocks=self.raw["model"]["n_encoder_blocks"],
+            heads=self.raw["model"]["heads"],
         )
         cfg.validate()
         return cfg
@@ -304,7 +300,7 @@ def train_stage(samples, cfg: ExperimentConfig, lead_steps: int, out_dir):
 def calibrate_stage(model, samples, cfg: ExperimentConfig, path):
     """Fit the calibration map the ``postprocess`` config sets; write it to path."""
     pp = cfg.raw["postprocess"]
-    cdf = fit_cdf_map(model, samples, mode=pp["mode"], n_quantiles=int(pp["n_quantiles"]))
+    cdf = fit_cdf_map(model, samples, mode=pp["mode"], n_quantiles=pp["n_quantiles"])
     write_cdf_map(path, cdf)
     return cdf
 
@@ -440,10 +436,8 @@ def _write_ablation_tables(out_dir, reports: dict) -> None:
                 f"{k},{comp},{_fmt(row.rmse / 10.0)},{_fmt(row.mae / 10.0)},"
                 f"{_fmt(row.rmspe)},{_fmt(1.0 - row.r)}"
             )
-    with open(os.path.join(out_dir, "ablation_metrics.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "ablation_radar.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(radar) + "\n")
+    fileio.write_text(os.path.join(out_dir, "ablation_metrics.csv"), "\n".join(lines) + "\n")
+    fileio.write_text(os.path.join(out_dir, "ablation_radar.csv"), "\n".join(radar) + "\n")
 
 
 def write_manifest(out_dir, cfg: ExperimentConfig, panel: ZtdPanel, cube: WindCube) -> None:
@@ -458,9 +452,7 @@ def write_manifest(out_dir, cfg: ExperimentConfig, panel: ZtdPanel, cube: WindCu
             "cube_sha256": fileio.sha256_of_bytes(fileio.cube_to_bytes(cube)),
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(fileio.canonical_json(manifest))
-        f.write("\n")
+    fileio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 # ------------------------------------------------- gridded baseline ----
@@ -486,31 +478,20 @@ class GriddedBaseline:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
+def _baseline_row(fields):
+    ts, la, lo, lev, u, v, w = fields
+    return parse_iso8601(ts), float(la), float(lo), float(lev), float(u), float(v), float(w)
+
+
 def read_baseline_csv(path) -> GriddedBaseline:
     """Delimited grid: ``timestamp,lat,lon,level,u_ms,v_ms,w_ms`` preceded by
     a ``# level_kind=...`` metadata line; every grid combination must appear."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        lineno = 1  # the header; text decodes in chunks, so it can fail here
-        try:
-            kind, line, lineno = fileio.read_level_kind(f, "baseline", "pressure_hPa")
-            if line != "timestamp,lat,lon,level,u_ms,v_ms,w_ms":
-                raise DataError(f"unexpected baseline header: {line!r}")
-            for lineno, line in enumerate(f, lineno):
-                line = line.strip()
-                if not line:
-                    continue
-                ts, la, lo, lev, u, v, w = line.split(",")
-                rows.append((parse_iso8601(ts), float(la), float(lo), float(lev),
-                             float(u), float(v), float(w)))
-        except ValueError as e:
-            raise fileio.malformed_row(path, lineno, e) from e
-    if not rows:
-        raise DataError("baseline file contains no data rows")
+    kind, rows = fileio.read_csv_rows(path, "baseline", "timestamp,lat,lon,level,u_ms,v_ms,w_ms",
+                                      _baseline_row, level_kind=PRESSURE_HPA)
     times = sorted({r[0] for r in rows})
     lats = sorted({r[1] for r in rows})
     lons = sorted({r[2] for r in rows})
-    levs = sorted({r[3] for r in rows}, reverse=(kind == "pressure_hPa"))
+    levs = sorted({r[3] for r in rows}, reverse=(kind == PRESSURE_HPA))
     shape = (len(times), len(levs), len(lats), len(lons))
     if len(rows) != int(np.prod(shape)):
         raise DataError(f"baseline grid incomplete: {len(rows)} rows for shape {shape}")
@@ -609,9 +590,8 @@ def emit_timeseries(pred: WindSeries, truth: WindSeries, out_dir) -> list:
             p_mean = pred.values[:, l, :, c].mean(axis=1)
             t_mean = truth.values[:, l, :, c].mean(axis=1)
             path = os.path.join(out_dir, f"timeseries_{safe}_{comp}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write("timestamp,pred,truth\n")
-                for ts, pv, tv in zip(pred.times, p_mean, t_mean):
-                    f.write(f"{format_iso8601(ts)},{_fmt(pv)},{_fmt(tv)}\n")
+            fileio.write_text(path, "timestamp,pred,truth\n" + "".join(
+                f"{format_iso8601(ts)},{_fmt(pv)},{_fmt(tv)}\n"
+                for ts, pv, tv in zip(pred.times, p_mean, t_mean)))
             paths.append(path)
     return paths

@@ -15,11 +15,12 @@ metrics are reported:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import fileio
 from .core import COMPONENTS, WindSeries
 from .errors import AllCellsDegenerate, EmptyInput, Misaligned, ShapeMismatch
 
@@ -109,6 +110,9 @@ class MetricRow:
     n_r_degenerate: int
 
 
+_ROW_TYPES = {"float": float, "int": int, "str": str}  # MetricRow's field annotations
+
+
 @dataclass(frozen=True)
 class MetricReport:
     lead_minutes: float
@@ -130,10 +134,13 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
+        """Inverse of :meth:`to_dict`; a missing field is a KeyError, a value
+        that does not convert to its field's type a ValueError or TypeError."""
         return cls(
-            lead_minutes=d["lead_minutes"],
-            level_labels=tuple(d["level_labels"]),
-            rows=tuple(MetricRow(**r) for r in d["rows"]),
+            lead_minutes=float(d["lead_minutes"]),
+            level_labels=tuple(str(lab) for lab in d["level_labels"]),
+            rows=tuple(MetricRow(**{f.name: _ROW_TYPES[f.type](r[f.name])
+                                    for f in fields(MetricRow)}) for r in d["rows"]),
         )
 
 
@@ -185,14 +192,11 @@ def evaluate_series(pred: WindSeries, truth: WindSeries, lead_minutes: float) ->
 
 
 def write_report(path, report: MetricReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, separators=(",", ":"), allow_nan=True)
-        f.write("\n")
+    fileio.write_json(path, report.to_dict())
 
 
 def read_report(path) -> MetricReport:
-    with open(path, "r", encoding="utf-8") as f:
-        return MetricReport.from_dict(json.load(f))
+    return fileio.read_json(path, "metric report", MetricReport.from_dict)
 
 
 def _fmt(x: float) -> str:
@@ -217,13 +221,10 @@ def mosaic_table(reports: dict, metric: str, component: str) -> str:
 def write_mosaic_tables(out_dir, reports: dict) -> list:
     """Write mosaic_{metric}_{component}.csv for all metrics and components;
     returns the file paths written."""
-    import os
-
     paths = []
     for metric in ("rmse", "mae", "rmspe", "r"):
         for comp in COMPONENTS:
             path = os.path.join(out_dir, f"mosaic_{metric}_{comp}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write(mosaic_table(reports, metric, comp))
+            fileio.write_text(path, mosaic_table(reports, metric, comp))
             paths.append(path)
     return paths

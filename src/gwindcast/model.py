@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio, neural
 from .core import WindSeries
-from .errors import ConfigError, EmptySplit, ShapeMismatch, UnnormalizedInput
+from .errors import ConfigError, DataError, EmptySplit, ShapeMismatch, UnnormalizedInput
 
 ARCHITECTURES = ("transformer", "mlp")
 
@@ -146,10 +146,6 @@ class WindModel:
         for bn in self._bns:
             bn.load_buffers(state)
 
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
-
     # ---------------------------------------------------------- forward --
 
     def forward_batch(self, x: np.ndarray, training: bool) -> neural.Tensor:
@@ -183,10 +179,12 @@ class WindModel:
         return neural.reshape(bn.forward(flat, training), (b, self.config.window_steps, d))
 
     def predict(self, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
-        """Inference forward over normalized inputs, chunked for memory."""
+        """Inference forward over normalized inputs, chunked for memory; it
+        records no graph."""
         outs = []
-        for i in range(0, x.shape[0], chunk):
-            outs.append(self.forward_batch(x[i : i + chunk], training=False).data)
+        with neural.no_graph():
+            for i in range(0, x.shape[0], chunk):
+                outs.append(self.forward_batch(x[i : i + chunk], training=False).data)
         return np.concatenate(outs, axis=0)
 
 
@@ -217,13 +215,16 @@ def save_model(path, model: WindModel) -> None:
 
 def load_model(path, expect_config: ModelConfig | None = None) -> WindModel:
     arrays, extra = fileio.read_named_arrays(path)
-    if extra.get("kind") != "wind-model":
+    if not isinstance(extra, dict) or extra.get("kind") != "wind-model":
         raise ConfigError("file is not a model checkpoint")
-    config = ModelConfig.from_dict(extra["model_config"])
+    try:
+        config = ModelConfig.from_dict(extra["model_config"])
+        model = WindModel(config, seed=0)
+        model.load_state(arrays)
+    except (ConfigError, LookupError, TypeError) as e:
+        raise DataError(f"{path}: malformed model checkpoint ({e})") from e
     if expect_config is not None and config != expect_config:
         raise ConfigError(
             f"checkpoint config {config.to_dict()} does not match expected {expect_config.to_dict()}"
         )
-    model = WindModel(config, seed=0)
-    model.load_state(arrays)
     return model

@@ -13,14 +13,31 @@ parents. It never refers to its own output, so a graph holds no reference
 cycle and is freed by reference counting as soon as the loss is dropped.
 The gradients it returns may be ``g`` itself or views of it;
 ``Tensor.backward()`` stores them and adds later ones out of place, so no
-gradient array is ever written to.
+gradient array is ever written to. Inside :func:`no_graph` nothing is
+recorded: inference builds only the arrays it needs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import BatchTooSmall, GraphNotRecorded, OddWidth, ShapeMismatch
+
+_recording = True
+
+
+@contextmanager
+def no_graph():
+    """Inside this block every Tensor keeps no parents or backward function
+    and needs no gradient, so ops record no graph (inference only)."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class Tensor:
@@ -32,6 +49,8 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad = None
+        if not _recording:
+            parents, backward, requires_grad = (), None, False
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
@@ -103,9 +122,6 @@ class Param:
         t = Tensor(self.value, requires_grad=True)
         t._param = self
         return t
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

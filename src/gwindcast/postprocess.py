@@ -15,15 +15,17 @@ Both modes are monotone non-decreasing per channel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .errors import ChannelMismatch, ConfigError, EmptyTrain
 
 MODES = ("gaussian_affine", "empirical_quantile")
 _FORMAT_VERSION = 1
+_ARRAYS = {"gaussian_affine": ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt"),  # per mode
+           "empirical_quantile": ("src_quantiles", "tgt_quantiles")}
 
 
 @dataclass(frozen=True)
@@ -101,47 +103,30 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
 
 def cdf_map_to_dict(cdf: CdfMap) -> dict:
     d = {"format_version": _FORMAT_VERSION, "mode": cdf.mode, "n_channels": cdf.n_channels}
-    if cdf.mode == "gaussian_affine":
-        d.update(
-            mu_src=cdf.mu_src.tolist(),
-            sigma_src=cdf.sigma_src.tolist(),
-            mu_tgt=cdf.mu_tgt.tolist(),
-            sigma_tgt=cdf.sigma_tgt.tolist(),
-        )
-    else:
-        d.update(
-            src_quantiles=cdf.src_quantiles.tolist(),
-            tgt_quantiles=cdf.tgt_quantiles.tolist(),
-        )
+    d.update((name, getattr(cdf, name).tolist()) for name in _ARRAYS[cdf.mode])
     return d
 
 
 def cdf_map_from_dict(d: dict) -> CdfMap:
-    if d.get("format_version") != _FORMAT_VERSION:
-        raise ConfigError(f"unsupported calibration file version: {d.get('format_version')}")
-    if d["mode"] == "gaussian_affine":
-        return CdfMap(
-            mode=d["mode"],
-            n_channels=int(d["n_channels"]),
-            mu_src=np.array(d["mu_src"]),
-            sigma_src=np.array(d["sigma_src"]),
-            mu_tgt=np.array(d["mu_tgt"]),
-            sigma_tgt=np.array(d["sigma_tgt"]),
-        )
-    return CdfMap(
-        mode=d["mode"],
-        n_channels=int(d["n_channels"]),
-        src_quantiles=np.array(d["src_quantiles"]),
-        tgt_quantiles=np.array(d["tgt_quantiles"]),
-    )
+    """Inverse of :func:`cdf_map_to_dict`. An unknown version is a
+    ConfigError; a missing field a KeyError; an unknown mode, or arrays that
+    are not numbers of the map's shape, a ValueError."""
+    if d["format_version"] != _FORMAT_VERSION:
+        raise ConfigError(f"unsupported calibration file version: {d['format_version']}")
+    mode, n = d["mode"], int(d["n_channels"])
+    if mode not in MODES:
+        raise ValueError(f"unknown calibration mode {mode!r}")
+    arrays = {name: np.array(d[name], dtype=np.float64) for name in _ARRAYS[mode]}
+    shape = (n,) if mode == "gaussian_affine" else (n, arrays["src_quantiles"].shape[-1])
+    for name, arr in arrays.items():
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
+    return CdfMap(mode=mode, n_channels=n, **arrays)
 
 
 def write_cdf_map(path, cdf: CdfMap) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(cdf_map_to_dict(cdf), f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    fileio.write_json(path, cdf_map_to_dict(cdf))
 
 
 def read_cdf_map(path) -> CdfMap:
-    with open(path, "r", encoding="utf-8") as f:
-        return cdf_map_from_dict(json.load(f))
+    return fileio.read_json(path, "calibration map", cdf_map_from_dict)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural
+from . import fileio, neural
 from .errors import ConfigError, EmptySplit, NonFiniteGradient, NonFiniteLoss, UnnormalizedInput
 
 
@@ -166,7 +166,7 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
 
     model.load_state(stopper.best_state)
     return TrainResult(
-        best_state={k: v.copy() for k, v in stopper.best_state.items()},
+        best_state=stopper.best_state,
         history=history,
         best_epoch=stopper.best_epoch,
         best_val=stopper.best_val,
@@ -175,10 +175,8 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
 
 def write_history(path, history) -> None:
     """History file: one ``epoch,train_mse,val_mse`` row per epoch."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("epoch,train_mse,val_mse\n")
-        for epoch, train_mse, val_mse in history:
-            f.write(f"{epoch},{train_mse:.17g},{val_mse:.17g}\n")
+    fileio.write_text(path, "epoch,train_mse,val_mse\n" + "".join(
+        f"{epoch},{train_mse:.17g},{val_mse:.17g}\n" for epoch, train_mse, val_mse in history))
 
 
 def read_history(path) -> list:

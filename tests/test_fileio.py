@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,42 @@ def test_binary_rejects_wrong_magic_and_truncation():
         series_from_bytes(blob)
     with pytest.raises(DataError):
         panel_from_bytes(blob[: len(blob) // 2])
+
+
+def put(blob: bytes, offset: int, data: bytes) -> bytes:
+    return blob[:offset] + data + blob[offset + len(data):]
+
+
+def test_binary_rejects_malformed_fields_and_invalid_content(tmp_path):
+    # after the magic: a panel's axis (start, step, count), then its station
+    # count, then each station's id length and id; a cube's axis, level count
+    # and level-kind byte; a series' time count
+    panel = panel_to_bytes(sample_panel())
+    cube = cube_to_bytes(sample_cube())
+    series = series_to_bytes(sample_series())
+    bad = [
+        (panel_from_bytes, put(panel, 24, struct.pack("<q", -1)), "malformed"),  # axis count
+        (panel_from_bytes, put(panel, 32, struct.pack("<q", -1)), "negative count"),
+        (panel_from_bytes, put(panel, 42, b"\xff"), "malformed"),  # station id not UTF-8
+        (cube_from_bytes, put(cube, 40, b"\x07"), "malformed"),  # level kind
+        (series_from_bytes, put(series, 8, struct.pack("<q", -1)), "negative count"),
+        (named_arrays_from_bytes, b"GWCNARR1" + struct.pack("<Q", 5) + b"{oops", "malformed"),
+    ]
+    raw = b'{"arrays":[{"name":"a","shape":[-1]}],"extra":{}}'
+    bad.append((named_arrays_from_bytes, b"GWCNARR1" + struct.pack("<Q", len(raw)) + raw, "negative"))
+    raw = b'{"arrays":{"a":[2]},"extra":{}}'
+    bad.append((named_arrays_from_bytes, b"GWCNARR1" + struct.pack("<Q", len(raw)) + raw, "malformed"))
+    for decode, blob, message in bad:
+        with pytest.raises(DataError, match=message):
+            decode(blob)
+    # decoded content must pass core.validate; a reader names its file
+    values = np.array(sample_panel().values)
+    values[0, 0] = np.inf
+    infinite = ZtdPanel(sample_panel().axis, stations(3), values, np.ones(values.shape, dtype=bool))
+    path = tmp_path / "inf.gwcp"
+    write_panel(path, infinite)
+    with pytest.raises(DataError, match=r"inf\.gwcp: invalid delay panel: non-finite value"):
+        read_panel(path)
 
 
 def test_named_arrays_round_trip_and_order():

@@ -1,5 +1,8 @@
+import functools
 import json
 import os
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -106,6 +109,12 @@ def test_experiment_config_defaults_and_validation():
         ExperimentConfig.from_dict({"leads_minutes": []})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"window_steps": 0})
+    # an integral float is stored as an int; lead minutes may have a fraction
+    cfg = ExperimentConfig.from_dict({"train": {"batch_size": 32.0}, "ablation_lead_minutes": 2.5})
+    assert type(cfg.raw["train"]["batch_size"]) is int and cfg.ablation_lead_minutes == 2.5
+    # a files scene names its four files
+    with pytest.raises(ConfigError, match="data.ztd_stations must be a string"):
+        ExperimentConfig.from_dict({"data": {"kind": "files"}})
 
 
 def test_derive_seed_is_stable_and_keyed():
@@ -569,7 +578,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     # build -> configuration error
     for override in ('train.batch_size="abc"', "synth.n_steps=true", "synth=5",
                      'leads_minutes="abc"', "split.ratios=5", 'station_counts=["a"]',
-                     'model.arch="cnn"', "model.heads=0"):
+                     'model.arch="cnn"', "model.heads=0", "synth.n_steps=300.5",
+                     "train.batch_size=2.5", "model.heads=2.5", "split.ratios=[0.5,0.5]"):
         assert cli.main([
             "synth", "--config", cfg_path, "--set", override, "--out", os.path.join(tmp_path, "z"),
         ]) == 2
@@ -586,6 +596,80 @@ def test_cli_exit_codes(tmp_path, capsys):
         "--out", os.path.join(tmp_path, "prep"),
     ]) == 3
     assert "ztd.csv, line" in capsys.readouterr().err
+    # a delay row holding nan, or a station listed twice, fails core.validate -> data error
+    for name, row, problem in (("ztd", "2025-05-07T05:30:00Z,Z0001,nan", "non-finite value"),
+                               ("ztd_stations", "Z0001,29.3,120.1", "not unique")):
+        assert cli.main(["synth", "--config", cfg_path, "--out", raw]) == 0
+        with open(files[name], "a", encoding="utf-8") as f:
+            f.write(row + "\n")
+        assert cli.main([
+            "preprocess", "--config", cfg_path, "--set", "data=" + json.dumps({"kind": "files", **files}),
+            "--out", os.path.join(tmp_path, "prep"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert f"{name}.csv: " in err and problem in err
+
+
+def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
+    # each command that reads an artifact ends a malformed one in a data error
+    cfg_path = _write_config(tmp_path)
+    path = functools.partial(os.path.join, str(tmp_path))
+    lead = ["--config", cfg_path, "--data", path("prep"), "--lead", "5"]
+    for argv in (["synth", "--config", cfg_path, "--out", path("raw")],
+                 ["preprocess", "--config", cfg_path, "--data", path("raw"), "--out", path("prep")],
+                 ["train", *lead, "--out", path("trained")],
+                 ["calibrate", *lead, "--model", path("trained", "checkpoint.gwc"),
+                  "--out", path("cdf.json")],
+                 ["predict", *lead, "--model", path("trained", "checkpoint.gwc"), "--out", path("preds")],
+                 ["evaluate", "--pred", path("preds", "predictions.gwcs"),
+                  "--truth", path("preds", "truth.gwcs"), "--out", path("report.json")]):
+        assert cli.main(argv) == 0
+
+    def spoiled(src, dst, edit):  # dst holds edit(the bytes of src)
+        with open(src, "rb") as f:
+            blob = f.read()
+        with open(dst, "wb") as f:
+            f.write(edit(blob))
+        return dst
+
+    def put(offset, data):
+        return lambda blob: blob[:offset] + data + blob[offset + len(data):]
+
+    with open(path("report.json"), encoding="utf-8") as f:
+        report = json.load(f)
+    del report["rows"][0]["rmse"]
+    with open(path("no_rmse.json"), "w", encoding="utf-8") as f:
+        json.dump(report, f)
+    with open(path("baseline.csv"), "w", encoding="utf-8") as f:
+        f.write("# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n"
+                "2025-05-07T05:30:00Z,29.3,120.1,110,1,2,0\n")
+    os.makedirs(path("bad_prep"))
+    shutil.copy(path("prep", "cube_prepared.gwcc"), path("bad_prep"))
+    # offsets: a panel's station count follows its 8-byte magic and 24-byte
+    # axis, a cube's level-kind byte its axis and level count, and a
+    # checkpoint's JSON manifest its magic and manifest length
+    spoiled(path("prep", "panel_prepared.gwcp"), path("bad_prep", "panel_prepared.gwcp"),
+            put(32, struct.pack("<q", -1)))
+    cases = [
+        ["evaluate", "--pred", spoiled(path("preds", "predictions.gwcs"), path("cut.gwcs"),
+                                       lambda blob: blob[: len(blob) // 2]),
+         "--truth", path("preds", "truth.gwcs"), "--out", path("r.json")],
+        ["compare-baseline", "--baseline", path("baseline.csv"), "--out", path("r.json"),
+         "--truth", spoiled(path("raw", "cube.gwcc"), path("kind.gwcc"), put(40, b"\x07"))],
+        ["predict", *lead, "--model", path("trained", "checkpoint.gwc"), "--out", path("p2"),
+         "--cdf", spoiled(path("cdf.json"), path("cdf_bad.json"), lambda blob: b"not json")],
+        ["show-report", "--report", path("no_rmse.json")],
+        ["calibrate", *lead, "--out", path("c2.json"),
+         "--model", spoiled(path("trained", "checkpoint.gwc"), path("garbled.gwc"),
+                            put(16, b"garbled!"))],
+        ["train", "--config", cfg_path, "--data", path("bad_prep"), "--lead", "5",
+         "--out", path("t2")],
+    ]
+    capsys.readouterr()
+    for argv in cases:
+        assert cli.main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv[0], err)
 
 
 def test_cli_ablation_runs(tmp_path, capsys):

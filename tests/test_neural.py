@@ -201,6 +201,27 @@ def test_step_and_predict_leave_no_cyclic_garbage():
     assert (step_garbage, predict_garbage) == (0, 0)
 
 
+def test_predict_records_no_graph(monkeypatch):
+    # inference keeps no parents, backward functions or gradient flags; the
+    # training forward of the same model still records its graph
+    mdl = WindModel(ModelConfig(n_stations=10), seed=0)
+    x = np.random.default_rng(0).normal(size=(4, mdl.config.window_steps, 10))
+    built = []
+    init = neural.Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(neural.Tensor, "__init__", recording)
+    mdl.predict(x)
+    assert built
+    assert [t for t in built if t._parents or t._backward or t.requires_grad] == []
+    built.clear()
+    mdl.forward_batch(x, training=True)
+    assert any(t._parents for t in built)
+
+
 def test_positional_encoding_matches_loop_reference():
     pe = positional_encoding(7, 10)
     ref = loop_positional(7, 10)

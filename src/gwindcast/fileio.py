@@ -155,6 +155,22 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
     return kind, rows
 
 
+def check_no_repeats(path, what: str, rows, n_set: int, n_key: int) -> None:
+    """After the per-row loop: if the rows set fewer than ``len(rows)`` cells,
+    a later row overwrote an earlier one, and the DataError names the first
+    repeated key, the row's timestamp and next ``n_key - 1`` fields. The
+    readers validate the values first, so a bad value is reported as such."""
+    if n_set == len(rows):
+        return
+    seen = set()
+    for row in rows:
+        key = row[:n_key]
+        if key in seen:
+            shown = ",".join([format_iso8601(key[0]), *map(str, key[1:])])
+            raise DataError(f"{path}: repeated {what} row for {shown}")
+        seen.add(key)
+
+
 def _row_axis(path, rows, step: int) -> TimeAxis:
     """The grid through the rows' timestamps (first field): its step is the
     smallest positive gap between them, ``step`` when there is one time."""
@@ -215,7 +231,9 @@ def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
         k = axis.index_of(ts)
         values[k, col[sid]] = val
         mask[k, col[sid]] = True
-    return _checked(ZtdPanel(axis, stations, values, mask), str(path))
+    panel = _checked(ZtdPanel(axis, stations, values, mask), str(path))
+    check_no_repeats(path, "delay", rows, int(mask.sum()), 2)
+    return panel
 
 
 def write_wind_csv(path, cube: WindCube) -> None:
@@ -264,7 +282,9 @@ def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
         k, l, s = axis.index_of(ts), lev_idx[lev], col[sid]
         values[k, l, s] = (u, v, w)
         mask[k, l, s] = True
-    return _checked(WindCube(axis, levels, stations, values, mask), str(path))
+    cube = _checked(WindCube(axis, levels, stations, values, mask), str(path))
+    check_no_repeats(path, "wind", rows, int(mask[..., 0].sum()), 3)
+    return cube
 
 
 # --------------------------------------------------------------- binary ----

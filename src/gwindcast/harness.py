@@ -120,6 +120,19 @@ def _numbers(val, default, name: str):
     return items if many else items[0]
 
 
+def _check_timestamp(val, name: str) -> None:
+    """val must be null or a string that parse_iso8601 accepts."""
+    if val is None:
+        return
+    if isinstance(val, str):
+        try:
+            parse_iso8601(val)
+            return
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be null or an ISO-8601 timestamp, got {val!r}")
+
+
 def _expect_types(d: dict, defaults: dict, where: str = "") -> None:
     """Each key must be one of the defaults' keys, and each value must have
     the kind of its default: an object, a string, or as :func:`_numbers`
@@ -153,6 +166,8 @@ class ExperimentConfig:
             raise ConfigError("data.kind must be 'synthetic' or 'files'")
         files = d["data"]["kind"] == "files"
         _expect_types(d, dict(DEFAULT_CONFIG, data=_FILES_DATA) if files else DEFAULT_CONFIG)
+        _check_timestamp(d["time_start"], "time_start")
+        _check_timestamp(d["time_end"], "time_end")
         cfg = cls(raw=d)
         cfg.synth_config()  # validates
         cfg.train_config(seed=0)
@@ -493,15 +508,19 @@ def read_baseline_csv(path) -> GriddedBaseline:
     lons = sorted({r[2] for r in rows})
     levs = sorted({r[3] for r in rows}, reverse=(kind == PRESSURE_HPA))
     shape = (len(times), len(levs), len(lats), len(lons))
-    if len(rows) != int(np.prod(shape)):
-        raise DataError(f"baseline grid incomplete: {len(rows)} rows for shape {shape}")
     t_i = {t: i for i, t in enumerate(times)}
     la_i = {v: i for i, v in enumerate(lats)}
     lo_i = {v: i for i, v in enumerate(lons)}
     le_i = {v: i for i, v in enumerate(levs)}
     values = np.empty(shape + (3,))
+    filled = np.zeros(shape, dtype=bool)
     for ts, la, lo, lev, u, v, w in rows:
-        values[t_i[ts], le_i[lev], la_i[la], lo_i[lo]] = (u, v, w)
+        cell = t_i[ts], le_i[lev], la_i[la], lo_i[lo]
+        values[cell] = (u, v, w)
+        filled[cell] = True
+    fileio.check_no_repeats(path, "baseline", rows, int(filled.sum()), 4)
+    if len(rows) != filled.size:
+        raise DataError(f"{path}: baseline grid incomplete: {len(rows)} rows for shape {shape}")
     return GriddedBaseline(
         times=np.array(times, dtype=np.int64),
         levels=LevelSpec(kind, tuple(levs)),

@@ -166,17 +166,10 @@ class WindModel:
             x = padded
         h = neural.Tensor(x + self._pos)
         for mha, bn1, ff, bn2 in self.blocks:
-            h = neural.add(h, mha.forward(h))
-            h = self._bn_tokens(bn1, h, b, training)
-            h = neural.add(h, ff.forward(h))
-            h = self._bn_tokens(bn2, h, b, training)
+            h = bn1.forward(neural.add(h, mha.forward(h)), training)
+            h = bn2.forward(neural.add(h, ff.forward(h)), training)
         flat = neural.reshape(h, (b, self.config.window_steps * d))
         return self.head.forward(flat)
-
-    def _bn_tokens(self, bn, h, b, training):
-        d = self.config.token_width
-        flat = neural.reshape(h, (b * self.config.window_steps, d))
-        return neural.reshape(bn.forward(flat, training), (b, self.config.window_steps, d))
 
     def predict(self, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
         """Inference forward over normalized inputs, chunked for memory; it

@@ -1,13 +1,14 @@
 """Minimal reverse-mode tensor graph and the layers the wind models need.
 
 Everything is float64. A forward pass records a dynamic graph of ``Tensor``
-nodes; ``Tensor.backward()`` walks it in reverse topological order and
-deposits gradients into the ``Param`` leaves. Only the operations actually
-used by the models are implemented: broadcast add/sub/mul, (stacked) matmul,
-tanh, softmax over the last axis, reshape/swapaxes, full mean, batch
-normalization and mean-squared-error loss.
+nodes, one per layer: ``Dense`` (matrix product, bias and optional tanh),
+``MultiHeadAttention`` and ``BatchNorm`` each record one node whose backward
+is plain numpy, and the models join them with broadcast ``add`` (residuals),
+``reshape`` (the flatten before the readout) and ``mse_loss``.
+``Tensor.backward()`` walks the graph in reverse topological order and
+deposits gradients into the ``Param`` leaves.
 
-Each op records a backward function that maps the gradient ``g`` of its
+Each node records a backward function that maps the gradient ``g`` of its
 output to one gradient (or ``None``) per parent, in the order of the
 parents. It never refers to its own output, so a graph holds no reference
 cycle and is freed by reference counting as soon as the loss is dropped.
@@ -63,15 +64,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -150,100 +142,11 @@ def add(a, b) -> Tensor:
     return Tensor(a.data + b.data, (a, b), _bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def _bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor(a.data - b.data, (a, b), _bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def _bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return Tensor(a.data * b.data, (a, b), _bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def _bw(g):
-        return (g * c,)
-
-    return Tensor(a.data * c, (a,), _bw)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product; operands must be at least 2-D, leading axes broadcast."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch("matmul operands must be at least 2-D")
-    if b.ndim == 2 and a.ndim > 2:
-        # stacked-by-plain case runs as one flat product, not a GEMM per slab
-        n_in, n_out = b.shape
-        a2 = a.data.reshape(-1, n_in)
-
-        def _bw_flat(g):
-            g2 = g.reshape(-1, n_out)
-            ga = np.matmul(g2, b.data.T).reshape(a.shape) if a.requires_grad else None
-            gb = np.matmul(a2.T, g2) if b.requires_grad else None
-            return ga, gb
-
-        return Tensor(np.matmul(a2, b.data).reshape(a.shape[:-1] + (n_out,)), (a, b), _bw_flat)
-
-    def _bw(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
-
-    return Tensor(np.matmul(a.data, b.data), (a, b), _bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def _bw(g):
-        return (g * (1.0 - y * y),)
-
-    return Tensor(y, (a,), _bw)
-
-
-def softmax_last(a: Tensor) -> Tensor:
-    """Softmax over the last axis, numerically stabilized by max-shift."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return Tensor(y, (a,), _bw)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def _bw(g):
         return (g.reshape(a.shape),)
 
     return Tensor(a.data.reshape(shape), (a,), _bw)
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    def _bw(g):
-        return (np.swapaxes(g, ax1, ax2),)
-
-    return Tensor(np.swapaxes(a.data, ax1, ax2), (a,), _bw)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    def _bw(g):
-        return (np.full(a.shape, float(g) / a.data.size),)
-
-    return Tensor(a.data.mean(), (a,), _bw)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -281,7 +184,9 @@ def glorot_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarra
 
 
 class Dense:
-    """Affine layer y = x @ w + b with optional tanh."""
+    """Affine layer y = x @ w + b with optional tanh, one graph node.
+
+    Leading axes of x are flattened into one matrix product."""
 
     def __init__(self, name: str, n_in: int, n_out: int, rng: np.random.Generator, activation=None):
         self.w = Param(f"{name}.w", glorot_uniform(rng, n_in, n_out))
@@ -294,16 +199,33 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x: Tensor) -> Tensor:
-        y = add(matmul(x, self.w.tensor()), self.b.tensor())
-        return tanh(y) if self.activation == "tanh" else y
+        w, bias = self.w.value, self.b.value
+        x2 = x.data.reshape(-1, w.shape[0])
+        y = np.matmul(x2, w).reshape(x.shape[:-1] + bias.shape) + bias
+        if self.activation == "tanh":
+            y = np.tanh(y)
+
+        def _bw(g):
+            if self.activation == "tanh":
+                g = g * (1.0 - y * y)
+            g2 = g.reshape(-1, w.shape[1])
+            gx = np.matmul(g2, w.T).reshape(x.shape) if x.requires_grad else None
+            return gx, np.matmul(x2.T, g2), _unbroadcast(g, bias.shape)
+
+        return Tensor(y, (x, self.w.tensor(), self.b.tensor()), _bw)
 
 
 class MultiHeadAttention:
-    """Scaled dot-product self-attention over (batch, tokens, width) inputs.
+    """Scaled dot-product self-attention over (batch, tokens, width) inputs,
+    one graph node.
 
     Full-width query/key/value projections are split into ``heads`` slices of
     width/heads each; per head, softmax(q kT / sqrt(width/heads)) v; the
-    concatenated heads pass through an output projection with bias.
+    concatenated heads pass through an output projection with bias. The node
+    lists its input once per projection, so the input receives the query, key
+    and value gradients one after another. The backward recomputes the query
+    and key projections from the input, so inference keeps no array only the
+    backward needs.
     """
 
     def __init__(self, name: str, width: int, heads: int, rng: np.random.Generator):
@@ -311,6 +233,7 @@ class MultiHeadAttention:
             raise ShapeMismatch(f"width {width} not divisible by heads {heads}")
         self.width = width
         self.heads = heads
+        self._scale = 1.0 / np.sqrt(width / heads)
         self.wq = Param(f"{name}.wq", glorot_uniform(rng, width, width))
         self.wk = Param(f"{name}.wk", glorot_uniform(rng, width, width))
         self.wv = Param(f"{name}.wv", glorot_uniform(rng, width, width))
@@ -320,38 +243,62 @@ class MultiHeadAttention:
     def params(self):
         return [self.wq, self.wk, self.wv, self.wo, self.bo]
 
+    def _heads(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """x @ w as contiguous heads, shape (batch, heads, tokens, width/heads)."""
+        b, n, d = x.shape
+        y = np.matmul(x.reshape(-1, d), w).reshape(b, n, self.heads, d // self.heads)
+        return np.ascontiguousarray(np.swapaxes(y, 1, 2))
+
+    def _query_key(self, x: np.ndarray):
+        """Per-head queries and transposed keys, both contiguous."""
+        k = self._heads(x, self.wk.value)
+        return self._heads(x, self.wq.value), np.ascontiguousarray(np.swapaxes(k, -1, -2))
+
     def attention_weights(self, x) -> np.ndarray:
-        """Softmax attention matrices for inspection, shape (batch, heads, t, t)."""
-        out = self._scores(Tensor(np.asarray(x)))
-        return softmax_last(out).data
-
-    def _split_heads(self, t: Tensor, b: int, n: int) -> Tensor:
-        t = reshape(t, (b, n, self.heads, self.width // self.heads))
-        return swapaxes(t, 1, 2)
-
-    def _scores(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        q = self._split_heads(matmul(x, self.wq.tensor()), b, n)
-        k = self._split_heads(matmul(x, self.wk.tensor()), b, n)
-        return scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.width / self.heads))
+        """Softmax attention matrices, shape (batch, heads, t, t); the softmax
+        is stabilized by a max-shift."""
+        q, kt = self._query_key(np.asarray(x, dtype=np.float64))
+        s = np.matmul(q, kt) * self._scale
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.width:
             raise ShapeMismatch(f"expected (batch, tokens, {self.width}), got {x.shape}")
-        b, n, _ = x.shape
-        v = self._split_heads(matmul(x, self.wv.tensor()), b, n)
-        attn = softmax_last(self._scores(x))
-        ctx = swapaxes(matmul(attn, v), 1, 2)
-        ctx = reshape(ctx, (b, n, self.width))
-        return add(matmul(ctx, self.wo.tensor()), self.bo.tensor())
+        b, n, d = x.shape
+        wq, wk, wv, wo = self.wq.value, self.wk.value, self.wv.value, self.wo.value
+        v = self._heads(x.data, wv)
+        a = self.attention_weights(x.data)
+        ctx = np.ascontiguousarray(np.swapaxes(np.matmul(a, v), 1, 2)).reshape(-1, d)
+        y = np.matmul(ctx, wo).reshape(x.shape) + self.bo.value
+
+        def _bw(g):
+            q, kt = self._query_key(x.data)
+            g2 = g.reshape(-1, d)
+            gc = np.swapaxes(np.matmul(g2, wo.T).reshape(b, n, self.heads, -1), 1, 2)
+            ga = np.matmul(gc, np.swapaxes(v, -1, -2))
+            gv = np.matmul(np.swapaxes(a, -1, -2), gc)
+            gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * self._scale
+            gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+            gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
+            g_qkv = [np.swapaxes(gh, 1, 2).reshape(-1, d) for gh in (gq, gk, gv)]
+            x2 = x.data.reshape(-1, d)
+            gx = [np.matmul(gh, w.T).reshape(x.shape) if x.requires_grad else None
+                  for gh, w in zip(g_qkv, (wq, wk, wv))]
+            gw = [np.matmul(x2.T, gh) for gh in g_qkv]
+            return (*gx, *gw, np.matmul(ctx.T, g2), _unbroadcast(g, self.bo.value.shape))
+
+        return Tensor(y, (x, x, x, *(p.tensor() for p in self.params())), _bw)
 
 
 class BatchNorm:
-    """Per-feature batch normalization over (batch, features) inputs.
+    """Per-feature batch normalization over every axis but the last, one
+    graph node.
 
     Training mode normalizes by batch statistics (population variance) and
     updates exponential running statistics with momentum 0.9; inference mode
-    normalizes by the running statistics. eps = 1e-5 floors the variance.
+    normalizes by the running statistics and records no parents, so no
+    gradient flows through it. eps = 1e-5 floors the variance.
     """
 
     MOMENTUM = 0.9
@@ -376,29 +323,31 @@ class BatchNorm:
         self.running_var = np.array(arrays[f"{self.name}.running_var"], dtype=np.float64)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.ndim != 2:
-            raise ShapeMismatch(f"batch norm expects (batch, features), got {x.shape}")
+        if x.ndim < 2:
+            raise ShapeMismatch(f"batch norm expects (..., features), got {x.shape}")
+        x2 = x.data.reshape(-1, x.shape[-1])
+        m = x2.shape[0]
         if not training:
-            inv = 1.0 / np.sqrt(self.running_var + self.EPS)
-            x_hat = mul(sub(x, Tensor(self.running_mean)), Tensor(inv))
-            return add(mul(x_hat, self.gamma.tensor()), self.beta.tensor())
-        m = x.shape[0]
-        if m < 2:
+            mu, var = self.running_mean, self.running_var
+        elif m < 2:
             raise BatchTooSmall("batch statistics need at least 2 rows")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mu
-        self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
+        else:
+            mu, var = x2.mean(axis=0), x2.var(axis=0)
+            self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mu
+            self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = (x.data - mu) * inv
+        x_hat = (x2 - mu) * inv
+        y = (x_hat * self.gamma.value + self.beta.value).reshape(x.shape)
+        if not training:
+            return Tensor(y)
 
         def _bw(g):
+            g = g.reshape(x2.shape)
             gx = None
             if x.requires_grad:
-                gx = (self.gamma.value * inv / m) * (
+                gx = ((self.gamma.value * inv / m) * (
                     m * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0)
-                )
+                )).reshape(x.shape)
             return gx, (g * x_hat).sum(axis=0), g.sum(axis=0)
 
-        return Tensor(self.gamma.value * x_hat + self.beta.value,
-                      (x, self.gamma.tensor(), self.beta.tensor()), _bw)
+        return Tensor(y, (x, self.gamma.tensor(), self.beta.tensor()), _bw)

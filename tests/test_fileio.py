@@ -141,6 +141,11 @@ def test_ztd_csv_rejects_unknown_station(tmp_path):
     )
     with pytest.raises(DataError):
         read_ztd_csv(path, stations(2))
+    # a second row for one timestamp and station would overwrite the first
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z000,2.4\n"
+                    "2025-05-07T05:35:00Z,Z001,2.5\n2025-05-07T05:30:00Z,Z000,9.9\n")
+    with pytest.raises(DataError, match=r"ztd\.csv: repeated delay row for 2025-05-07T05:30:00Z,Z000"):
+        read_ztd_csv(path, stations(2))
 
 
 def test_ztd_csv_rejects_empty_and_bad_header(tmp_path):
@@ -209,6 +214,14 @@ def test_wind_csv_rejects_bad_metadata(tmp_path):
     path.write_text("# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
                     "2025-05-07T05:30:00Z,W0000,110.0,3.0,calm,0.1\n")
     with pytest.raises(DataError, match=r"wind\.csv, line 3"):
+        read_wind_csv(path, stations(1, "W"))
+    # a second row for one timestamp, station and level
+    path.write_text("# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+                    "2025-05-07T05:30:00Z,W000,110.0,3.0,90.0,0.1\n"
+                    "2025-05-07T05:30:00Z,W000,220.0,3.0,90.0,0.1\n"
+                    "2025-05-07T05:30:00Z,W000,110.0,9.0,180.0,0.2\n")
+    with pytest.raises(DataError, match=r"wind\.csv: repeated wind row for "
+                                        r"2025-05-07T05:30:00Z,W000,110\.0"):
         read_wind_csv(path, stations(1, "W"))
 
 

@@ -322,6 +322,11 @@ def test_read_baseline_csv_rejects_incomplete_grid(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one grid row
     with pytest.raises(DataError):
         read_baseline_csv(path)
+    # one grid point twice and another missing: the row count matches the grid
+    path.write_text("\n".join(lines[:-1] + [lines[2]]) + "\n")
+    with pytest.raises(DataError, match=r"partial\.csv: repeated baseline row for "
+                                        r"1970-01-01T00:00:00Z,29\.0,120\.0,1000\.0"):
+        read_baseline_csv(path)
 
 
 def test_read_baseline_csv_rejects_bad_header(tmp_path):
@@ -579,7 +584,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     for override in ('train.batch_size="abc"', "synth.n_steps=true", "synth=5",
                      'leads_minutes="abc"', "split.ratios=5", 'station_counts=["a"]',
                      'model.arch="cnn"', "model.heads=0", "synth.n_steps=300.5",
-                     "train.batch_size=2.5", "model.heads=2.5", "split.ratios=[0.5,0.5]"):
+                     "train.batch_size=2.5", "model.heads=2.5", "split.ratios=[0.5,0.5]",
+                     "time_start=5", 'time_end="garbage"'):
         assert cli.main([
             "synth", "--config", cfg_path, "--set", override, "--out", os.path.join(tmp_path, "z"),
         ]) == 2

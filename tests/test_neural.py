@@ -14,17 +14,9 @@ from gwindcast.neural import (
     Tensor,
     add,
     glorot_uniform,
-    matmul,
-    mean_all,
     mse_loss,
-    mul,
     positional_encoding,
     reshape,
-    scale,
-    softmax_last,
-    sub,
-    swapaxes,
-    tanh,
 )
 from reference_impls import (
     fd_gradient,
@@ -76,77 +68,19 @@ def test_elementwise_ops_gradients():
     rng = np.random.default_rng(11)
     for _ in range(8):
         p, t = leaf(rng, (3, 4))
-        q, s = leaf(rng, (3, 4))
-        check_param_grad(lambda x: mean_all(mul(x, s)), p, t)
-        check_param_grad(lambda x: mean_all(add(x, t)), q, s)
-        check_param_grad(lambda x: mean_all(sub(tanh(x), s)), p, t)
-        check_param_grad(lambda x: mean_all(scale(x, -2.5)), p, t)
+        other = Tensor(rng.normal(size=(4, 3)))
+        y = rng.normal(size=(2, 6))
+        build = lambda x: mse_loss(reshape(add(reshape(x, (4, 3)), other), (2, 6)), y)
+        check_param_grad(build, p, t)
 
 
 def test_broadcast_add_gradient_collapses():
     rng = np.random.default_rng(3)
-    p, t = leaf(rng, (4,))
     other = Tensor(rng.normal(size=(5, 4)))
-    check_param_grad(lambda x: mean_all(add(other, x)), p, t)
-
-
-def test_matmul_gradients_2d_and_stacked():
-    rng = np.random.default_rng(5)
-    for _ in range(4):
-        a, ta = leaf(rng, (3, 4))
-        b, tb = leaf(rng, (4, 2))
-        check_param_grad(lambda x: mean_all(matmul(x, tb)), a, ta)
-        check_param_grad(lambda x: mean_all(matmul(ta, x)), b, tb)
-
-        # stacked left operand against a plain matrix
-        s, ts = leaf(rng, (2, 3, 4))
-        check_param_grad(lambda x: mean_all(matmul(x, tb)), s, ts)
-        check_param_grad(lambda x: mean_all(matmul(ts, x)), b, tb)
-
-        # fully stacked on both sides
-        u, tu = leaf(rng, (2, 3, 4))
-        w, tw = leaf(rng, (2, 4, 3))
-        check_param_grad(lambda x: mean_all(matmul(x, tw)), u, tu)
-        check_param_grad(lambda x: mean_all(matmul(tu, x)), w, tw)
-
-
-def test_matmul_stacked_matches_loop_forward():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(5, 3, 4))
-    b = rng.normal(size=(4, 2))
-    got = matmul(Tensor(a), Tensor(b)).data
-    want = np.stack([a[i] @ b for i in range(5)])
-    assert np.allclose(got, want, atol=1e-15)
-
-
-def test_matmul_rejects_vectors():
-    with pytest.raises(ShapeMismatch):
-        matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
-
-
-def test_softmax_rows_sum_to_one_and_gradient():
-    rng = np.random.default_rng(7)
-    p, t = leaf(rng, (4, 5))
-    y = softmax_last(t)
-    assert np.allclose(y.data.sum(axis=-1), 1.0)
-    w = Tensor(rng.normal(size=(4, 5)))
-    check_param_grad(lambda x: mean_all(mul(softmax_last(x), w)), p, t)
-
-
-def test_softmax_is_shift_stable():
-    x = np.array([[1000.0, 1000.5, 999.0]])
-    y = softmax_last(Tensor(x)).data
-    assert np.isfinite(y).all()
-    assert y.sum() == pytest.approx(1.0)
-
-
-def test_reshape_swapaxes_gradients():
-    rng = np.random.default_rng(13)
-    p, t = leaf(rng, (2, 3, 4))
-    w = Tensor(rng.normal(size=(2, 3, 4)))
-    check_param_grad(lambda x: mean_all(mul(reshape(x, (6, 4)), reshape(w, (6, 4)))), p, t)
-    ws = Tensor(rng.normal(size=(4, 3, 2)))
-    check_param_grad(lambda x: mean_all(mul(swapaxes(x, 0, 2), ws)), p, t)
+    y = rng.normal(size=(5, 4))
+    for shape in ((4,), (5, 1), (1, 4)):
+        p, t = leaf(rng, shape)
+        check_param_grad(lambda x: mse_loss(add(other, x), y), p, t)
 
 
 def test_mse_loss_value_and_gradient():
@@ -161,20 +95,21 @@ def test_mse_loss_value_and_gradient():
 
 
 def test_gradient_accumulates_across_shared_use():
-    # the same leaf feeding two branches receives the sum of both gradients
-    p = Param("x", np.array([2.0]))
-    t = p.tensor()
-    out = mean_all(add(mul(t, t), scale(t, 3.0)))  # x^2 + 3x -> 2x + 3
-    out.backward()
-    assert p.grad[0] == pytest.approx(7.0)
-    # add hands its gradient unchanged to a and b, and a also feeds mul, so a
-    # and b start from one shared array: adding mul's share into it in place
-    # would corrupt b's gradient. a + b + a*b = 8x + 15x^2 -> (8 + 30x) / 2
+    # the same leaf feeding two branches receives the sum of both gradients:
+    # mean((x + x)^2) -> 8x / 2
     p = Param("x", np.array([2.0, -1.0]))
     t = p.tensor()
-    a, b = scale(t, 3.0), scale(t, 5.0)
-    mean_all(add(add(a, b), mul(a, b))).backward()
-    assert np.allclose(p.grad, (8.0 + 30.0 * p.value) / 2.0, rtol=1e-14)
+    mse_loss(add(t, t), np.zeros(2)).backward()
+    assert np.allclose(p.grad, 4.0 * p.value, rtol=1e-14)
+    # the outer add hands one array to the inner add and to a, and the inner
+    # add hands it on to a and b, so a and b start from one shared array:
+    # adding a's second share into it in place would corrupt b's gradient.
+    # mean((a + b + a)^2) = mean((3x)^2) -> 18x / 2
+    p = Param("x", np.array([[2.0, -1.0]]))
+    t = p.tensor()
+    a, b = reshape(t, (2,)), reshape(t, (2,))
+    mse_loss(add(add(a, b), a), np.zeros(2)).backward()
+    assert np.allclose(p.grad, 9.0 * p.value, rtol=1e-14)
 
 
 def test_step_and_predict_leave_no_cyclic_garbage():
@@ -215,11 +150,18 @@ def test_predict_records_no_graph(monkeypatch):
 
     monkeypatch.setattr(neural.Tensor, "__init__", recording)
     mdl.predict(x)
-    assert built
     assert [t for t in built if t._parents or t._backward or t.requires_grad] == []
+    # one node per layer, 14 in all (per block attention, two residual adds,
+    # dense and two batch norms; then the flatten and the readout), the seven
+    # parameter leaves of each block's attention and dense layers, the
+    # readout's two and the input. Batch norm in inference mode takes no
+    # parameter leaves.
+    assert len(built) == 31
     built.clear()
-    mdl.forward_batch(x, training=True)
-    assert any(t._parents for t in built)
+    neural.mse_loss(mdl.forward_batch(x, training=True), np.zeros((4, mdl.config.output_dim)))
+    # 15 nodes (the loss included), 24 parameter leaves and the input
+    assert len(built) == 40
+    assert sum(1 for t in built if t._parents) == 15
 
 
 def test_positional_encoding_matches_loop_reference():
@@ -245,10 +187,10 @@ def test_glorot_bounds_and_determinism():
 def test_dense_forward_matches_manual():
     rng = np.random.default_rng(21)
     layer = Dense("d", 4, 3, rng, activation="tanh")
-    x = rng.normal(size=(6, 4))
-    got = layer.forward(Tensor(x)).data
-    want = np.tanh(x @ layer.w.value + layer.b.value)
-    assert np.allclose(got, want, atol=1e-15)
+    for x in (rng.normal(size=(6, 4)), rng.normal(size=(2, 6, 4))):  # leading axes flatten
+        got = layer.forward(Tensor(x)).data
+        want = np.tanh(x @ layer.w.value + layer.b.value)
+        assert np.allclose(got, want, atol=1e-15)
 
 
 def test_attention_matches_loop_reference():
@@ -275,6 +217,19 @@ def test_attention_weights_are_row_stochastic():
     assert (w >= 0).all()
 
 
+def test_softmax_is_shift_stable():
+    # the attention softmax is max-shifted, so scores far beyond exp's range
+    # still give finite rows that sum to one
+    rng = np.random.default_rng(33)
+    mha = MultiHeadAttention("a", 6, 3, rng)
+    x = 1000.0 * rng.normal(size=(2, 4, 6))
+    q, kt = mha._query_key(x)
+    assert np.abs(np.matmul(q, kt) * mha._scale).max() > 710.0  # exp overflows
+    w = mha.attention_weights(x)
+    assert np.isfinite(w).all()
+    assert np.allclose(w.sum(axis=-1), 1.0)
+
+
 def test_attention_rejects_bad_width():
     rng = np.random.default_rng(1)
     with pytest.raises(ShapeMismatch):
@@ -287,10 +242,13 @@ def test_attention_rejects_bad_width():
 def test_attention_param_gradients():
     rng = np.random.default_rng(41)
     mha = MultiHeadAttention("a", 6, 2, rng)
-    x = Tensor(rng.normal(size=(2, 3, 6)))
-    for p in mha.params():
+    x = Param("x", rng.normal(size=(2, 3, 6)))
+    y = rng.normal(size=(2, 3, 6))
+    # the input feeds the query, key and value projections
+    for p in mha.params() + [x]:
         check_param_grad(
-            lambda w, _p=p: mean_all(mul(mha.forward(x), x)), p, p.tensor(), tol=1e-6
+            lambda t, _p=p: mse_loss(mha.forward(t if _p is x else x.tensor()), y),
+            p, p.tensor(), tol=1e-6,
         )
 
 
@@ -306,6 +264,18 @@ def test_batchnorm_training_matches_loop_reference():
     # running stats blend toward the batch statistics with momentum 0.9
     assert np.allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * means)
     assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * variances)
+    # (batch, tokens, width) normalizes over batch and tokens: the 2-D result
+    # of its reshape, running statistics included
+    x3 = rng.normal(size=(4, 4, 5))
+    flat = BatchNorm("flat", 5)
+    flat.load_buffers({"flat.running_mean": bn.running_mean, "flat.running_var": bn.running_var})
+    flat.gamma.value[...] = bn.gamma.value
+    flat.beta.value[...] = bn.beta.value
+    got3 = bn.forward(Tensor(x3), training=True).data
+    want3 = flat.forward(Tensor(x3.reshape(16, 5)), training=True).data
+    assert np.array_equal(got3, want3.reshape(4, 4, 5))
+    assert np.array_equal(bn.running_mean, flat.running_mean)
+    assert np.array_equal(bn.running_var, flat.running_var)
 
 
 def test_batchnorm_inference_uses_running_stats():
@@ -333,7 +303,7 @@ def test_batchnorm_gradients_training_mode():
     bn.gamma.value[...] = rng.normal(size=4)
     bn.beta.value[...] = rng.normal(size=4)
     x = Param("x", rng.normal(size=(6, 4)))
-    w = Tensor(rng.normal(size=(6, 4)))
+    y = rng.normal(size=(6, 4))
 
     for p in (x, bn.gamma, bn.beta):
         mean0 = bn.running_mean.copy()
@@ -345,7 +315,7 @@ def test_batchnorm_gradients_training_mode():
             bn.running_mean[...] = mean0
             bn.running_var[...] = var0
             xin = t if _p is x else x.tensor()
-            return mean_all(mul(bn.forward(xin, training=True), w))
+            return mse_loss(bn.forward(xin, training=True), y)
 
         check_param_grad(build, p, p.tensor(), tol=1e-7)
 

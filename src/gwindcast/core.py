@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * timestamps are integer epoch seconds (UTC), on a uniform grid;
-* arrays are float64, row-major, frozen (read-only) after construction;
+* arrays are float64, row-major, frozen (read-only) after construction: each
+  container lists its array fields and their dtypes in ``_ARRAYS``, and the
+  one base class :class:`_FrozenArrays` copies and freezes them;
 * missing values are NaN in ``values`` plus ``False`` in the parallel ``mask``;
 * wind cubes carry exactly three components, ordered ``(u, v, w)`` where
   u is the eastward, v the northward and w the vertical component in m/s.
@@ -14,7 +16,7 @@ Container constructors are deliberately permissive about content so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -36,6 +38,40 @@ def _frozen(a, dtype):
     return out
 
 
+class _FrozenArrays:
+    """Base of the containers: after construction, each field that
+    ``_ARRAYS`` names holds a frozen C-ordered copy in the dtype listed."""
+
+    _ARRAYS = {}
+
+    def __post_init__(self):
+        for name, dtype in self._ARRAYS.items():
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+
+class _StationValues(_FrozenArrays):
+    """A container of ``values`` plus ``mask``, time first, whose stations
+    run along axis ``_STATION_AXIS``."""
+
+    _ARRAYS = {"values": np.float64, "mask": bool}
+    _STATION_AXIS = 1
+
+    def select_stations(self, indices):
+        indices = list(indices)
+        ax = self._STATION_AXIS
+        return replace(self, stations=self.stations.subset(indices),
+                       values=np.take(self.values, indices, axis=ax),
+                       mask=np.take(self.mask, indices, axis=ax))
+
+
+class _OnAxis(_StationValues):
+    """A :class:`_StationValues` whose time axis is a :class:`TimeAxis`."""
+
+    def slice_time(self, i0: int, i1: int):
+        axis = TimeAxis(self.axis.time_at(i0), self.axis.step, i1 - i0)
+        return replace(self, axis=axis, values=self.values[i0:i1], mask=self.mask[i0:i1])
+
+
 def parse_iso8601(text: str) -> int:
     """ISO-8601 UTC timestamp -> epoch seconds."""
     text = text.strip()
@@ -54,8 +90,10 @@ def format_iso8601(epoch_s: int) -> str:
 
 
 @dataclass(frozen=True)
-class StationTable:
+class StationTable(_FrozenArrays):
     """Stations in a fixed column order: ids plus coordinates in degrees."""
+
+    _ARRAYS = {"lats": np.float64, "lons": np.float64}
 
     ids: tuple
     lats: np.ndarray
@@ -63,8 +101,7 @@ class StationTable:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
-        object.__setattr__(self, "lats", _frozen(self.lats, np.float64))
-        object.__setattr__(self, "lons", _frozen(self.lons, np.float64))
+        super().__post_init__()
 
     @classmethod
     def from_entries(cls, entries) -> "StationTable":
@@ -159,7 +196,7 @@ class LevelSpec:
 
 
 @dataclass(frozen=True)
-class ZtdPanel:
+class ZtdPanel(_OnAxis):
     """Zenith total delay series, shape (time, station), delays in meters."""
 
     axis: TimeAxis
@@ -167,51 +204,18 @@ class ZtdPanel:
     values: np.ndarray
     mask: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        object.__setattr__(self, "mask", _frozen(self.mask, bool))
-
-    def select_stations(self, indices) -> "ZtdPanel":
-        indices = list(indices)
-        return ZtdPanel(
-            axis=self.axis,
-            stations=self.stations.subset(indices),
-            values=self.values[:, indices],
-            mask=self.mask[:, indices],
-        )
-
-    def slice_time(self, i0: int, i1: int) -> "ZtdPanel":
-        axis = TimeAxis(self.axis.time_at(i0), self.axis.step, i1 - i0)
-        return ZtdPanel(axis, self.stations, self.values[i0:i1], self.mask[i0:i1])
-
 
 @dataclass(frozen=True)
-class WindCube:
+class WindCube(_OnAxis):
     """Wind fields, shape (time, level, station, component); components (u, v, w)."""
+
+    _STATION_AXIS = 2
 
     axis: TimeAxis
     levels: LevelSpec
     stations: StationTable
     values: np.ndarray
     mask: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        object.__setattr__(self, "mask", _frozen(self.mask, bool))
-
-    def select_stations(self, indices) -> "WindCube":
-        indices = list(indices)
-        return WindCube(
-            axis=self.axis,
-            levels=self.levels,
-            stations=self.stations.subset(indices),
-            values=self.values[:, :, indices],
-            mask=self.mask[:, :, indices],
-        )
-
-    def slice_time(self, i0: int, i1: int) -> "WindCube":
-        axis = TimeAxis(self.axis.time_at(i0), self.axis.step, i1 - i0)
-        return WindCube(axis, self.levels, self.stations, self.values[i0:i1], self.mask[i0:i1])
 
     def at_times(self, times) -> "WindSeries":
         idx = [self.axis.index_of(t) for t in times]
@@ -225,12 +229,15 @@ class WindCube:
 
 
 @dataclass(frozen=True)
-class WindSeries:
+class WindSeries(_StationValues):
     """Wind values at an explicit (possibly non-uniform) list of timestamps.
 
     Used for split-level predictions where target times are a scattered
     subset of the original axis. Shape (time, level, station, component).
     """
+
+    _ARRAYS = {"times": np.int64, **_StationValues._ARRAYS}
+    _STATION_AXIS = 2
 
     times: np.ndarray
     levels: LevelSpec
@@ -238,38 +245,21 @@ class WindSeries:
     values: np.ndarray
     mask: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", _frozen(self.times, np.int64))
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        object.__setattr__(self, "mask", _frozen(self.mask, bool))
-
-    def select_stations(self, indices) -> "WindSeries":
-        indices = list(indices)
-        return WindSeries(
-            times=self.times,
-            levels=self.levels,
-            stations=self.stations.subset(indices),
-            values=self.values[:, :, indices],
-            mask=self.mask[:, :, indices],
-        )
-
 
 @dataclass(frozen=True)
-class NormStats:
+class NormStats(_FrozenArrays):
     """Per-input-station and per-target-channel mean/std, from the train split.
 
     Stds of constant series are stored as 0; normalization treats them as 1
     so constant channels pass through centered instead of dividing by zero.
     """
 
+    _ARRAYS = dict.fromkeys(("input_mean", "input_std", "target_mean", "target_std"), np.float64)
+
     input_mean: np.ndarray
     input_std: np.ndarray
     target_mean: np.ndarray
     target_std: np.ndarray
-
-    def __post_init__(self):
-        for name in ("input_mean", "input_std", "target_mean", "target_std"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
 
     @staticmethod
     def _safe(std):
@@ -286,7 +276,7 @@ class NormStats:
 
 
 @dataclass(frozen=True)
-class SampleSet:
+class SampleSet(_FrozenArrays):
     """Windowed (input, target) pairs ready for model training.
 
     inputs   -- (n_samples, window_steps, n_input_stations), unnormalized
@@ -294,6 +284,9 @@ class SampleSet:
                 (level, station, component) row-major
     split_labels -- per-sample code: 0 train, 1 val, 2 test
     """
+
+    _ARRAYS = {"inputs": np.float64, "targets": np.float64,
+               "target_times": np.int64, "split_labels": np.uint8}
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -306,12 +299,6 @@ class SampleSet:
     target_stations: StationTable
     input_stations: StationTable
     norm_stats: NormStats | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", _frozen(self.inputs, np.float64))
-        object.__setattr__(self, "targets", _frozen(self.targets, np.float64))
-        object.__setattr__(self, "target_times", _frozen(self.target_times, np.int64))
-        object.__setattr__(self, "split_labels", _frozen(self.split_labels, np.uint8))
 
     @property
     def n_samples(self) -> int:

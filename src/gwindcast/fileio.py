@@ -48,6 +48,7 @@ from .core import (
     validate,
 )
 from .errors import DataError
+from .preprocess import compose_wind, decompose_wind
 
 _MAGIC = {ZtdPanel: b"GWCPANL1", WindCube: b"GWCCUBE1", WindSeries: b"GWCSERS1"}
 _WHAT = {ZtdPanel: "delay panel", WindCube: "wind cube", WindSeries: "wind series"}
@@ -237,9 +238,6 @@ def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
 
 
 def write_wind_csv(path, cube: WindCube) -> None:
-    # local import: preprocess depends on core only, so no cycle at import time
-    from .preprocess import compose_wind
-
     speed, direction = compose_wind(cube.values[..., 0], cube.values[..., 1])
     times = cube.axis.timestamps()
     lines = [f"# level_kind={cube.levels.kind}\n",
@@ -262,8 +260,6 @@ def _wind_row(fields):
 
 
 def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
-    from .preprocess import decompose_wind
-
     kind, rows = read_csv_rows(
         path, "wind", "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms",
         _wind_row, level_kind=HEIGHT_M,
@@ -328,14 +324,18 @@ def _put_f64(buf, arr) -> None:
 def _decode(data: bytes, magic: bytes, what: str, body):
     """The one binary decode entry: check the magic, then run body on a
     cursor past it. A malformed field (a bad count or level-kind byte, bytes
-    that are not UTF-8, a bad JSON manifest) becomes a DataError."""
+    that are not UTF-8, a bad JSON manifest) becomes a DataError, and so do
+    bytes left over after the body."""
     cur = _Cursor(data)
     if cur.take(8) != magic:
         raise DataError(f"not a {what} file")
     try:
-        return body(cur)
+        out = body(cur)
     except _MALFORMED as e:
         raise DataError(f"malformed {what} file ({e})") from e
+    if cur.pos != len(data):
+        raise DataError(f"malformed {what} file ({len(data) - cur.pos} trailing bytes)")
+    return out
 
 
 def _to_bytes(obj) -> bytes:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,14 @@ from .core import (
     WindCube,
     WindSeries,
     ZtdPanel,
+    _FrozenArrays,
     format_iso8601,
     parse_iso8601,
 )
 from .errors import ConfigError, DataError, KTooLarge, Misaligned, NoTemporalOverlap
 from .metrics import MetricReport, _fmt, evaluate_series, write_mosaic_tables, write_report
 from .model import ModelConfig, WindModel, predict_denormalized, save_model
-from .postprocess import apply_cdf_map, fit_cdf_map, write_cdf_map
+from .postprocess import apply_cdf_map, check_cdf_options, fit_cdf_map, write_cdf_map
 from .preprocess import SplitConfig, build_samples, fill_gaps
 from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train, write_history
@@ -168,6 +169,15 @@ class ExperimentConfig:
         _expect_types(d, dict(DEFAULT_CONFIG, data=_FILES_DATA) if files else DEFAULT_CONFIG)
         _check_timestamp(d["time_start"], "time_start")
         _check_timestamp(d["time_end"], "time_end")
+        check_cdf_options(d["postprocess"]["mode"], d["postprocess"]["n_quantiles"])
+        counts = d["station_counts"]
+        if any(b <= a for a, b in zip(counts, counts[1:])) or any(k < 1 for k in counts):
+            raise ConfigError("station_counts must be strictly ascending and at least 1, "
+                              f"got {counts}")
+        lat, lon = d["reference"]["lat"], d["reference"]["lon"]
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+            raise ConfigError("reference lat must lie in [-90, 90] and lon in [-180, 180], "
+                              f"got ({lat}, {lon})")
         cfg = cls(raw=d)
         cfg.synth_config()  # validates
         cfg.train_config(seed=0)
@@ -416,14 +426,10 @@ def run_station_ablation(cfg: ExperimentConfig, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     panel, cube = prepare_scene(cfg)
     counts = cfg.station_counts
-    if len(set(counts)) != len(counts) or counts != sorted(counts):
-        raise ConfigError("station_counts must be strictly ascending")
     if counts and counts[-1] > len(panel.stations):
         raise KTooLarge(
             f"station count {counts[-1]} exceeds the {len(panel.stations)} stations available"
         )
-    if any(k < 1 for k in counts):
-        raise ConfigError("station counts must be at least 1")
     ref_idx = reference_wind_station(cube, cfg)
     reports = {}
     for k in counts:
@@ -474,23 +480,19 @@ def write_manifest(out_dir, cfg: ExperimentConfig, panel: ZtdPanel, cube: WindCu
 
 
 @dataclass(frozen=True)
-class GriddedBaseline:
+class GriddedBaseline(_FrozenArrays):
     """A regular lat/lon/level/time wind grid, e.g. extracted reanalysis.
 
     values has shape (time, level, lat, lon, 3) with components (u, v, w).
     """
+
+    _ARRAYS = {"times": np.int64, "lats": np.float64, "lons": np.float64, "values": np.float64}
 
     times: np.ndarray
     levels: LevelSpec
     lats: np.ndarray
     lons: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.int64))
-        object.__setattr__(self, "lats", np.asarray(self.lats, dtype=np.float64))
-        object.__setattr__(self, "lons", np.asarray(self.lons, dtype=np.float64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
 def _baseline_row(fields):
@@ -572,21 +574,9 @@ def compare_gridded_baseline(baseline: GriddedBaseline, truth: WindCube) -> Metr
     rows_ok = truth.mask.reshape(truth.axis.count, -1).all(axis=1)
     if not rows_ok.any():
         raise DataError("truth cube has no fully observed time steps")
-    times = t_truth[rows_ok]
-    pred = WindSeries(
-        times=times,
-        levels=truth.levels,
-        stations=truth.stations,
-        values=matched[rows_ok],
-        mask=np.ones(matched[rows_ok].shape, dtype=bool),
-    )
-    truth_series = WindSeries(
-        times=times,
-        levels=truth.levels,
-        stations=truth.stations,
-        values=truth.values[rows_ok],
-        mask=truth.mask[rows_ok],
-    )
+    truth_series = truth.at_times(t_truth[rows_ok])
+    pred = replace(truth_series, values=matched[rows_ok],
+                   mask=np.ones(truth_series.mask.shape, dtype=bool))
     return evaluate_series(pred, truth_series, lead_minutes=0.0)
 
 

@@ -44,15 +44,20 @@ class CdfMap:
         return 0 if self.src_quantiles is None else self.src_quantiles.shape[1]
 
 
+def check_cdf_options(mode: str, n_quantiles: int) -> None:
+    """ConfigError unless mode is one of MODES and n_quantiles at least 2."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if n_quantiles < 2:
+        raise ConfigError("n_quantiles must be at least 2")
+
+
 def fit_cdf_map(model, samples, mode: str = "gaussian_affine", n_quantiles: int = 101) -> CdfMap:
     """Fit a calibration map on the train split of ``samples``.
 
     Touches only train inputs and train targets; val/test rows never enter.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if n_quantiles < 2:
-        raise ConfigError("n_quantiles must be at least 2")
+    check_cdf_options(mode, n_quantiles)
     tr = samples.indices("train")
     if len(tr) == 0:
         raise EmptyTrain("calibration requires a non-empty train split")

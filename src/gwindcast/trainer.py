@@ -179,16 +179,10 @@ def write_history(path, history) -> None:
         f"{epoch},{train_mse:.17g},{val_mse:.17g}\n" for epoch, train_mse, val_mse in history))
 
 
+def _history_row(fields):
+    epoch, train_mse, val_mse = fields
+    return int(epoch), float(train_mse), float(val_mse)
+
+
 def read_history(path) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "epoch,train_mse,val_mse":
-            raise ConfigError(f"unexpected history header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            e, t, v = line.split(",")
-            out.append((int(e), float(t), float(v)))
-    return out
+    return fileio.read_csv_rows(path, "history", "epoch,train_mse,val_mse", _history_row)[1]

@@ -75,6 +75,16 @@ def test_frozen_arrays_are_immutable():
     )
     with pytest.raises(ValueError):
         panel.values[0, 0] = 1.0
+    # every container freezes its arrays, including the copies its methods make
+    levels = LevelSpec("height_m", (100.0,))
+    vals = np.zeros((2, 1, 3, 3))
+    cube = WindCube(TimeAxis(0, 300, 2), levels, st, vals, np.ones(vals.shape, bool))
+    stats = NormStats(*(np.zeros(2) for _ in range(4)))
+    for arr in (panel.mask, panel.select_stations([1]).values, panel.slice_time(0, 1).mask,
+                cube.values, cube.at_times([0]).times, cube.select_stations([0]).mask,
+                stats.input_std, stats.target_mean):
+        assert not arr.flags.writeable
+
 
 
 def test_level_spec_labels():
@@ -94,6 +104,23 @@ def test_panel_select_and_slice():
     assert sl.axis.start == 300
     assert sl.axis.count == 2
     assert sl.values[0, 0] == 4.0
+
+
+def test_cube_and_series_select_stations_along_the_station_axis():
+    st = make_stations(3, "W")
+    levels = LevelSpec("height_m", (100.0, 500.0))
+    vals = np.arange(4 * 2 * 3 * 3, dtype=float).reshape(4, 2, 3, 3)
+    cube = WindCube(TimeAxis(0, 300, 4), levels, st, vals, np.ones(vals.shape, bool))
+    sub = cube.select_stations(range(2, -1, -2))
+    assert sub.stations.ids == ("W002", "W000")
+    assert np.array_equal(sub.values, vals[:, :, [2, 0]])
+    sl = cube.slice_time(1, 3)
+    assert (sl.axis.start, sl.axis.count, sl.levels) == (300, 2, levels)
+    assert np.array_equal(sl.values, vals[1:3])
+    series = cube.at_times([0, 900]).select_stations([1])
+    assert list(series.times) == [0, 900]
+    assert np.array_equal(series.values, vals[[0, 3]][:, :, [1]])
+    assert not hasattr(series, "slice_time")  # a series has no TimeAxis to slice
 
 
 def test_cube_at_times_produces_series():

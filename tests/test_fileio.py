@@ -304,6 +304,11 @@ def test_binary_rejects_malformed_fields_and_invalid_content(tmp_path):
     bad.append((named_arrays_from_bytes, b"GWCNARR1" + struct.pack("<Q", len(raw)) + raw, "negative"))
     raw = b'{"arrays":{"a":[2]},"extra":{}}'
     bad.append((named_arrays_from_bytes, b"GWCNARR1" + struct.pack("<Q", len(raw)) + raw, "malformed"))
+    # a byte appended after the last field
+    arrays = named_arrays_to_bytes({"a": np.ones(2)})
+    for decode, blob in ((panel_from_bytes, panel), (cube_from_bytes, cube),
+                         (series_from_bytes, series), (named_arrays_from_bytes, arrays)):
+        bad.append((decode, blob + b"\x00", "1 trailing bytes"))
     for decode, blob, message in bad:
         with pytest.raises(DataError, match=message):
             decode(blob)

@@ -270,10 +270,11 @@ def test_ablation_layout_and_tables(tmp_path):
 
 
 def test_ablation_rejects_bad_counts(tmp_path):
-    with pytest.raises(ConfigError):
-        run_station_ablation(small_config(station_counts=[12, 4]), tmp_path / "x")
-    with pytest.raises(ConfigError):
-        run_station_ablation(small_config(station_counts=[4, 4, 12]), tmp_path / "y")
+    # unordered or repeated counts fail when the config loads; a count beyond
+    # the scene's stations only when the ablation sees the scene
+    for counts in ([12, 4], [4, 4, 12]):
+        with pytest.raises(ConfigError):
+            small_config(station_counts=counts)
     with pytest.raises(KTooLarge):
         run_station_ablation(small_config(station_counts=[4, 999]), tmp_path / "z")
 
@@ -311,6 +312,9 @@ def test_read_baseline_csv_grid(tmp_path):
     assert grid.values[1, 0, 0, 0, 0] == 1.0  # u at t=600
     assert grid.values[0, 1, 1, 0, 1] == 29.5  # v carries lat
     assert grid.values[0, 0, 0, 0, 2] == 1000.0  # w carries level
+    for arr in (grid.times, grid.lats, grid.lons, grid.values):
+        with pytest.raises(ValueError):  # frozen like every core container
+            arr[0] = 0
 
 
 def test_read_baseline_csv_rejects_incomplete_grid(tmp_path):
@@ -585,7 +589,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                      'leads_minutes="abc"', "split.ratios=5", 'station_counts=["a"]',
                      'model.arch="cnn"', "model.heads=0", "synth.n_steps=300.5",
                      "train.batch_size=2.5", "model.heads=2.5", "split.ratios=[0.5,0.5]",
-                     "time_start=5", 'time_end="garbage"'):
+                     "time_start=5", 'time_end="garbage"', 'postprocess.mode="bogus"',
+                     "postprocess.n_quantiles=1", "station_counts=[20,5]", "station_counts=[0,5]",
+                     "reference.lat=500", "reference.lon=-180.5"):
         assert cli.main([
             "synth", "--config", cfg_path, "--set", override, "--out", os.path.join(tmp_path, "z"),
         ]) == 2
@@ -614,6 +620,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         ]) == 3
         err = capsys.readouterr().err
         assert f"{name}.csv: " in err and problem in err
+
+
+def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
+    # the whole config is checked at load, so a bad calibration mode stops the
+    # sweep before its first lead trains
+    cfg_path = _write_config(tmp_path)
+    out = os.path.join(tmp_path, "sweep")
+    assert cli.main(["run-lead-sweep", "--config", cfg_path, "--set", "postprocess.mode=bogus",
+                     "--out", out]) == 2
+    assert "mode must be one of" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):

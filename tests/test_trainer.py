@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwindcast.errors import ConfigError, EmptySplit, NonFiniteGradient, UnnormalizedInput
+from gwindcast.errors import ConfigError, DataError, EmptySplit, NonFiniteGradient, UnnormalizedInput
 from gwindcast.model import ModelConfig, WindModel
 from gwindcast.neural import Param
 from gwindcast.preprocess import SampleSet
@@ -299,5 +299,8 @@ def test_history_round_trip(tmp_path):
 def test_history_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,loss\n1,2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="bad.csv: unexpected history file header"):
+        read_history(path)
+    path.write_text("epoch,train_mse,val_mse\n1,0.5,0.6\n2,0.25\n")
+    with pytest.raises(DataError, match="bad.csv, line 3: malformed row"):
         read_history(path)

@@ -43,6 +43,16 @@ SMALL = {
 
 _STAGED = ["--config", "small.json", "--set", 'postprocess.mode="empirical_quantile"',
            "--set", "leads_minutes=[5,10]"]
+# the staged synth's CSV files as a data.kind="files" scene
+_CSV_SCENE = json.dumps({"kind": "files", **{name: f"staged/raw/{name}.csv" for name in
+                                             ("ztd_stations", "ztd", "wind_stations", "wind")}})
+
+# a 3-time x 2-lat x 2-lon x 3-level height grid over the small scene
+BASELINE = "# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n" + "".join(
+    f"2025-05-07T{hhmm}:00Z,{lat},{lon},{lev},{k + 0.5 * i},{lev / 1000 - j},{0.01 * k}\n"
+    for k, hhmm in enumerate(("06:00", "09:00", "12:00"))
+    for i, lat in enumerate((29.1, 29.6)) for j, lon in enumerate((119.8, 120.3))
+    for lev in (100.0, 3000.0, 7000.0))
 
 # (output name, command line) in run order; later commands may read what
 # earlier ones wrote
@@ -72,6 +82,13 @@ COMMANDS = [
     ("evaluate", ["evaluate", "--pred", "staged/run/predictions.gwcs",
                   "--truth", "staged/run/truth.gwcs", "--lead", "10",
                   "--out", "staged/run/report.json"]),
+    ("preprocess_csv", ["preprocess", *_STAGED, "--set", "data=" + _CSV_SCENE,
+                        "--out", "staged/prep_csv"]),
+    ("emit_timeseries", ["emit-timeseries", "--pred", "staged/run/predictions.gwcs",
+                         "--truth", "staged/run/truth.gwcs", "--out", "staged/timeseries"]),
+    ("show_report", ["show-report", "--report", "staged/run/report.json"]),
+    ("compare_baseline", ["compare-baseline", "--baseline", "baseline.csv",
+                          "--truth", "staged/raw/cube.gwcc", "--out", "staged/baseline.json"]),
 ]
 
 
@@ -90,6 +107,8 @@ def run_side(src: str, cwd: str) -> dict:
     os.makedirs(cwd)
     with open(os.path.join(cwd, "small.json"), "w", encoding="utf-8") as f:
         json.dump(SMALL, f)
+    with open(os.path.join(cwd, "baseline.csv"), "w", encoding="utf-8") as f:
+        f.write(BASELINE)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     printed = {}
     for name, argv in COMMANDS:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -101,10 +102,10 @@ def parse_override(text: str) -> dict:
 
 
 def _is_number(x, integral: bool = False) -> bool:
-    """A number but not a bool; with ``integral``, one without a fraction."""
+    """A finite number but not a bool; with ``integral``, one without a fraction."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
-    return not integral or isinstance(x, int) or x.is_integer()
+    return isinstance(x, int) or (math.isfinite(x) and (not integral or x.is_integer()))
 
 
 def _numbers(val, default, name: str):
@@ -156,9 +157,15 @@ def _expect_types(d: dict, defaults: dict, where: str = "") -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated view over the experiment config dict."""
+    """The checked experiment config: the merged dict, which the manifest
+    records, and the section configs built from it once at load. The scene
+    sets the model's sizes and each lead its seeds, with ``replace``."""
 
     raw: dict
+    synth: SynthConfig
+    train: TrainConfig
+    model: ModelConfig
+    split: SplitConfig
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -170,6 +177,8 @@ class ExperimentConfig:
         _check_timestamp(d["time_start"], "time_start")
         _check_timestamp(d["time_end"], "time_end")
         check_cdf_options(d["postprocess"]["mode"], d["postprocess"]["n_quantiles"])
+        if d["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {d['seed']}")
         counts = d["station_counts"]
         if any(b <= a for a, b in zip(counts, counts[1:])) or any(k < 1 for k in counts):
             raise ConfigError("station_counts must be strictly ascending and at least 1, "
@@ -178,11 +187,11 @@ class ExperimentConfig:
         if not (-90 <= lat <= 90 and -180 <= lon <= 180):
             raise ConfigError("reference lat must lie in [-90, 90] and lon in [-180, 180], "
                               f"got ({lat}, {lon})")
-        cfg = cls(raw=d)
-        cfg.synth_config()  # validates
-        cfg.train_config(seed=0)
-        cfg.model_config(n_stations=1, output_dim=1)  # the scene sets the real sizes
-        cfg.split_config(seed=0)
+        cfg = cls(raw=d, synth=SynthConfig(**d["synth"]), train=TrainConfig(**d["train"]),
+                  model=ModelConfig(window_steps=d["window_steps"], **d["model"]),
+                  split=SplitConfig(ratios=tuple(d["split"]["ratios"])))
+        for section in (cfg.synth, cfg.train, cfg.model, cfg.split):
+            section.validate()
         if not d["leads_minutes"]:
             raise ConfigError("leads_minutes must not be empty")
         return cfg
@@ -211,33 +220,6 @@ class ExperimentConfig:
     def reference(self) -> tuple:
         return (float(self.raw["reference"]["lat"]), float(self.raw["reference"]["lon"]))
 
-    def synth_config(self) -> SynthConfig:
-        cfg = SynthConfig(**self.raw["synth"])
-        cfg.validate()
-        return cfg
-
-    def train_config(self, seed: int) -> TrainConfig:
-        cfg = TrainConfig(seed=seed, **self.raw["train"])
-        cfg.validate()
-        return cfg
-
-    def model_config(self, n_stations: int, output_dim: int) -> ModelConfig:
-        cfg = ModelConfig(
-            arch=self.raw["model"]["arch"],
-            window_steps=self.window_steps,
-            n_stations=n_stations,
-            output_dim=output_dim,
-            n_encoder_blocks=self.raw["model"]["n_encoder_blocks"],
-            heads=self.raw["model"]["heads"],
-        )
-        cfg.validate()
-        return cfg
-
-    def split_config(self, seed: int) -> SplitConfig:
-        cfg = SplitConfig(ratios=tuple(self.raw["split"]["ratios"]), seed=seed)
-        cfg.validate()
-        return cfg
-
 
 def derive_seed(base: int, *key: int) -> int:
     """Stable per-purpose seed derivation from a base seed and integer keys."""
@@ -247,7 +229,7 @@ def derive_seed(base: int, *key: int) -> int:
 
 def lead_steps_for(cfg: ExperimentConfig, lead_minutes: float, step_seconds: int) -> int:
     lead_s = lead_minutes * 60.0
-    steps = int(round(lead_s / step_seconds))
+    steps = int(round(lead_s / step_seconds)) if math.isfinite(lead_s) else 0
     if steps < 1 or abs(steps * step_seconds - lead_s) > 1e-9:
         raise ConfigError(
             f"lead of {lead_minutes} min is not a positive multiple of the {step_seconds}s step"
@@ -256,15 +238,18 @@ def lead_steps_for(cfg: ExperimentConfig, lead_minutes: float, step_seconds: int
 
 
 def load_raw_scene(cfg: ExperimentConfig):
-    """Generate or read the (panel, cube) pair, time-sliced but unfilled."""
+    """Generate or read the (panel, cube) pair, time-sliced but unfilled;
+    check every configured lead against its time step before any work."""
     data = cfg.raw["data"]
     if data["kind"] == "synthetic":
-        _, panel, cube, _ = generate(cfg.synth_config())
+        _, panel, cube, _ = generate(cfg.synth)
     else:
         zst = fileio.read_station_csv(data["ztd_stations"])
         wst = fileio.read_station_csv(data["wind_stations"])
         panel = fileio.read_ztd_csv(data["ztd"], zst)
         cube = fileio.read_wind_csv(data["wind"], wst)
+    for lead in cfg.leads_minutes + [cfg.ablation_lead_minutes]:
+        lead_steps_for(cfg, lead, panel.axis.step)
     t0, t1 = cfg.raw.get("time_start"), cfg.raw.get("time_end")
     if t0 is not None or t1 is not None:
         panel = panel.slice_time(*_time_window_indices(panel.axis, t0, t1))
@@ -306,15 +291,15 @@ def _time_window_indices(axis: TimeAxis, t0, t1):
 
 
 def build_run_samples(panel: ZtdPanel, cube: WindCube, cfg: ExperimentConfig, lead_steps: int):
-    split = cfg.split_config(seed=derive_seed(cfg.seed, lead_steps, _SEED_SPLIT))
+    split = replace(cfg.split, seed=derive_seed(cfg.seed, lead_steps, _SEED_SPLIT))
     return build_samples(panel, cube, cfg.window_steps, lead_steps, split)
 
 
 def train_stage(samples, cfg: ExperimentConfig, lead_steps: int, out_dir):
     """Train one lead's model; write checkpoint.gwc and history.csv."""
-    mcfg = cfg.model_config(n_stations=samples.inputs.shape[2], output_dim=samples.output_dim)
+    mcfg = replace(cfg.model, n_stations=samples.inputs.shape[2], output_dim=samples.output_dim)
     model = WindModel(mcfg, seed=derive_seed(cfg.seed, lead_steps, _SEED_INIT))
-    tcfg = cfg.train_config(seed=derive_seed(cfg.seed, lead_steps, _SEED_TRAIN))
+    tcfg = replace(cfg.train, seed=derive_seed(cfg.seed, lead_steps, _SEED_TRAIN))
     result = train(model, samples, tcfg)
     os.makedirs(out_dir, exist_ok=True)
     save_model(os.path.join(out_dir, "checkpoint.gwc"), model)
@@ -401,8 +386,8 @@ def _lead_dir_name(lead_minutes: float) -> str:
 def run_lead_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full sweep over ``leads_minutes``; writes per-lead artifacts, the
     (level x lead) mosaic tables, and the run manifest."""
-    os.makedirs(out_dir, exist_ok=True)
     panel, cube = prepare_scene(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     reports = {}
     for lead in cfg.leads_minutes:
         reports[lead] = run_single_lead(
@@ -423,13 +408,13 @@ def reference_wind_station(cube: WindCube, cfg: ExperimentConfig) -> int:
 def run_station_ablation(cfg: ExperimentConfig, out_dir) -> dict:
     """Retrain with the k nearest delay stations for each configured k and
     evaluate at the wind station nearest the reference point."""
-    os.makedirs(out_dir, exist_ok=True)
     panel, cube = prepare_scene(cfg)
     counts = cfg.station_counts
     if counts and counts[-1] > len(panel.stations):
         raise KTooLarge(
             f"station count {counts[-1]} exceeds the {len(panel.stations)} stations available"
         )
+    os.makedirs(out_dir, exist_ok=True)
     ref_idx = reference_wind_station(cube, cfg)
     reports = {}
     for k in counts:

@@ -14,7 +14,7 @@ window and applies two tanh layers of the same width, then a linear readout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,15 +55,7 @@ class ModelConfig:
         return -(-self.n_stations // unit) * unit
 
     def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "window_steps": self.window_steps,
-            "n_stations": self.n_stations,
-            "output_dim": self.output_dim,
-            "n_encoder_blocks": self.n_encoder_blocks,
-            "heads": self.heads,
-            "hidden_activation": self.hidden_activation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -259,6 +259,9 @@ def build_samples(
     if (wind.axis.start - ztd.axis.start) % step != 0:
         raise Misaligned("delay and wind axes are offset by a fraction of the step")
 
+    if window_steps > ztd.axis.count:
+        raise NoSamples(f"a {window_steps}-step window is longer than the "
+                        f"{ztd.axis.count}-step delay panel")
     window_ok = np.ones(ztd.axis.count, dtype=bool)  # window ending at i fully observed
     obs_row = ztd.mask.all(axis=1) & np.isfinite(ztd.values).all(axis=1)
     for off in range(window_steps):

@@ -54,6 +54,8 @@ class SynthConfig:
     start_epoch: int = 1746595800
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for name in ("n_ztd_stations", "n_wind_stations", "n_levels", "n_steps",
                      "latent_dim", "lead_coupling_steps", "step_seconds"):
             if getattr(self, name) < 1:

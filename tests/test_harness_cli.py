@@ -128,6 +128,9 @@ def test_derive_seed_is_stable_and_keyed():
 def test_lead_steps_for():
     cfg = small_config()
     assert lead_steps_for(cfg, 5.0, 300) == 1
+    for bad in (7.0, 0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="not a positive multiple"):
+            lead_steps_for(cfg, bad, 300)
     assert lead_steps_for(cfg, 30.0, 300) == 6
     with pytest.raises(ConfigError):
         lead_steps_for(cfg, 2.5, 300)
@@ -591,7 +594,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "train.batch_size=2.5", "model.heads=2.5", "split.ratios=[0.5,0.5]",
                      "time_start=5", 'time_end="garbage"', 'postprocess.mode="bogus"',
                      "postprocess.n_quantiles=1", "station_counts=[20,5]", "station_counts=[0,5]",
-                     "reference.lat=500", "reference.lon=-180.5"):
+                     "reference.lat=500", "reference.lon=-180.5", "seed=-1", "synth.seed=-1",
+                     "leads_minutes=[5,7]", "train.lr=NaN", "synth.linear_gain=Infinity"):
         assert cli.main([
             "synth", "--config", cfg_path, "--set", override, "--out", os.path.join(tmp_path, "z"),
         ]) == 2
@@ -631,6 +635,35 @@ def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
                      "--out", out]) == 2
     assert "mode must be one of" in capsys.readouterr().err
     assert not os.path.exists(out)
+    # a lead off the scene's 5-minute grid stops either run before its output
+    # directory is made, whichever lead it is
+    for command, override in (("run-lead-sweep", "leads_minutes=[5,7]"),
+                              ("run-station-ablation", "ablation_lead_minutes=7")):
+        assert cli.main([command, "--config", cfg_path, "--set", override, "--out", out]) == 2
+        assert "not a positive multiple of the 300s step" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+def _config_keys(defaults: dict, prefix: str = ""):
+    """Every key of the defaults as a dotted name, sections and nested keys alike."""
+    for key, val in defaults.items():
+        yield prefix + key
+        if isinstance(val, dict):
+            yield from _config_keys(val, prefix + key + ".")
+
+
+def test_cli_every_config_value_ends_with_a_documented_exit_code(tmp_path, capsys):
+    # each key set to each value of a pool holding no valid size above 2, so
+    # no case can start a large run; none may raise or exit 1
+    cfg_path = _write_config(tmp_path)
+    out = os.path.join(tmp_path, "scene")
+    pool = ('"x"', "null", "true", "[]", "{}", "-1", "0", "0.5", "NaN", "1e-300")
+    for key in _config_keys(harness.DEFAULT_CONFIG):
+        for value in pool:
+            code = cli.main(["synth", "--config", cfg_path, "--set", f"{key}={value}",
+                             "--out", out])
+            assert code in (0, 2, 3, 4), (key, value, code)
+    capsys.readouterr()
 
 
 def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):

@@ -364,8 +364,10 @@ def test_build_samples_misaligned_axes_raise():
 
 def test_build_samples_no_usable_windows_raises():
     panel, cube = make_aligned_scene(n_t=6)
-    with pytest.raises(NoSamples):
-        build_samples(panel, cube, 6, 2, SplitConfig())
+    # a window that fits but leaves no target, and one longer than the panel
+    for window in (6, 8):
+        with pytest.raises(NoSamples):
+            build_samples(panel, cube, window, 2, SplitConfig())
 
 
 def test_split_config_validation():

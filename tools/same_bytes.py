@@ -64,6 +64,12 @@ COMMANDS = [
                       "--set", "synth.n_ztd_stations=10", "--out", "sweep_padded"]),
     ("sweep_mlp", ["run-lead-sweep", "--config", "small.json",
                    "--set", 'model.arch="mlp"', "--out", "sweep_mlp"]),
+    ("sweep_off_default", ["run-lead-sweep", "--config", "small.json", "--set", "window_steps=5",
+                           "--set", "split.ratios=[0.6,0.25,0.15]", "--set", "train.beta1=0.8",
+                           "--set", "train.beta2=0.99", "--set", "train.eps=1e-6",
+                           "--set", "synth.tanh_gain=0.5", "--set", "synth.noise_std=0.1",
+                           "--set", 'postprocess.mode="empirical_quantile"',
+                           "--set", "postprocess.n_quantiles=51", "--out", "sweep_off_default"]),
     ("ablation", ["run-station-ablation", "--config", "small.json", "--out", "ablation"]),
     ("sweep_default", ["run-lead-sweep", "--set", "train.max_epochs=2", "--set", "train.patience=2",
                        "--set", "leads_minutes=[5,30]", "--out", "sweep_default"]),

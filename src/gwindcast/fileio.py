@@ -4,7 +4,7 @@ Text formats (CSV, UTF-8, comma separated, one header row):
 
 * stations: ``station_id,lat,lon``
 * zenith delays: ``timestamp,station_id,ztd_m`` with ISO-8601 UTC timestamps;
-  missing observations are simply absent rows
+  missing observations are simply absent rows, and rows may come in any order
 * wind: ``timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms``
   preceded by a metadata line ``# level_kind=height_m|pressure_hPa``
 
@@ -31,6 +31,9 @@ import io
 import json
 import math
 import struct
+from functools import partial
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .core import (
     parse_iso8601,
     validate,
 )
-from .errors import DataError
+from .errors import DataError, NegativeSpeed
 from .preprocess import compose_wind, decompose_wind
 
 _MAGIC = {ZtdPanel: b"GWCPANL1", WindCube: b"GWCCUBE1", WindSeries: b"GWCSERS1"}
@@ -172,15 +175,51 @@ def check_no_repeats(path, what: str, rows, n_set: int, n_key: int) -> None:
         seen.add(key)
 
 
-def _row_axis(path, rows, step: int) -> TimeAxis:
-    """The grid through the rows' timestamps (first field): its step is the
-    smallest positive gap between them, ``step`` when there is one time."""
-    times = sorted({r[0] for r in rows})
+class Timestamps(dict):
+    """A memo of :func:`parse_iso8601` for one read: ``memo[text]`` parses
+    each distinct text once. A reader makes one and drops it when it returns,
+    so the memo holds no text past the read. A bad timestamp raises its
+    ValueError at each lookup and is never stored."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = when = parse_iso8601(text)
+        return when
+
+
+def _row_axis(path, times, step: int) -> TimeAxis:
+    """The grid through the timestamps: its step is the smallest positive gap
+    between them, ``step`` when there is one time."""
+    times = sorted(set(times))
     if len(times) > 1:
         step = min(b - a for a, b in zip(times, times[1:]))
     if any((t - times[0]) % step for t in times):
         raise DataError(f"{path}: timestamps do not sit on one {step}s grid")
     return TimeAxis(times[0], step, (times[-1] - times[0]) // step + 1)
+
+
+def _column(rows, i: int, dtype=np.float64) -> np.ndarray:
+    """Field i of every row, as an array."""
+    return np.fromiter(map(itemgetter(i), rows), dtype, len(rows))
+
+
+def _grid_rows(path, what: str, stations: StationTable, rows, when: Timestamps, step: int,
+               upto=None):
+    """The grid through the timestamps the read parsed into ``when``, and
+    each row's grid row and station column; a row starts (timestamp, station).
+
+    A row among the first ``upto`` (all by default) that names a station not
+    in ``stations`` is a DataError naming the first such station."""
+    axis = _row_axis(path, when.values(), step)
+    col = {sid: i for i, sid in enumerate(stations.ids)}
+    sids = list(map(itemgetter(1), rows))
+    cols = np.fromiter(map(col.get, sids, repeat(-1)), np.int64, len(rows))
+    unknown = np.flatnonzero(cols[:upto] < 0)
+    if unknown.size:
+        raise DataError(f"{path}: unknown station id in {what} file: {sids[unknown[0]]!r}")
+    k = _column(rows, 0, np.int64)
+    k -= axis.start
+    k //= axis.step
+    return axis, k, cols
 
 
 def write_station_csv(path, table: StationTable) -> None:
@@ -209,9 +248,9 @@ def write_ztd_csv(path, panel: ZtdPanel) -> None:
     write_text(path, "".join(lines))
 
 
-def _ztd_row(fields):
+def _ztd_row(when: Timestamps, fields):
     ts, sid, val = fields
-    return parse_iso8601(ts), sid, float(val)
+    return when[ts], sid, float(val)
 
 
 def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
@@ -221,17 +260,13 @@ def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
     (``step`` when only one timestamp is present); every timestamp must sit
     on that grid. Stations not in ``stations`` are rejected.
     """
-    _, rows = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m", _ztd_row)
-    axis = _row_axis(path, rows, step)
-    col = {sid: i for i, sid in enumerate(stations.ids)}
+    when = Timestamps()
+    _, rows = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m", partial(_ztd_row, when))
+    axis, k, s = _grid_rows(path, "delay", stations, rows, when, step)
     values = np.full((axis.count, len(stations)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
-    for ts, sid, val in rows:
-        if sid not in col:
-            raise DataError(f"{path}: unknown station id in delay file: {sid!r}")
-        k = axis.index_of(ts)
-        values[k, col[sid]] = val
-        mask[k, col[sid]] = True
+    values[k, s] = _column(rows, 2)
+    mask[k, s] = True
     panel = _checked(ZtdPanel(axis, stations, values, mask), str(path))
     check_no_repeats(path, "delay", rows, int(mask.sum()), 2)
     return panel
@@ -254,30 +289,38 @@ def write_wind_csv(path, cube: WindCube) -> None:
     write_text(path, "".join(lines))
 
 
-def _wind_row(fields):
+def _wind_row(when: Timestamps, fields):
     ts, sid, lev, spd, drc, w = fields
-    return parse_iso8601(ts), sid, float(lev), float(spd), float(drc), float(w)
+    return when[ts], sid, float(lev), float(spd), float(drc), float(w)
 
 
 def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
+    """Read wind rows onto the grid implied by their timestamps, as
+    :func:`read_ztd_csv` does; levels ascend for heights and descend for
+    pressures. An unknown station or a negative speed is a DataError naming
+    the first row, in file order, that has either."""
+    when = Timestamps()
     kind, rows = read_csv_rows(
         path, "wind", "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms",
-        _wind_row, level_kind=HEIGHT_M,
+        partial(_wind_row, when), level_kind=HEIGHT_M,
     )
-    axis = _row_axis(path, rows, step)
-    lev_values = sorted({r[2] for r in rows}, reverse=(kind != HEIGHT_M))
-    levels = LevelSpec(kind, tuple(lev_values))
+    speed = _column(rows, 3)
+    negative = np.flatnonzero(speed < 0)
+    axis, k, s = _grid_rows(path, "wind", stations, rows, when, step,
+                            upto=negative[0] if negative.size else None)
+    if negative.size:
+        ts, sid, lev, spd = rows[negative[0]][:4]
+        raise NegativeSpeed(f"{path}: negative wind speed {spd!r} at "
+                            f"{format_iso8601(ts)}, station {sid}, level {lev!r}")
+    levs = list(map(itemgetter(2), rows))
+    levels = LevelSpec(kind, tuple(sorted(set(levs), reverse=(kind != HEIGHT_M))))
     lev_idx = {v: i for i, v in enumerate(levels.values)}
-    col = {sid: i for i, sid in enumerate(stations.ids)}
+    l = np.fromiter(map(lev_idx.__getitem__, levs), np.int64, len(rows))
     values = np.full((axis.count, len(levels), len(stations), 3), np.nan)
     mask = np.zeros(values.shape, dtype=bool)
-    for ts, sid, lev, spd, drc, w in rows:
-        if sid not in col:
-            raise DataError(f"{path}: unknown station id in wind file: {sid!r}")
-        u, v = decompose_wind(spd, drc)
-        k, l, s = axis.index_of(ts), lev_idx[lev], col[sid]
-        values[k, l, s] = (u, v, w)
-        mask[k, l, s] = True
+    u, v = decompose_wind(speed, _column(rows, 4))
+    values[k, l, s] = np.stack((u, v, _column(rows, 5)), axis=-1)
+    mask[k, l, s] = True
     cube = _checked(WindCube(axis, levels, stations, values, mask), str(path))
     check_no_repeats(path, "wind", rows, int(mask[..., 0].sum()), 3)
     return cube

@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import ConfigError, DataError, KTooLarge, Misaligned, NoTemporalOve
 from .metrics import MetricReport, _fmt, evaluate_series, write_mosaic_tables, write_report
 from .model import ModelConfig, WindModel, predict_denormalized, save_model
 from .postprocess import apply_cdf_map, check_cdf_options, fit_cdf_map, write_cdf_map
-from .preprocess import SplitConfig, build_samples, fill_gaps
+from .preprocess import SplitConfig, build_samples, check_window_fits, fill_gaps
 from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train, write_history
 
@@ -192,8 +193,9 @@ class ExperimentConfig:
                   split=SplitConfig(ratios=tuple(d["split"]["ratios"])))
         for section in (cfg.synth, cfg.train, cfg.model, cfg.split):
             section.validate()
-        if not d["leads_minutes"]:
-            raise ConfigError("leads_minutes must not be empty")
+        for key in ("leads_minutes", "station_counts"):
+            if not d[key]:
+                raise ConfigError(f"{key} must not be empty")
         return cfg
 
     @property
@@ -387,6 +389,7 @@ def run_lead_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full sweep over ``leads_minutes``; writes per-lead artifacts, the
     (level x lead) mosaic tables, and the run manifest."""
     panel, cube = prepare_scene(cfg)
+    check_window_fits(cfg.window_steps, panel.axis.count)
     os.makedirs(out_dir, exist_ok=True)
     reports = {}
     for lead in cfg.leads_minutes:
@@ -409,8 +412,9 @@ def run_station_ablation(cfg: ExperimentConfig, out_dir) -> dict:
     """Retrain with the k nearest delay stations for each configured k and
     evaluate at the wind station nearest the reference point."""
     panel, cube = prepare_scene(cfg)
+    check_window_fits(cfg.window_steps, panel.axis.count)
     counts = cfg.station_counts
-    if counts and counts[-1] > len(panel.stations):
+    if counts[-1] > len(panel.stations):
         raise KTooLarge(
             f"station count {counts[-1]} exceeds the {len(panel.stations)} stations available"
         )
@@ -480,16 +484,17 @@ class GriddedBaseline(_FrozenArrays):
     values: np.ndarray
 
 
-def _baseline_row(fields):
+def _baseline_row(when: fileio.Timestamps, fields):
     ts, la, lo, lev, u, v, w = fields
-    return parse_iso8601(ts), float(la), float(lo), float(lev), float(u), float(v), float(w)
+    return when[ts], float(la), float(lo), float(lev), float(u), float(v), float(w)
 
 
 def read_baseline_csv(path) -> GriddedBaseline:
     """Delimited grid: ``timestamp,lat,lon,level,u_ms,v_ms,w_ms`` preceded by
     a ``# level_kind=...`` metadata line; every grid combination must appear."""
     kind, rows = fileio.read_csv_rows(path, "baseline", "timestamp,lat,lon,level,u_ms,v_ms,w_ms",
-                                      _baseline_row, level_kind=PRESSURE_HPA)
+                                      partial(_baseline_row, fileio.Timestamps()),
+                                      level_kind=PRESSURE_HPA)
     times = sorted({r[0] for r in rows})
     lats = sorted({r[1] for r in rows})
     lons = sorted({r[2] for r in rows})

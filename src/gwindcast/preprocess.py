@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geo
 from .core import (
@@ -234,6 +235,13 @@ def select_nearest_stations(table: StationTable, ref_lat: float, ref_lon: float,
     return table.subset(order[:k])
 
 
+def check_window_fits(window_steps: int, n_steps: int) -> None:
+    """NoSamples unless a window of ``window_steps`` rows fits in ``n_steps``."""
+    if window_steps > n_steps:
+        raise NoSamples(f"a {window_steps}-step window is longer than the "
+                        f"{n_steps}-step delay panel")
+
+
 def build_samples(
     ztd: ZtdPanel,
     wind: WindCube,
@@ -259,32 +267,25 @@ def build_samples(
     if (wind.axis.start - ztd.axis.start) % step != 0:
         raise Misaligned("delay and wind axes are offset by a fraction of the step")
 
-    if window_steps > ztd.axis.count:
-        raise NoSamples(f"a {window_steps}-step window is longer than the "
-                        f"{ztd.axis.count}-step delay panel")
-    window_ok = np.ones(ztd.axis.count, dtype=bool)  # window ending at i fully observed
+    check_window_fits(window_steps, ztd.axis.count)
     obs_row = ztd.mask.all(axis=1) & np.isfinite(ztd.values).all(axis=1)
-    for off in range(window_steps):
-        shifted = np.zeros_like(window_ok)
-        shifted[off:] = obs_row[: ztd.axis.count - off] if off else obs_row
-        window_ok &= shifted
-    window_ok[: window_steps - 1] = False
-
+    starts = np.flatnonzero(sliding_window_view(obs_row, window_steps).all(axis=1))
+    # the wind row of each window's target: the window's last row plus the lead
+    rows = starts + (window_steps - 1 + lead_steps + (ztd.axis.start - wind.axis.start) // step)
     target_ok = wind.mask.reshape(wind.axis.count, -1).all(axis=1)
     target_ok &= np.isfinite(wind.values.reshape(wind.axis.count, -1)).all(axis=1)
-
-    ends, times = [], []
-    for i in np.nonzero(window_ok)[0]:
-        tt = ztd.axis.time_at(int(i)) + lead_steps * step
-        if wind.axis.covers(tt) and target_ok[wind.axis.index_of(tt)]:
-            ends.append(int(i))
-            times.append(tt)
-    if not ends:
+    keep = (rows >= 0) & (rows < wind.axis.count)
+    keep[keep] = target_ok[rows[keep]]
+    starts, rows = starts[keep], rows[keep]
+    n = len(starts)
+    if not n:
         raise NoSamples("no (window, target) pair satisfies the alignment constraints")
 
-    n = len(ends)
-    inputs = np.stack([ztd.values[i - window_steps + 1 : i + 1] for i in ends])
-    targets = np.stack([wind.values[wind.axis.index_of(t)].reshape(-1) for t in times])
+    # a view of every window as (start, lag, station); indexing copies the kept ones
+    windows = sliding_window_view(ztd.values, window_steps, axis=0).transpose(0, 2, 1)
+    inputs = windows[starts]
+    targets = wind.values.reshape(wind.axis.count, -1)[rows]
+    times = wind.axis.start + rows * step
 
     labels = _assign_splits(n, split)
     train = labels == 0
@@ -306,7 +307,7 @@ def build_samples(
         window_steps=window_steps,
         lead_steps=lead_steps,
         step_seconds=step,
-        target_times=np.array(times, dtype=np.int64),
+        target_times=times,
         split_labels=labels,
         levels=wind.levels,
         target_stations=wind.stations,

@@ -202,6 +202,46 @@ def loop_decompose(speed, direction_deg):
     return -speed * math.sin(rad), -speed * math.cos(rad)
 
 
+def loop_build_samples(ztd, wind, window_steps, lead_steps, split):
+    """(inputs, targets, target times, split labels) of build_samples, one
+    window at a time: a window ending at row e is kept when its rows and the
+    wind row ``lead_steps`` after e are observed and finite throughout."""
+    n_t, n_s = ztd.values.shape
+    step = ztd.axis.step
+    inputs, targets, times = [], [], []
+    for end in range(window_steps - 1, n_t):
+        rows = range(end - window_steps + 1, end + 1)
+        if not all(ztd.mask[r, s] and math.isfinite(ztd.values[r, s])
+                   for r in rows for s in range(n_s)):
+            continue
+        when = ztd.axis.start + (end + lead_steps) * step
+        j, rem = divmod(when - wind.axis.start, step)
+        if rem or not 0 <= j < wind.axis.count:
+            continue
+        cells = list(zip(wind.values[j].ravel(), wind.mask[j].ravel()))
+        if not all(m and math.isfinite(v) for v, m in cells):
+            continue
+        inputs.append([[ztd.values[r, s] for s in range(n_s)] for r in rows])
+        targets.append([v for v, _ in cells])
+        times.append(when)
+    # largest-remainder split sizes, then the seeded permutation dealt in order
+    n = len(times)
+    quotas = [r * n for r in split.ratios]
+    sizes = [math.floor(q) for q in quotas]
+    by_fraction = sorted(range(3), key=lambda c: -(quotas[c] - sizes[c]))
+    for j in range(n - sum(sizes)):
+        sizes[by_fraction[j % 3]] += 1
+    perm = np.random.default_rng(split.seed).permutation(n)
+    labels = [0] * n
+    pos = 0
+    for code, size in enumerate(sizes):
+        for i in perm[pos : pos + size]:
+            labels[i] = code
+        pos += size
+    return (np.array(inputs, dtype=np.float64), np.array(targets, dtype=np.float64),
+            np.array(times, dtype=np.int64), np.array(labels, dtype=np.uint8))
+
+
 def loop_haversine(lat1, lon1, lat2, lon2, radius=6371.0):
     p1, p2 = math.radians(lat1), math.radians(lat2)
     dp = math.radians(lat2 - lat1)

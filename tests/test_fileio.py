@@ -13,7 +13,7 @@ from gwindcast.core import (
     WindSeries,
     ZtdPanel,
 )
-from gwindcast.errors import DataError
+from gwindcast.errors import DataError, NegativeSpeed
 from gwindcast.fileio import (
     canonical_json,
     cube_from_bytes,
@@ -146,6 +146,56 @@ def test_ztd_csv_rejects_unknown_station(tmp_path):
                     "2025-05-07T05:35:00Z,Z001,2.5\n2025-05-07T05:30:00Z,Z000,9.9\n")
     with pytest.raises(DataError, match=r"ztd\.csv: repeated delay row for 2025-05-07T05:30:00Z,Z000"):
         read_ztd_csv(path, stations(2))
+    # the error names the first unknown station in row order, not in sort order
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z000,2.4\n"
+                    "2025-05-07T05:35:00Z,ZZZ9,2.5\n2025-05-07T05:30:00Z,AAA1,2.6\n")
+    with pytest.raises(DataError, match=r"ztd\.csv: unknown station id in delay file: 'ZZZ9'"):
+        read_ztd_csv(path, stations(2))
+
+
+def _rewrite_rows(path, order):
+    """Rewrite a delay or wind CSV file with its data rows in ``order(rows)``."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = 2 if lines[0].startswith("#") else 1
+    path.write_text("".join(lines[:head] + order(lines[head:])))
+
+
+_ROW_ORDERS = {
+    "station-major": lambda rows: sorted(rows, key=lambda r: r.split(",")[1]),
+    "reversed": lambda rows: rows[::-1],
+}
+
+
+@pytest.mark.parametrize("order", sorted(_ROW_ORDERS))
+def test_csv_rows_in_any_order_read_to_the_same_arrays(tmp_path, order):
+    panel = sample_panel()
+    cube = sample_cube(n_t=9)
+    mask = np.array(cube.mask)
+    mask[[1, 4], 0, 1] = False
+    mask[7, 1, 0] = False
+    cube = WindCube(cube.axis, cube.levels, cube.stations, cube.values, mask)
+    for write, read, to_bytes, obj in ((write_ztd_csv, read_ztd_csv, panel_to_bytes, panel),
+                                       (write_wind_csv, read_wind_csv, cube_to_bytes, cube)):
+        time_major = tmp_path / "time_major.csv"
+        write(time_major, obj)
+        reordered = tmp_path / f"{order}.csv"
+        write(reordered, obj)
+        _rewrite_rows(reordered, _ROW_ORDERS[order])
+        assert reordered.read_text() != time_major.read_text()
+        want, got = read(time_major, obj.stations), read(reordered, obj.stations)
+        assert got.axis == want.axis
+        assert to_bytes(got) == to_bytes(want)
+
+
+def test_one_instant_in_two_spellings_lands_on_one_grid_row(tmp_path):
+    path = tmp_path / "ztd.csv"
+    path.write_text("timestamp,station_id,ztd_m\n"
+                    "2025-05-07T05:30:00Z,Z000,2.4\n2025-05-07T05:30:00+00:00,Z001,2.5\n"
+                    "2025-05-07T05:35:00+00:00,Z000,2.6\n2025-05-07T05:35:00Z,Z001,2.7\n")
+    panel = read_ztd_csv(path, stations(2))
+    assert panel.axis == TimeAxis(1746595800, 300, 2)
+    np.testing.assert_array_equal(panel.values, [[2.4, 2.5], [2.6, 2.7]])
+    assert panel.mask.all()
 
 
 def test_ztd_csv_rejects_empty_and_bad_header(tmp_path):
@@ -222,6 +272,19 @@ def test_wind_csv_rejects_bad_metadata(tmp_path):
                     "2025-05-07T05:30:00Z,W000,110.0,9.0,180.0,0.2\n")
     with pytest.raises(DataError, match=r"wind\.csv: repeated wind row for "
                                         r"2025-05-07T05:30:00Z,W000,110\.0"):
+        read_wind_csv(path, stations(1, "W"))
+    # a negative speed names the file and the first such row; an unknown
+    # station in an earlier row is reported first
+    head = "# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+    rows = ["2025-05-07T05:30:00Z,W000,110.0,3.0,90.0,0.1\n",
+            "2025-05-07T05:35:00Z,W000,220.0,-0.5,90.0,0.1\n",
+            "2025-05-07T05:40:00Z,W000,110.0,-2.0,90.0,0.1\n"]
+    path.write_text(head + "".join(rows))
+    with pytest.raises(NegativeSpeed, match=r"wind\.csv: negative wind speed -0\.5 at "
+                                           r"2025-05-07T05:35:00Z, station W000, level 220\.0"):
+        read_wind_csv(path, stations(1, "W"))
+    path.write_text(head + "2025-05-07T05:30:00Z,NOPE,110.0,3.0,90.0,0.1\n" + "".join(rows))
+    with pytest.raises(DataError, match=r"wind\.csv: unknown station id in wind file: 'NOPE'"):
         read_wind_csv(path, stations(1, "W"))
 
 

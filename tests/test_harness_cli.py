@@ -642,6 +642,21 @@ def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
         assert cli.main([command, "--config", cfg_path, "--set", override, "--out", out]) == 2
         assert "not a positive multiple of the 300s step" in capsys.readouterr().err
         assert not os.path.exists(out)
+    # an ablation over no station counts
+    assert cli.main(["run-station-ablation", "--config", cfg_path, "--set", "station_counts=[]",
+                     "--out", out]) == 2
+    assert "station_counts must not be empty" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_window_longer_than_the_scene_exits_3_before_any_work(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    out = os.path.join(tmp_path, "run")
+    for command in ("run-lead-sweep", "run-station-ablation"):
+        assert cli.main([command, "--config", cfg_path, "--set", "window_steps=400",
+                         "--out", out]) == 3
+        assert "400-step window is longer than the 320-step delay panel" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def _config_keys(defaults: dict, prefix: str = ""):

@@ -29,7 +29,7 @@ from gwindcast.preprocess import (
     resample_time,
     select_nearest_stations,
 )
-from reference_impls import loop_decompose, loop_pressure
+from reference_impls import loop_build_samples, loop_decompose, loop_pressure
 
 
 def make_panel(values, mask=None, start=0, step=300):
@@ -307,6 +307,33 @@ def test_build_samples_shapes_and_alignment():
     assert np.array_equal(ss.inputs[0], panel.values[0:6])
     assert np.array_equal(ss.targets[0], cube.values[7].reshape(-1))
     assert ss.target_times[0] == cube.axis.time_at(7)
+
+
+@pytest.mark.parametrize("wind_offset", [-2, 0, 3])
+def test_build_samples_matches_loop_oracle_on_a_scene_with_gaps(wind_offset):
+    # gaps in both inputs, a NaN that the panel's mask calls observed, and a
+    # wind axis that starts wind_offset steps after the delays and ends early
+    panel, cube = make_aligned_scene(seed=7, n_t=40)
+    mask = np.array(panel.mask)
+    mask[[3, 17, 18], [0, 4, 1]] = False
+    values = np.array(panel.values)
+    values[25, 2] = np.nan
+    panel = ZtdPanel(panel.axis, panel.stations, values, mask)
+    n_w = 40 - wind_offset - 4 if wind_offset > 0 else 36
+    cmask = np.array(cube.mask[:n_w])
+    cmask[[8, 21], [0, 1], [1, 0], [2, 0]] = False
+    cvalues = np.array(cube.values[:n_w])
+    cvalues[30, 1, 1, 1] = np.inf
+    cube = WindCube(TimeAxis(wind_offset * 300, 300, n_w), cube.levels, cube.stations,
+                    cvalues, cmask)
+    split = SplitConfig(seed=6)
+    for window, lead in ((1, 1), (4, 2), (6, 5)):
+        got = build_samples(panel, cube, window, lead, split)
+        want = loop_build_samples(panel, cube, window, lead, split)
+        assert 0 < got.n_samples < 40
+        for a, b in zip((got.inputs, got.targets, got.target_times, got.split_labels), want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def test_build_samples_skips_incomplete_windows_and_targets():

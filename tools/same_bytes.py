@@ -54,6 +54,26 @@ BASELINE = "# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n" + "
     for i, lat in enumerate((29.1, 29.6)) for j, lon in enumerate((119.8, 120.3))
     for lev in (100.0, 3000.0, 7000.0))
 
+# a 12-step scene of 4 delay and 2 wind stations, its rows station-major, with
+# gaps, and with some instants spelled +00:00 instead of Z, so the CSV readers
+# place rows that are not time-major
+_STAMP = "2025-05-07T06:{:02d}:00{}"
+SCENE_FILES = {
+    "reordered/ztd_stations.csv": "station_id,lat,lon\n" + "".join(
+        f"Z{i},{29.2 + 0.1 * i},{120.0 + 0.05 * i}\n" for i in range(4)),
+    "reordered/wind_stations.csv": "station_id,lat,lon\nW0,29.35,120.05\nW1,29.45,120.1\n",
+    "reordered/ztd.csv": "timestamp,station_id,ztd_m\n" + "".join(
+        f"{_STAMP.format(5 * k, 'Z' if (i + k) % 3 else '+00:00')},Z{i},{2.4 + 0.001 * i * k}\n"
+        for i in range(4) for k in range(12) if (7 * i + k) % 5),
+    "reordered/wind.csv": "# level_kind=height_m\n"
+    "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n" + "".join(
+        f"{_STAMP.format(5 * k, 'Z' if (j + k) % 4 else '+00:00')},W{j},{lev},"
+        f"{3.0 + 0.5 * k + lev / 1000},{(37 * k + 90 * j) % 360},{0.01 * k}\n"
+        for j in range(2) for lev in (100.0, 1500.0) for k in range(12) if (3 * j + k) % 7),
+}
+_REORDERED_SCENE = json.dumps({"kind": "files", **{name: f"reordered/{name}.csv" for name in
+                                                   ("ztd_stations", "ztd", "wind_stations", "wind")}})
+
 # (output name, command line) in run order; later commands may read what
 # earlier ones wrote
 COMMANDS = [
@@ -90,6 +110,8 @@ COMMANDS = [
                   "--out", "staged/run/report.json"]),
     ("preprocess_csv", ["preprocess", *_STAGED, "--set", "data=" + _CSV_SCENE,
                         "--out", "staged/prep_csv"]),
+    ("preprocess_reordered", ["preprocess", "--config", "small.json", "--set",
+                              "data=" + _REORDERED_SCENE, "--out", "reordered/prep"]),
     ("emit_timeseries", ["emit-timeseries", "--pred", "staged/run/predictions.gwcs",
                          "--truth", "staged/run/truth.gwcs", "--out", "staged/timeseries"]),
     ("show_report", ["show-report", "--report", "staged/run/report.json"]),
@@ -113,8 +135,10 @@ def run_side(src: str, cwd: str) -> dict:
     os.makedirs(cwd)
     with open(os.path.join(cwd, "small.json"), "w", encoding="utf-8") as f:
         json.dump(SMALL, f)
-    with open(os.path.join(cwd, "baseline.csv"), "w", encoding="utf-8") as f:
-        f.write(BASELINE)
+    for name, text in {"baseline.csv": BASELINE, **SCENE_FILES}.items():
+        os.makedirs(os.path.join(cwd, os.path.dirname(name)), exist_ok=True)
+        with open(os.path.join(cwd, name), "w", encoding="utf-8") as f:
+            f.write(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     printed = {}
     for name, argv in COMMANDS:

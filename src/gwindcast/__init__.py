@@ -28,8 +28,6 @@ from .preprocess import (
     fill_gaps,
     height_to_pressure,
     interpolate_to_pressure_levels,
-    resample_time,
-    select_nearest_stations,
 )
 from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train
@@ -69,11 +67,9 @@ __all__ = [
     "load_model",
     "mae",
     "pearson_r",
-    "resample_time",
     "rmse",
     "rmspe",
     "save_model",
-    "select_nearest_stations",
     "train",
     "validate",
 ]

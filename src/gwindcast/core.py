@@ -27,7 +27,6 @@ PRESSURE_HPA = "pressure_hPa"
 LEVEL_KINDS = (HEIGHT_M, PRESSURE_HPA)
 
 SPLIT_NAMES = ("train", "val", "test")
-TRAIN, VAL, TEST = 0, 1, 2
 
 
 def _frozen(a, dtype):
@@ -120,12 +119,6 @@ class StationTable(_FrozenArrays):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def index_of(self, station_id: str) -> int:
-        try:
-            return self.ids.index(station_id)
-        except ValueError:
-            raise KeyError(f"unknown station id {station_id!r}") from None
-
     def subset(self, indices) -> "StationTable":
         indices = list(indices)
         return StationTable(
@@ -163,18 +156,6 @@ class TimeAxis:
         if not 0 <= index < self.count:
             raise IndexError(f"index {index} outside [0, {self.count})")
         return self.start + index * self.step
-
-    def index_of(self, timestamp: int) -> int:
-        off = int(timestamp) - self.start
-        k, rem = divmod(off, self.step)
-        if rem != 0 or not 0 <= k < self.count:
-            raise ValueError(f"timestamp {timestamp} not on this axis")
-        return int(k)
-
-    def covers(self, timestamp: int) -> bool:
-        off = int(timestamp) - self.start
-        k, rem = divmod(off, self.step)
-        return rem == 0 and 0 <= k < self.count
 
 
 @dataclass(frozen=True)
@@ -216,16 +197,6 @@ class WindCube(_OnAxis):
     stations: StationTable
     values: np.ndarray
     mask: np.ndarray
-
-    def at_times(self, times) -> "WindSeries":
-        idx = [self.axis.index_of(t) for t in times]
-        return WindSeries(
-            times=np.asarray(times, dtype=np.int64),
-            levels=self.levels,
-            stations=self.stations,
-            values=self.values[idx],
-            mask=self.mask[idx],
-        )
 
 
 @dataclass(frozen=True)
@@ -299,10 +270,6 @@ class SampleSet(_FrozenArrays):
     target_stations: StationTable
     input_stations: StationTable
     norm_stats: NormStats | None
-
-    @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[0]
 
     @property
     def output_dim(self) -> int:

@@ -29,10 +29,6 @@ class AllMissing(DataError):
     """Gap filling was asked to fill a panel with no observed values at all."""
 
 
-class EmptyOverlap(DataError):
-    """Resampling produced no timestamps inside the source span."""
-
-
 class NegativeSpeed(DataError):
     """Wind speed below zero; speed/direction records cannot be decomposed."""
 

@@ -16,11 +16,7 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def distances_to_point(table, ref_lat: float, ref_lon: float) -> np.ndarray:
-    return haversine_km(table.lats, table.lons, ref_lat, ref_lon)
-
-
 def nearest_station_order(table, ref_lat: float, ref_lon: float) -> list:
     """All station indices ordered by ascending distance, ties by station id."""
-    d = distances_to_point(table, ref_lat, ref_lon)
+    d = haversine_km(table.lats, table.lons, ref_lat, ref_lon)
     return sorted(range(len(table)), key=lambda i: (d[i], table.ids[i]))

@@ -123,14 +123,14 @@ def _numbers(val, default, name: str):
     return items if many else items[0]
 
 
-def _check_timestamp(val, name: str) -> None:
-    """val must be null or a string that parse_iso8601 accepts."""
+def _check_timestamp(val, name: str):
+    """val must be null or a string that parse_iso8601 accepts; returns
+    None or its epoch seconds."""
     if val is None:
-        return
+        return None
     if isinstance(val, str):
         try:
-            parse_iso8601(val)
-            return
+            return parse_iso8601(val)
         except ValueError:
             pass
     raise ConfigError(f"{name} must be null or an ISO-8601 timestamp, got {val!r}")
@@ -175,8 +175,11 @@ class ExperimentConfig:
             raise ConfigError("data.kind must be 'synthetic' or 'files'")
         files = d["data"]["kind"] == "files"
         _expect_types(d, dict(DEFAULT_CONFIG, data=_FILES_DATA) if files else DEFAULT_CONFIG)
-        _check_timestamp(d["time_start"], "time_start")
-        _check_timestamp(d["time_end"], "time_end")
+        t0 = _check_timestamp(d["time_start"], "time_start")
+        t1 = _check_timestamp(d["time_end"], "time_end")
+        if t0 is not None and t1 is not None and t0 > t1:
+            raise ConfigError(f"time_start {d['time_start']} is later than "
+                              f"time_end {d['time_end']}")
         check_cdf_options(d["postprocess"]["mode"], d["postprocess"]["n_quantiles"])
         if d["seed"] < 0:
             raise ConfigError(f"seed must be non-negative, got {d['seed']}")
@@ -261,11 +264,8 @@ def load_raw_scene(cfg: ExperimentConfig):
 
 def finish_scene(panel: ZtdPanel, cube: WindCube, cfg: ExperimentConfig):
     """Fill delay gaps and order delay stations by ascending distance from
-    the reference point (ties by id).
-
-    The canonical ordering makes 'first k stations' of every run agree with
-    :func:`gwindcast.preprocess.select_nearest_stations`.
-    """
+    the reference point (ties by id), so the first k stations of every run
+    are the k nearest."""
     panel = fill_gaps(panel)
     ref_lat, ref_lon = cfg.reference
     order = geo.nearest_station_order(panel.stations, ref_lat, ref_lon)
@@ -564,7 +564,8 @@ def compare_gridded_baseline(baseline: GriddedBaseline, truth: WindCube) -> Metr
     rows_ok = truth.mask.reshape(truth.axis.count, -1).all(axis=1)
     if not rows_ok.any():
         raise DataError("truth cube has no fully observed time steps")
-    truth_series = truth.at_times(t_truth[rows_ok])
+    truth_series = WindSeries(t_truth[rows_ok], truth.levels, truth.stations,
+                              truth.values[rows_ok], truth.mask[rows_ok])
     pred = replace(truth_series, values=matched[rows_ok],
                    mask=np.ones(truth_series.mask.shape, dtype=bool))
     return evaluate_series(pred, truth_series, lead_minutes=0.0)

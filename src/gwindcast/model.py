@@ -62,24 +62,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def expected_param_count(config: ModelConfig) -> int:
-    """Closed-form learnable-parameter count.
-
-    transformer: per block 4d^2 + d (attention projections + output bias)
-    plus 2d + 2d (two batch norms) plus d^2 + d (feed-forward dense), i.e.
-    5d^2 + 6d, with d the padded token width; readout adds w*d*o + o.
-    mlp: two f->f tanh layers (f = window * stations) and a linear readout,
-    2(f^2 + f) + f*o + o.
-    """
-    if config.arch == "transformer":
-        d = config.token_width
-        per_block = 5 * d * d + 6 * d
-        head = config.window_steps * d * config.output_dim + config.output_dim
-        return config.n_encoder_blocks * per_block + head
-    f = config.window_steps * config.n_stations
-    return 2 * (f * f + f) + f * config.output_dim + config.output_dim
-
-
 class WindModel:
     """A configured forecast network with named parameters and state dicts."""
 
@@ -117,9 +99,6 @@ class WindModel:
             out += self.hidden1.params() + self.hidden2.params()
         out += self.head.params()
         return out
-
-    def n_params(self) -> int:
-        return sum(p.value.size for p in self.params())
 
     def state(self) -> dict:
         """Copies of every parameter and running statistic, by name."""

@@ -1,8 +1,8 @@
 """Turning raw observations into model-ready tensors.
 
-Covers gap filling of delay panels, temporal resampling, the height->pressure
-map, vertical interpolation onto pressure levels, speed/direction <-> (u, v)
-conversion, nearest-station selection, and sliding-window sample assembly.
+Covers gap filling of delay panels, the height->pressure map, vertical
+interpolation onto pressure levels, speed/direction <-> (u, v) conversion,
+and sliding-window sample assembly.
 """
 
 from __future__ import annotations
@@ -19,16 +19,12 @@ from .core import (
     LevelSpec,
     NormStats,
     SampleSet,
-    StationTable,
-    TimeAxis,
     WindCube,
     ZtdPanel,
 )
 from .errors import (
     AllMissing,
     ConfigError,
-    EmptyOverlap,
-    KTooLarge,
     Misaligned,
     NegativeSpeed,
     NoSamples,
@@ -118,36 +114,6 @@ def gap_report(panel: ZtdPanel) -> dict:
     }
 
 
-def resample_time(cube: WindCube, target_step: int) -> WindCube:
-    """Linear temporal interpolation onto a grid with spacing ``target_step``.
-
-    The output grid is anchored at the source start and covers the source
-    span. Each (level, station, component) series is interpolated through its
-    observed points only; series without any observation stay fully masked.
-    """
-    if target_step <= 0:
-        raise ConfigError("target_step must be positive")
-    axis = cube.axis
-    count = (axis.end - axis.start) // int(target_step) + 1
-    if count < 1:
-        raise EmptyOverlap("no target timestamp inside the source span")
-    new_axis = TimeAxis(axis.start, int(target_step), count)
-    src_t = axis.timestamps().astype(np.float64)
-    dst_t = new_axis.timestamps().astype(np.float64)
-    n_l, n_s = len(cube.levels), len(cube.stations)
-    values = np.full((count, n_l, n_s, 3), np.nan)
-    mask = np.zeros(values.shape, dtype=bool)
-    for l in range(n_l):
-        for s in range(n_s):
-            for c in range(3):
-                obs = cube.mask[:, l, s, c]
-                if not obs.any():
-                    continue
-                values[:, l, s, c] = np.interp(dst_t, src_t[obs], cube.values[obs, l, s, c])
-                mask[:, l, s, c] = True
-    return WindCube(new_axis, cube.levels, cube.stations, values, mask)
-
-
 def height_to_pressure(height_m, params: PressureMapParams = PressureMapParams()):
     """Map height above the surface to pressure via p0 * exp(-h / h_scale)."""
     return params.p0_hpa * np.exp(-np.asarray(height_m, dtype=np.float64) / params.h_scale_m)
@@ -222,17 +188,6 @@ def compose_wind(u_ms, v_ms):
     if direction.ndim == 0:
         return float(speed), float(direction)
     return speed, direction
-
-
-def select_nearest_stations(table: StationTable, ref_lat: float, ref_lon: float, k: int) -> StationTable:
-    """The k stations closest (great-circle) to a reference point, ordered by
-    ascending distance; exact distance ties break by ascending station id."""
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    if k > len(table):
-        raise KTooLarge(f"k={k} exceeds the {len(table)} stations available")
-    order = geo.nearest_station_order(table, ref_lat, ref_lon)
-    return table.subset(order[:k])
 
 
 def check_window_fits(window_steps: int, n_steps: int) -> None:

@@ -99,7 +99,6 @@ class EarlyStopper:
 
 @dataclass
 class TrainResult:
-    best_state: dict
     history: list
     best_epoch: int
     best_val: float
@@ -111,7 +110,7 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     Inputs/targets are normalized with the sample set's train statistics.
     Training losses are batch-statistics forwards averaged per sample over
     the epoch; validation is one inference-mode pass over the val split.
-    The model is left holding, and the result returns, the best-epoch state.
+    The model is left holding the best-epoch state.
     For the transformer, leftover batches of a single sample are skipped
     (batch statistics need at least two rows).
     """
@@ -166,7 +165,6 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
 
     model.load_state(stopper.best_state)
     return TrainResult(
-        best_state=stopper.best_state,
         history=history,
         best_epoch=stopper.best_epoch,
         best_val=stopper.best_val,

@@ -2,9 +2,10 @@
 
 Everything here is written as plain loops over scalars, deliberately
 avoiding the vectorized formulations in the package, so that agreement
-between the two is meaningful evidence of correctness. The exception is the
-OLS oracle at the end, a linear-readout ceiling the synthetic-scene tests
-measure learned models and scene difficulty against.
+between the two is meaningful evidence of correctness. The exceptions are at
+the end: the closed-form parameter count of a model config, and the OLS
+oracle, a linear-readout ceiling the synthetic-scene tests measure learned
+models and scene difficulty against.
 """
 
 import math
@@ -265,6 +266,27 @@ def loop_quantiles(sample, n_q):
     return out
 
 
+# ------------------------------------------------ parameter count ----
+
+
+def expected_param_count(config):
+    """Closed-form learnable-parameter count of a ModelConfig.
+
+    transformer: per block 4d^2 + d (attention projections + output bias)
+    plus 2d + 2d (two batch norms) plus d^2 + d (feed-forward dense), i.e.
+    5d^2 + 6d, with d the padded token width; readout adds w*d*o + o.
+    mlp: two f->f tanh layers (f = window * stations) and a linear readout,
+    2(f^2 + f) + f*o + o.
+    """
+    if config.arch == "transformer":
+        d = config.token_width
+        per_block = 5 * d * d + 6 * d
+        head = config.window_steps * d * config.output_dim + config.output_dim
+        return config.n_encoder_blocks * per_block + head
+    f = config.window_steps * config.n_stations
+    return 2 * (f * f + f) + f * config.output_dim + config.output_dim
+
+
 # ---------------------------------------------------------- OLS oracle ----
 
 _RIDGE = 1e-8
@@ -290,8 +312,8 @@ def oracle_linear_fit(
     samples = build_samples(ztd, wind, window_steps, lead_steps, split)
     tr = samples.indices("train")
     te = samples.time_ordered("test")
-    x = samples.inputs.reshape(samples.n_samples, -1)
-    x = np.concatenate([x, np.ones((samples.n_samples, 1))], axis=1)
+    x = samples.inputs.reshape(len(samples.inputs), -1)
+    x = np.concatenate([x, np.ones((len(samples.inputs), 1))], axis=1)
     gram = x[tr].T @ x[tr]
     rhs = x[tr].T @ samples.targets[tr]
     if np.linalg.matrix_rank(gram) < gram.shape[0]:

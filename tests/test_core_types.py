@@ -36,31 +36,17 @@ def test_time_axis_basic():
     assert list(ax.timestamps()) == [1000, 1300, 1600, 1900]
     assert ax.end == 1900
     assert ax.time_at(2) == 1600
-    assert ax.index_of(1600) == 2
-    assert ax.covers(1900)
-    assert not ax.covers(2200)
     with pytest.raises(ValueError):
         TimeAxis(start=0, step=0, count=3)
     with pytest.raises(ValueError):
         TimeAxis(start=0, step=300, count=0)
 
 
-def test_time_axis_index_of_rejects_off_grid():
-    ax = TimeAxis(start=0, step=300, count=4)
-    with pytest.raises(ValueError):
-        ax.index_of(150)
-    with pytest.raises(ValueError):
-        ax.index_of(1200)
-
-
 def test_station_table_index_and_subset():
     st = make_stations(5)
-    assert st.index_of("S003") == 3
     sub = st.subset([4, 1])
     assert sub.ids == ("S004", "S001")
     assert sub.lats[0] == pytest.approx(29.04)
-    with pytest.raises(KeyError):
-        st.index_of("missing")
 
 
 def test_frozen_arrays_are_immutable():
@@ -79,9 +65,10 @@ def test_frozen_arrays_are_immutable():
     levels = LevelSpec("height_m", (100.0,))
     vals = np.zeros((2, 1, 3, 3))
     cube = WindCube(TimeAxis(0, 300, 2), levels, st, vals, np.ones(vals.shape, bool))
+    series = WindSeries([0, 300], levels, st, vals, np.ones(vals.shape, bool))
     stats = NormStats(*(np.zeros(2) for _ in range(4)))
     for arr in (panel.mask, panel.select_stations([1]).values, panel.slice_time(0, 1).mask,
-                cube.values, cube.at_times([0]).times, cube.select_stations([0]).mask,
+                cube.values, series.times, cube.select_stations([0]).mask,
                 stats.input_std, stats.target_mean):
         assert not arr.flags.writeable
 
@@ -117,23 +104,11 @@ def test_cube_and_series_select_stations_along_the_station_axis():
     sl = cube.slice_time(1, 3)
     assert (sl.axis.start, sl.axis.count, sl.levels) == (300, 2, levels)
     assert np.array_equal(sl.values, vals[1:3])
-    series = cube.at_times([0, 900]).select_stations([1])
+    series = WindSeries([0, 900], levels, st, vals[[0, 3]], np.ones((2, 2, 3, 3), bool))
+    series = series.select_stations([1])
     assert list(series.times) == [0, 900]
     assert np.array_equal(series.values, vals[[0, 3]][:, :, [1]])
     assert not hasattr(series, "slice_time")  # a series has no TimeAxis to slice
-
-
-def test_cube_at_times_produces_series():
-    st = make_stations(2, "W")
-    levels = LevelSpec("height_m", (100.0, 500.0))
-    vals = np.arange(2 * 2 * 2 * 3, dtype=float).reshape(2, 2, 2, 3)
-    cube = WindCube(TimeAxis(0, 300, 2), levels, st, vals, np.ones(vals.shape, bool))
-    series = cube.at_times([300])
-    assert isinstance(series, WindSeries)
-    assert series.values.shape == (1, 2, 2, 3)
-    assert np.array_equal(series.values[0], vals[1])
-    with pytest.raises(ValueError):
-        cube.at_times([150])
 
 
 def test_norm_stats_zero_std_is_safe():

@@ -31,8 +31,6 @@ from gwindcast.fileio import (
     read_ztd_csv,
     series_from_bytes,
     series_to_bytes,
-    sha256_of_bytes,
-    sha256_of_file,
     write_cube,
     write_named_arrays,
     write_panel,
@@ -409,7 +407,6 @@ def test_named_arrays_file_round_trip(tmp_path):
     loaded, extra = read_named_arrays(path)
     np.testing.assert_array_equal(loaded["w"], arrays["w"])
     assert extra == {"v": 1}
-    assert sha256_of_file(path) == sha256_of_bytes(path.read_bytes())
 
 
 def test_named_arrays_rejects_wrong_magic():

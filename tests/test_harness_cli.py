@@ -151,7 +151,7 @@ def test_prepare_scene_fills_and_orders_by_reference_distance():
     from gwindcast import geo
 
     ref_lat, ref_lon = cfg.reference
-    d = geo.distances_to_point(panel.stations, ref_lat, ref_lon)
+    d = geo.haversine_km(panel.stations.lats, panel.stations.lons, ref_lat, ref_lon)
     assert np.all(np.diff(d) >= 0)
     assert cube.values.shape[0] == panel.axis.count
 
@@ -162,7 +162,7 @@ def test_reference_wind_station_picks_nearest():
     idx = reference_wind_station(cube, cfg)
     from gwindcast import geo
 
-    d = geo.distances_to_point(cube.stations, *cfg.reference)
+    d = geo.haversine_km(cube.stations.lats, cube.stations.lons, *cfg.reference)
     assert d[idx] == d.min()
 
 
@@ -647,6 +647,12 @@ def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
                      "--out", out]) == 2
     assert "station_counts must not be empty" in capsys.readouterr().err
     assert not os.path.exists(out)
+    # a time window that ends before it starts (one that misses the data is exit 3)
+    assert cli.main(["run-lead-sweep", "--config", cfg_path,
+                     "--set", 'time_start="2025-05-08T00:00:00Z"',
+                     "--set", 'time_end="2025-05-07T00:00:00Z"', "--out", out]) == 2
+    assert "time_start 2025-05-08T00:00:00Z is later than time_end" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_window_longer_than_the_scene_exits_3_before_any_work(tmp_path, capsys):
@@ -656,6 +662,14 @@ def test_cli_window_longer_than_the_scene_exits_3_before_any_work(tmp_path, caps
         assert cli.main([command, "--config", cfg_path, "--set", "window_steps=400",
                          "--out", out]) == 3
         assert "400-step window is longer than the 320-step delay panel" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    # a one-instant time window is a valid config but too short a scene, and
+    # one that misses the scene leaves no samples
+    for when, err in (("2025-05-07T06:00:00Z", "4-step window is longer than the 1-step"),
+                      ("2030-01-01T00:00:00Z", "time window leaves no samples")):
+        assert cli.main(["run-lead-sweep", "--config", cfg_path, "--set", f'time_start="{when}"',
+                         "--set", f'time_end="{when}"', "--out", out]) == 3
+        assert err in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

@@ -5,11 +5,11 @@ from gwindcast.errors import ConfigError, EmptySplit, ShapeMismatch, Unnormalize
 from gwindcast.model import (
     ModelConfig,
     WindModel,
-    expected_param_count,
     load_model,
     predict_denormalized,
     save_model,
 )
+from reference_impls import expected_param_count
 
 
 def cfg(**kwargs):
@@ -49,7 +49,7 @@ def test_token_width_pads_to_lcm_multiple(n_stations, heads, want):
 def test_param_count_matches_closed_form(kwargs):
     c = cfg(**kwargs)
     model = WindModel(c, seed=0)
-    assert model.n_params() == expected_param_count(c)
+    assert sum(p.value.size for p in model.params()) == expected_param_count(c)
 
 
 def test_config_validation():
@@ -156,7 +156,8 @@ def test_mlp_architecture_runs_and_counts():
     c = cfg(arch="mlp")
     model = WindModel(c, seed=0)
     f = c.window_steps * c.n_stations
-    assert model.n_params() == 2 * (f * f + f) + f * c.output_dim + c.output_dim
+    n_params = sum(p.value.size for p in model.params())
+    assert n_params == 2 * (f * f + f) + f * c.output_dim + c.output_dim
     x = np.random.default_rng(0).normal(size=(3, 4, 5))
     out = model.predict(x)
     assert out.shape == (3, 9)

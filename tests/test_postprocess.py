@@ -164,7 +164,7 @@ def test_fit_rejects_bad_mode_and_empty_train():
     no_train = test_trainer._pack_samples(
         np.array(samples.inputs),
         np.array(samples.targets),
-        np.full(samples.n_samples, 2, dtype=np.uint8),
+        np.full(len(samples.inputs), 2, dtype=np.uint8),
         with_stats=False,
     )
     with pytest.raises(EmptyTrain):

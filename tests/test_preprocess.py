@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gwindcast import geo
 from gwindcast.core import (
     LevelSpec,
     SampleSet,
@@ -12,7 +13,6 @@ from gwindcast.core import (
 from gwindcast.errors import (
     AllMissing,
     ConfigError,
-    KTooLarge,
     Misaligned,
     NoSamples,
 )
@@ -26,8 +26,6 @@ from gwindcast.preprocess import (
     gap_report,
     height_to_pressure,
     interpolate_to_pressure_levels,
-    resample_time,
-    select_nearest_stations,
 )
 from reference_impls import loop_build_samples, loop_decompose, loop_pressure
 
@@ -45,19 +43,17 @@ def make_panel(values, mask=None, start=0, step=300):
     return ZtdPanel(TimeAxis(start, step, n_t), st, values, np.asarray(mask, bool))
 
 
-def make_cube(values, mask=None, start=0, step=300, kind="height_m", levels=None):
+def make_cube(values, levels, mask=None, kind="height_m"):
     values = np.asarray(values, dtype=float)
-    n_t, n_l, n_s, _ = values.shape
+    n_t, _, n_s, _ = values.shape
     st = StationTable(
         ids=tuple(f"W{i}" for i in range(n_s)),
         lats=29.0 + 0.02 * np.arange(n_s),
         lons=120.0 + 0.02 * np.arange(n_s),
     )
-    if levels is None:
-        levels = tuple(100.0 * (i + 1) for i in range(n_l))
     if mask is None:
         mask = np.ones(values.shape, dtype=bool)
-    return WindCube(TimeAxis(start, step, n_t), LevelSpec(kind, levels), st,
+    return WindCube(TimeAxis(0, 300, n_t), LevelSpec(kind, levels), st,
                     values, np.asarray(mask, bool))
 
 
@@ -124,36 +120,6 @@ def test_gap_report_counts():
     assert rep["stations"]["S0"]["missing"] == 1
 
 
-# ------------------------------------------------------- resample_time ----
-
-
-def test_resample_identity_when_steps_match():
-    rng = np.random.default_rng(3)
-    vals = rng.normal(size=(5, 2, 1, 3))
-    cube = resample_time(make_cube(vals), 300)
-    assert np.array_equal(cube.values, vals)
-    assert cube.axis.step == 300
-
-
-def test_resample_downsamples_by_interpolation():
-    vals = np.zeros((3, 1, 1, 3))
-    vals[:, 0, 0, 0] = [0.0, 6.0, 12.0]
-    cube = make_cube(vals, step=360)  # 0, 360, 720 s
-    out = resample_time(cube, 300)
-    assert out.axis.step == 300
-    assert list(out.axis.timestamps()) == [0, 300, 600]
-    assert out.values[1, 0, 0, 0] == pytest.approx(5.0)
-
-
-def test_resample_keeps_unobserved_series_masked():
-    vals = np.zeros((3, 1, 2, 3))
-    mask = np.ones(vals.shape, bool)
-    mask[:, 0, 1, 2] = False  # w at station 1 never observed
-    out = resample_time(make_cube(vals, mask=mask, step=600), 300)
-    assert not out.mask[:, 0, 1, 2].any()
-    assert out.mask[:, 0, 0, :].all()
-
-
 # ------------------------------------------- pressure level machinery ----
 
 
@@ -176,7 +142,7 @@ def test_interpolate_to_pressure_levels_linear_in_log_p():
     vals = np.zeros((2, 2, 1, 3))
     vals[:, 0, 0, 0] = 10.0
     vals[:, 1, 0, 0] = 20.0
-    cube = make_cube(vals, levels=heights)
+    cube = make_cube(vals, heights)
     out = interpolate_to_pressure_levels(cube, (mid_p,))
     assert out.levels.kind == "pressure_hPa"
     assert out.values[0, 0, 0, 0] == pytest.approx(15.0)
@@ -187,7 +153,7 @@ def test_interpolate_clamps_outside_range():
     vals = np.zeros((1, 2, 1, 3))
     vals[0, 0, 0, 1] = 5.0
     vals[0, 1, 0, 1] = 9.0
-    cube = make_cube(vals, levels=heights)
+    cube = make_cube(vals, heights)
     out = interpolate_to_pressure_levels(cube, (1013.25, 100.0))
     # 1013.25 hPa is below the lowest height -> clamp to first level
     assert out.values[0, 0, 0, 1] == 5.0
@@ -200,7 +166,7 @@ def test_interpolate_mask_requires_both_brackets():
     vals = np.zeros((1, 2, 1, 3))
     mask = np.ones(vals.shape, bool)
     mask[0, 1, 0, 0] = False
-    cube = make_cube(vals, mask=mask, levels=heights)
+    cube = make_cube(vals, heights, mask=mask)
     mid_p = float(height_to_pressure(1500.0))
     out = interpolate_to_pressure_levels(cube, (mid_p,))
     assert not out.mask[0, 0, 0, 0]
@@ -208,7 +174,7 @@ def test_interpolate_mask_requires_both_brackets():
 
 
 def test_interpolate_rejects_pressure_input():
-    cube = make_cube(np.zeros((1, 2, 1, 3)), kind="pressure_hPa", levels=(900.0, 500.0))
+    cube = make_cube(np.zeros((1, 2, 1, 3)), (900.0, 500.0), kind="pressure_hPa")
     with pytest.raises(ConfigError):
         interpolate_to_pressure_levels(cube, (700.0,))
 
@@ -265,12 +231,8 @@ def test_select_nearest_orders_by_distance_then_id():
         lats=np.array([30.0, 29.0, 29.5, 29.5]),
         lons=np.array([121.0, 120.0, 120.0, 120.0]),
     )
-    picked = select_nearest_stations(st, 29.0, 120.0, 3)
-    assert picked.ids == ("near", "tie_a", "tie_b")
-    with pytest.raises(KTooLarge):
-        select_nearest_stations(st, 29.0, 120.0, 5)
-    with pytest.raises(ConfigError):
-        select_nearest_stations(st, 29.0, 120.0, 0)
+    order = geo.nearest_station_order(st, 29.0, 120.0)
+    assert [st.ids[i] for i in order] == ["near", "tie_a", "tie_b", "far"]
 
 
 # ------------------------------------------------------- build_samples ----
@@ -300,7 +262,7 @@ def test_build_samples_shapes_and_alignment():
     assert isinstance(ss, SampleSet)
     # windows end at index >= window-1; target at end + lead
     n_expect = 40 - (6 - 1) - 2
-    assert ss.n_samples == n_expect
+    assert len(ss.inputs) == n_expect
     assert ss.inputs.shape == (n_expect, 6, 5)
     assert ss.targets.shape == (n_expect, 2 * 2 * 3)
     # first sample: window rows 0..5, target row 7
@@ -330,7 +292,7 @@ def test_build_samples_matches_loop_oracle_on_a_scene_with_gaps(wind_offset):
     for window, lead in ((1, 1), (4, 2), (6, 5)):
         got = build_samples(panel, cube, window, lead, split)
         want = loop_build_samples(panel, cube, window, lead, split)
-        assert 0 < got.n_samples < 40
+        assert 0 < len(got.inputs) < 40
         for a, b in zip((got.inputs, got.targets, got.target_times, got.split_labels), want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
@@ -356,7 +318,7 @@ def test_build_samples_skips_incomplete_windows_and_targets():
 def test_build_samples_split_sizes_largest_remainder():
     panel, cube = make_aligned_scene(n_t=40)
     ss = build_samples(panel, cube, 6, 2, SplitConfig(ratios=(0.7, 0.15, 0.15), seed=9))
-    n = ss.n_samples
+    n = len(ss.inputs)
     tr = len(ss.indices("train"))
     va = len(ss.indices("val"))
     te = len(ss.indices("test"))

@@ -218,10 +218,11 @@ def test_train_learns_and_reports_history():
     assert result.best_epoch == min(
         (h[0] for h in result.history if h[2] == result.best_val)
     )
-    # model is left holding the best state
-    state = model.state()
-    for k, v in result.best_state.items():
-        assert np.array_equal(state[k], v)
+    # model is left holding the best state: its validation loss is the best
+    stats, va = samples.norm_stats, samples.indices("val")
+    val_pred = model.predict(stats.normalize_inputs(samples.inputs[va]))
+    val_mse = float(np.mean((val_pred - stats.normalize_targets(samples.targets[va])) ** 2))
+    assert val_mse == result.best_val
 
 
 def test_train_early_stops_before_max_epochs():
@@ -236,14 +237,15 @@ def test_train_early_stops_before_max_epochs():
 
 def test_train_is_deterministic_for_fixed_seed():
     cfg = TrainConfig(lr=3e-3, max_epochs=8, patience=8, batch_size=16, seed=7)
-    runs = []
+    runs, states = [], []
     for _ in range(2):
         samples = _toy_samples()
         model = _toy_model(samples, seed=3)
         runs.append(train(model, samples, cfg))
+        states.append(model.state())
     assert runs[0].history == runs[1].history
-    for k in runs[0].best_state:
-        assert np.array_equal(runs[0].best_state[k], runs[1].best_state[k])
+    for k in states[0]:
+        assert np.array_equal(states[0][k], states[1][k])
 
 
 def test_train_seed_changes_batch_order():
@@ -267,7 +269,7 @@ def test_train_requires_norm_stats_and_splits():
     no_val = _pack_samples(
         np.array(samples.inputs),
         np.array(samples.targets),
-        np.zeros(samples.n_samples, dtype=np.uint8),
+        np.zeros(len(samples.inputs), dtype=np.uint8),
     )
     with pytest.raises(EmptySplit):
         train(_toy_model(samples), no_val, TrainConfig(max_epochs=1, patience=1))

@@ -15,7 +15,9 @@ cycle and is freed by reference counting as soon as the loss is dropped.
 The gradients it returns may be ``g`` itself or views of it;
 ``Tensor.backward()`` stores them and adds later ones out of place, so no
 gradient array is ever written to. Inside :func:`no_graph` nothing is
-recorded: inference builds only the arrays it needs.
+recorded: inference builds only the arrays it needs, and a layer drops an
+array its backward alone would read (attention's query and key) as soon as
+the forward is done with it.
 """
 
 from __future__ import annotations
@@ -223,9 +225,10 @@ class MultiHeadAttention:
     width/heads each; per head, softmax(q kT / sqrt(width/heads)) v; the
     concatenated heads pass through an output projection with bias. The node
     lists its input once per projection, so the input receives the query, key
-    and value gradients one after another. The backward recomputes the query
-    and key projections from the input, so inference keeps no array only the
-    backward needs.
+    and value gradients one after another. A recorded forward keeps the
+    per-head query and transposed key for the backward; under
+    :func:`no_graph` it drops them before the context product, so inference
+    holds them no longer than the attention weights need them.
     """
 
     def __init__(self, name: str, width: int, heads: int, rng: np.random.Generator):
@@ -254,10 +257,9 @@ class MultiHeadAttention:
         k = self._heads(x, self.wk.value)
         return self._heads(x, self.wq.value), np.ascontiguousarray(np.swapaxes(k, -1, -2))
 
-    def attention_weights(self, x) -> np.ndarray:
+    def _softmax(self, q: np.ndarray, kt: np.ndarray) -> np.ndarray:
         """Softmax attention matrices, shape (batch, heads, t, t); the softmax
         is stabilized by a max-shift."""
-        q, kt = self._query_key(np.asarray(x, dtype=np.float64))
         s = np.matmul(q, kt) * self._scale
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
@@ -268,12 +270,14 @@ class MultiHeadAttention:
         b, n, d = x.shape
         wq, wk, wv, wo = self.wq.value, self.wk.value, self.wv.value, self.wo.value
         v = self._heads(x.data, wv)
-        a = self.attention_weights(x.data)
+        q, kt = self._query_key(x.data)
+        a = self._softmax(q, kt)
+        if not _recording:
+            q = kt = None
         ctx = np.ascontiguousarray(np.swapaxes(np.matmul(a, v), 1, 2)).reshape(-1, d)
         y = np.matmul(ctx, wo).reshape(x.shape) + self.bo.value
 
         def _bw(g):
-            q, kt = self._query_key(x.data)
             g2 = g.reshape(-1, d)
             gc = np.swapaxes(np.matmul(g2, wo.T).reshape(b, n, self.heads, -1), 1, 2)
             ga = np.matmul(gc, np.swapaxes(v, -1, -2))
@@ -332,22 +336,25 @@ class BatchNorm:
         elif m < 2:
             raise BatchTooSmall("batch statistics need at least 2 rows")
         else:
-            mu, var = x2.mean(axis=0), x2.var(axis=0)
+            mu = x2.mean(axis=0)
+        c = x2 - mu
+        if training:
+            var = np.add.reduce(c * c, axis=0) / m  # np.var's own sequence, c computed once
             self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mu
             self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = (x2 - mu) * inv
+        x_hat = np.multiply(c, inv, out=c)  # c is needed no more
         y = (x_hat * self.gamma.value + self.beta.value).reshape(x.shape)
         if not training:
             return Tensor(y)
 
         def _bw(g):
             g = g.reshape(x2.shape)
+            g_beta, g_gamma = g.sum(axis=0), (g * x_hat).sum(axis=0)
             gx = None
             if x.requires_grad:
-                gx = ((self.gamma.value * inv / m) * (
-                    m * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0)
-                )).reshape(x.shape)
-            return gx, (g * x_hat).sum(axis=0), g.sum(axis=0)
+                gx = ((self.gamma.value * inv / m) * (m * g - g_beta - x_hat * g_gamma)
+                      ).reshape(x.shape)
+            return gx, g_gamma, g_beta
 
         return Tensor(y, (x, self.gamma.tensor(), self.beta.tensor()), _bw)

@@ -36,18 +36,34 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second gradient moments per parameter plus the shared step count."""
+    """Adam's moments and shared step count over params packed in flat buffers.
 
+    ``flat`` holds the values and gradients of ``params`` as two rows and
+    ``moments`` the first and second moments in the same layout. Each packed
+    ``Param.value`` and ``Param.grad`` is a view into ``flat``, and ``m[name]``
+    and ``v[name]`` are views into ``moments``: write into them, never rebind.
+    """
+
+    params: tuple
+    flat: np.ndarray
+    moments: np.ndarray
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
-        state = cls()
-        for p in params:
-            state.m[p.name] = np.zeros_like(p.value)
-            state.v[p.name] = np.zeros_like(p.value)
+        """Pack params (values and gradients as they are) with zero moments."""
+        params = tuple(params)
+        sizes = [p.value.size for p in params]
+        state = cls(params, np.zeros((2, sum(sizes))), np.zeros((2, sum(sizes))))
+        start = 0
+        for p, n in zip(params, sizes):
+            value, grad, m, v = (row[start : start + n].reshape(p.value.shape)
+                                 for row in (*state.flat, *state.moments))
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad, state.m[p.name], state.v[p.name] = value, grad, m, v
+            start += n
         return state
 
 
@@ -57,23 +73,30 @@ def adam_step(params, state: AdamState, cfg: TrainConfig) -> None:
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  with bias-corrected
     mhat = m/(1-b1^t), vhat = v/(1-b2^t) the parameter moves by
     -lr * mhat / (sqrt(vhat) + eps).
+
+    params must be the list the state packed. The update runs once over the
+    flat buffers and, being elementwise, gives each element the bits of a
+    per-parameter update. A non-finite gradient raises, naming the first such
+    param, before anything changes.
     """
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise NonFiniteGradient(f"gradient of {p.name} is not finite")
+    if len(params) != len(state.params) or any(
+            p is not q or p.value.base is not state.flat or p.grad.base is not state.flat
+            for p, q in zip(params, state.params)):
+        raise ValueError("adam_step needs the params its AdamState packed, in that order")
+    value, grad = state.flat
+    m, v = state.moments
+    if not np.isfinite(grad).all():
+        bad = next(p for p in params if not np.isfinite(p.grad).all())
+        raise NonFiniteGradient(f"gradient of {bad.name} is not finite")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p in params:
-        g = p.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.value -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        p.grad[...] = 0.0
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    value -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    grad[...] = 0.0
 
 
 class EarlyStopper:

@@ -3,9 +3,11 @@
 Everything here is written as plain loops over scalars, deliberately
 avoiding the vectorized formulations in the package, so that agreement
 between the two is meaningful evidence of correctness. The exceptions are at
-the end: the closed-form parameter count of a model config, and the OLS
-oracle, a linear-readout ceiling the synthetic-scene tests measure learned
-models and scene difficulty against.
+the end: the vectorized formulas the package computed before a rewrite that
+must keep every bit (the tests compare the two with ``tobytes()``), the
+closed-form parameter count of a model config, and the OLS oracle, a
+linear-readout ceiling the synthetic-scene tests measure learned models and
+scene difficulty against.
 """
 
 import math
@@ -264,6 +266,82 @@ def loop_quantiles(sample, n_q):
         frac = pos - lo
         out.append(s[lo] * (1 - frac) + s[hi] * frac)
     return out
+
+
+# ------------------------------------------- bit-identity references ----
+
+
+def prior_batchnorm_train(x2, gamma, beta, g, eps=1e-5):
+    """Training-mode batch norm over the rows of x2 as np.mean and np.var
+    compute it, with the backward for upstream gradient g taking each sum
+    where it is used; returns mean, variance, output and the (input, gamma,
+    beta) gradients."""
+    m = x2.shape[0]
+    mu, var = x2.mean(axis=0), x2.var(axis=0)
+    inv = 1.0 / np.sqrt(var + eps)
+    x_hat = (x2 - mu) * inv
+    y = x_hat * gamma + beta
+    gx = (gamma * inv / m) * (m * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0))
+    return mu, var, y, (gx, (g * x_hat).sum(axis=0), g.sum(axis=0))
+
+
+def prior_attention(x, g, wq, wk, wv, wo, bo, heads):
+    """Multi-head attention forward and backward with the query and key
+    recomputed from x in the backward; returns the output and the gradients
+    (x through q, k and v; wq, wk, wv, wo, bo) for upstream gradient g."""
+    b, n, d = x.shape
+    scale = 1.0 / np.sqrt(d / heads)
+
+    def heads_of(w):
+        y = np.matmul(x.reshape(-1, d), w).reshape(b, n, heads, d // heads)
+        return np.ascontiguousarray(np.swapaxes(y, 1, 2))
+
+    def query_key():
+        k = heads_of(wk)
+        return heads_of(wq), np.ascontiguousarray(np.swapaxes(k, -1, -2))
+
+    v = heads_of(wv)
+    q, kt = query_key()
+    s = np.matmul(q, kt) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    del q, kt
+    ctx = np.ascontiguousarray(np.swapaxes(np.matmul(a, v), 1, 2)).reshape(-1, d)
+    y = np.matmul(ctx, wo).reshape(x.shape) + bo
+
+    q, kt = query_key()
+    g2 = g.reshape(-1, d)
+    gc = np.swapaxes(np.matmul(g2, wo.T).reshape(b, n, heads, -1), 1, 2)
+    ga = np.matmul(gc, np.swapaxes(v, -1, -2))
+    gv = np.matmul(np.swapaxes(a, -1, -2), gc)
+    gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * scale
+    gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+    gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
+    g_qkv = [np.swapaxes(gh, 1, 2).reshape(-1, d) for gh in (gq, gk, gv)]
+    x2 = x.reshape(-1, d)
+    gx = [np.matmul(gh, w.T).reshape(x.shape) for gh, w in zip(g_qkv, (wq, wk, wv))]
+    gw = [np.matmul(x2.T, gh) for gh in g_qkv]
+    return y, (*gx, *gw, np.matmul(ctx.T, g2), g.sum(axis=(0, 1)))
+
+
+def per_param_adam(values, grad_steps, lr, beta1, beta2, eps):
+    """Adam updating each named array on its own: values is a dict of
+    arrays, grad_steps a list of gradient dicts of the same names, one per
+    step; returns the values and first and second moments after the last."""
+    values = {name: v.copy() for name, v in values.items()}
+    m = {name: np.zeros_like(v) for name, v in values.items()}
+    v = {name: np.zeros_like(val) for name, val in values.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for name, g in grads.items():
+            mn, vn = m[name], v[name]
+            mn *= beta1
+            mn += (1.0 - beta1) * g
+            vn *= beta2
+            vn += (1.0 - beta2) * g * g
+            values[name] -= lr * (mn / bc1) / (np.sqrt(vn / bc2) + eps)
+    return values, m, v
 
 
 # ------------------------------------------------ parameter count ----

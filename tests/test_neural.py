@@ -23,6 +23,8 @@ from reference_impls import (
     loop_attention,
     loop_batchnorm_train,
     loop_positional,
+    prior_attention,
+    prior_batchnorm_train,
 )
 
 
@@ -207,11 +209,31 @@ def test_attention_matches_loop_reference():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def test_attention_keeps_the_bits_of_a_backward_that_recomputes_query_and_key():
+    # the recorded forward keeps q and kT for the backward; every output and
+    # gradient must equal, bit for bit, the formulas that recomputed them
+    rng = np.random.default_rng(34)
+    for b, n, width, heads in ((2, 3, 6, 2), (128, 6, 60, 4)):
+        mha = MultiHeadAttention("a", width, heads, rng)
+        mha.bo.value[...] = rng.normal(size=width)
+        x = rng.normal(size=(b, n, width))
+        g = rng.normal(size=(b, n, width))
+        out = mha.forward(Param("x", x).tensor())
+        want_y, want = prior_attention(x, g, *(p.value for p in mha.params()), heads)
+        assert out.data.tobytes() == want_y.tobytes()
+        got = out._backward(g)
+        assert len(got) == len(want) == 8
+        for got_g, want_g in zip(got, want):
+            assert got_g.tobytes() == want_g.tobytes()
+        with neural.no_graph():
+            assert mha.forward(Tensor(x)).data.tobytes() == want_y.tobytes()
+
+
 def test_attention_weights_are_row_stochastic():
     rng = np.random.default_rng(33)
     mha = MultiHeadAttention("a", 6, 3, rng)
     x = rng.normal(size=(2, 4, 6))
-    w = mha.attention_weights(x)
+    w = mha._softmax(*mha._query_key(x))
     assert w.shape == (2, 3, 4, 4)
     assert np.allclose(w.sum(axis=-1), 1.0)
     assert (w >= 0).all()
@@ -225,7 +247,7 @@ def test_softmax_is_shift_stable():
     x = 1000.0 * rng.normal(size=(2, 4, 6))
     q, kt = mha._query_key(x)
     assert np.abs(np.matmul(q, kt) * mha._scale).max() > 710.0  # exp overflows
-    w = mha.attention_weights(x)
+    w = mha._softmax(q, kt)
     assert np.isfinite(w).all()
     assert np.allclose(w.sum(axis=-1), 1.0)
 
@@ -276,6 +298,29 @@ def test_batchnorm_training_matches_loop_reference():
     assert np.array_equal(got3, want3.reshape(4, 4, 5))
     assert np.array_equal(bn.running_mean, flat.running_mean)
     assert np.array_equal(bn.running_var, flat.running_var)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 767, 768])
+def test_batchnorm_keeps_the_bits_of_np_mean_and_np_var(rows):
+    # the forward centres once and sums the squares as np.var does; the
+    # backward takes each sum once: batch statistics, output and all three
+    # gradients must equal the prior formulas bit for bit
+    rng = np.random.default_rng(rows)
+    bn = BatchNorm("bn", 60)
+    bn.MOMENTUM = 0.0  # the running statistics become the batch statistics
+    bn.gamma.value[...] = rng.normal(size=60)
+    bn.beta.value[...] = rng.normal(size=60)
+    x = rng.normal(loc=3.0, scale=2.0, size=(rows, 60))
+    g = rng.normal(size=(rows, 60))
+    out = bn.forward(Param("x", x).tensor(), training=True)
+    mu, var, y, grads = prior_batchnorm_train(x, bn.gamma.value, bn.beta.value, g)
+    assert bn.running_mean.tobytes() == mu.tobytes()
+    assert bn.running_var.tobytes() == var.tobytes()
+    assert out.data.tobytes() == y.tobytes()
+    got = out._backward(g)
+    assert len(got) == 3
+    for got_g, want_g in zip(got, grads):
+        assert got_g.tobytes() == want_g.tobytes()
 
 
 def test_batchnorm_inference_uses_running_stats():

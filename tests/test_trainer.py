@@ -14,7 +14,7 @@ from gwindcast.trainer import (
     train,
     write_history,
 )
-from reference_impls import scalar_adam_trace
+from reference_impls import per_param_adam, scalar_adam_trace
 
 
 def test_train_config_defaults():
@@ -107,6 +107,75 @@ def test_adam_rejects_non_finite_gradients():
         adam_step([p], state, TrainConfig())
     assert np.array_equal(p.value, before)
     assert state.t == 0
+
+
+def test_adam_names_the_first_non_finite_param_and_changes_nothing():
+    params = [Param("a", np.array([1.0, 2.0])), Param("b", np.array([[3.0], [4.0]])),
+              Param("c", np.array([5.0]))]
+    state = AdamState.for_params(params)
+    for p in params:
+        p.grad[...] = 0.5
+    adam_step(params, state, TrainConfig())
+    values = [p.value.copy() for p in params]
+    m = {k: a.copy() for k, a in state.m.items()}
+    v = {k: a.copy() for k, a in state.v.items()}
+    for p in params:
+        p.grad[...] = 1.0
+    params[1].grad[1, 0] = np.nan
+    params[2].grad[0] = np.inf
+    with pytest.raises(NonFiniteGradient, match="gradient of b "):
+        adam_step(params, state, TrainConfig())
+    assert state.t == 1
+    assert all(np.array_equal(p.value, want) for p, want in zip(params, values))
+    assert all(np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k]) for k in m)
+
+
+def test_adam_packs_params_into_views_of_one_buffer():
+    params = [Param("a", np.array([1.0, 2.0])), Param("b", np.array([[3.0], [4.0]]))]
+    params[1].grad[...] = 7.0
+    state = AdamState.for_params(params)
+    # values and gradients are carried over into the buffer's rows
+    assert state.flat.tolist() == [[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 7.0, 7.0]]
+    assert state.moments.tolist() == [[0.0] * 4, [0.0] * 4]
+    for p in params:
+        assert p.value.base is state.flat and p.grad.base is state.flat
+        assert state.m[p.name].base is state.moments and state.v[p.name].base is state.moments
+    assert params[1].value.shape == (2, 1)
+
+
+def test_adam_step_needs_the_params_its_state_packed():
+    params = [Param("a", np.array([1.0])), Param("b", np.array([2.0]))]
+    state = AdamState.for_params(params)
+    adam_step(list(params), state, TrainConfig())  # a new list of the same objects
+    for wrong in ([params[0]], params[::-1], [params[0], Param("b", np.array([2.0]))]):
+        with pytest.raises(ValueError):
+            adam_step(wrong, state, TrainConfig())
+    params[1].grad = np.zeros(1)  # rebound: no longer a view of the buffer
+    with pytest.raises(ValueError):
+        adam_step(params, state, TrainConfig())
+    assert state.t == 1
+
+
+def test_flat_adam_keeps_the_bits_of_the_per_param_loop():
+    model = WindModel(ModelConfig(), seed=0)
+    params = model.params()
+    assert len(params) == 24
+    cfg = TrainConfig(lr=1e-3)
+    rng = np.random.default_rng(7)
+    start = {p.name: p.value.copy() for p in params}
+    grad_steps = [{p.name: rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=p.value.shape)
+                   for p in params} for _ in range(5)]
+    state = AdamState.for_params(params)
+    for grads in grad_steps:
+        for p in params:
+            p.grad[...] = grads[p.name]
+        adam_step(params, state, cfg)
+    values, m, v = per_param_adam(start, grad_steps, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    for p in params:
+        assert p.value.tobytes() == values[p.name].tobytes()
+        assert state.m[p.name].tobytes() == m[p.name].tobytes()
+        assert state.v[p.name].tobytes() == v[p.name].tobytes()
+        assert not p.grad.any()
 
 
 def test_early_stopper_scripted_trace():

@@ -59,8 +59,8 @@ def test_summary_medians_quartiles_and_wins():
     wall = out["metrics"]["wall_s"]
     assert wall["better"] == "lower"
     # five base runs 3.0 3.1 3.2 3.4 3.6; four change runs 2.9 3.0 3.3 3.5
-    assert wall["scaled"]["base"] == pytest.approx({"median": 3.2, "q1": 3.1, "q3": 3.4})
-    assert wall["scaled"]["change"] == pytest.approx({"median": 3.15, "q1": 2.975, "q3": 3.35})
+    assert wall["scaled"]["base"] == pytest.approx({"median": 3.2, "q1": 3.05, "q3": 3.5})
+    assert wall["scaled"]["change"] == pytest.approx({"median": 3.15, "q1": 2.925, "q3": 3.45})
     assert wall["scaled"]["change_wins"] == 3  # 2.9 < 3.0, 3.0 < 3.4, 3.5 < 3.6
     assert wall["raw"]["base"]["median"] == pytest.approx(6.4)
     assert wall["raw"]["change_wins"] == 3

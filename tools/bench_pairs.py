@@ -1,17 +1,20 @@
-"""Paired benchmark runs of a base commit against the working tree.
+"""Paired benchmark runs of a base commit against HEAD.
 
 Usage: python tools/bench_pairs.py BASE_REF --pairs N --out BENCH_<n>.json
-           [--workloads sweep nowcast] [--seconds 20] [--first-seed 1]
 
-Exports BASE_REF with ``git archive`` and runs ``bench/run.py`` (untraced)
-on it and on the working tree, once per seed and workload, so each seed
-gives one pair of runs. Which side runs first alternates from pair to pair,
-because the side that runs second can read a few percent slower. The JSON
-file written holds, per workload and end-to-end metric, the median and
-quartiles of each side (scaled and raw), the number of pairs the working
-tree won, every run's figures, the BLAS each side ran with and both SHAs.
-A run that exits non-zero, prints no result or fails its checks counts as
-failed: it is listed with its error and its pair is left out of the wins.
+Exports BASE_REF and HEAD with ``git archive`` and runs ``bench/run.py``
+(untraced, for BENCHMARK.json's ``run_seconds``) on each, once per seed
+1..N and per workload of BENCHMARK.json, so each seed gives one pair of
+runs. Which side runs first alternates from pair to pair, because the side
+that runs second can read a few percent slower. It refuses to run while
+tracked files have uncommitted changes, so HEAD is the code measured. The
+JSON file written holds both SHAs with the tree id of each side's ``src/``
+(which a rebase or squash keeps), and per workload and end-to-end metric the
+median and quartiles of each side (scaled and raw, as
+``statistics.quantiles(values, n=4)`` gives them), the number of pairs HEAD
+won, every run's figures and the BLAS each side ran with. A run that exits
+non-zero, prints no result or fails its checks counts as failed: it is
+listed with its error and its pair is left out of the wins.
 
 Run from anywhere inside the repository; needs git on PATH and uses only
 the standard library.
@@ -56,7 +59,7 @@ def parse_run(stdout: str, returncode: int) -> dict:
 def quartiles(values: list) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -84,9 +87,8 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
-def git(*args) -> str:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True)
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -99,34 +101,36 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base_ref", help="commit to compare the working tree against")
+    parser.add_argument("base_ref", help="commit to compare HEAD against")
     parser.add_argument("--pairs", type=int, required=True, help="seeds per workload")
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_12.json")
-    parser.add_argument("--workloads", nargs="+", default=["sweep", "nowcast"])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if git("status", "--porcelain", "--untracked-files=no").stdout.strip():
+        sys.exit("error: tracked files have uncommitted changes; commit them first")
+    report = {}
+    for side, ref in zip(SIDES, (args.base_ref, "HEAD")):
+        sha = git("rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}").stdout.strip()
+        if not sha:
+            sys.exit(f"error: {ref} is not a commit")
+        report[side] = {"ref": ref, "sha": sha,
+                        "src_tree": git("rev-parse", f"{sha}:src").stdout.strip()}
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    report = {
-        "base": {"ref": args.base_ref, "sha": git("rev-parse", f"{args.base_ref}^{{commit}}")},
-        "change": {"ref": "working tree", "sha": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds!r} --trace 0",
-        "seeds": seeds,
-        "workloads": {},
-    }
+        spec = json.load(f)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = float(spec["run_seconds"])
+    seeds = list(range(1, args.pairs + 1))
+    report.update(command=f"python3 bench/run.py --workload W --seed S --seconds {seconds!r} "
+                          "--trace 0", seeds=seeds, workloads={})
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = os.path.dirname(export_ref(args.base_ref, tmp))
-        trees = {"base": base_tree, "change": ROOT}
-        for workload in args.workloads:
+        trees = {side: os.path.dirname(export_ref(report[side]["sha"], os.path.join(tmp, side)))
+                 for side in SIDES}
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = bench(trees[side], workload, seed, args.seconds)
+                    pair[side] = bench(trees[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: "
                           f"{'ok' if pair[side]['ok'] else pair[side]['error']}", flush=True)
                 pairs.append(pair)

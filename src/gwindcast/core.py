@@ -236,14 +236,23 @@ class NormStats(_FrozenArrays):
     def _safe(std):
         return np.where(std > 0, std, 1.0)
 
+    @classmethod
+    def _standardize(cls, x, mean, std):
+        """(x - mean) / std, the division done in the difference's array."""
+        out = np.subtract(x, mean)
+        out /= cls._safe(std)
+        return out
+
     def normalize_inputs(self, x):
-        return (x - self.input_mean) / self._safe(self.input_std)
+        return self._standardize(x, self.input_mean, self.input_std)
 
     def normalize_targets(self, y):
-        return (y - self.target_mean) / self._safe(self.target_std)
+        return self._standardize(y, self.target_mean, self.target_std)
 
     def denormalize_targets(self, y):
-        return y * self._safe(self.target_std) + self.target_mean
+        out = np.multiply(y, self._safe(self.target_std))
+        out += self.target_mean
+        return out
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,13 @@ parents. It never refers to its own output, so a graph holds no reference
 cycle and is freed by reference counting as soon as the loss is dropped.
 The gradients it returns may be ``g`` itself or views of it;
 ``Tensor.backward()`` stores them and adds later ones out of place, so no
-gradient array is ever written to. Inside :func:`no_graph` nothing is
-recorded: inference builds only the arrays it needs, and a layer drops an
-array its backward alone would read (attention's query and key) as soon as
-the forward is done with it.
+gradient array is ever written to. A forward does its elementwise steps
+(bias, tanh, softmax, batch-norm scale) in an array it made itself, never in
+one it was passed or one a backward reads. Inside :func:`no_graph` nothing
+is recorded: inference builds only the arrays it needs, a layer drops an
+array its backward alone would read (attention's query, key, weights and
+values) as soon as the forward is done with it, and a residual sum goes
+into the layer output's own array.
 """
 
 from __future__ import annotations
@@ -144,6 +147,15 @@ def add(a, b) -> Tensor:
     return Tensor(a.data + b.data, (a, b), _bw)
 
 
+def residual(x: Tensor, fx: Tensor) -> Tensor:
+    """x + fx for a layer output fx that nothing else holds; under
+    :func:`no_graph` the sum is written into fx's own array."""
+    if _recording:
+        return add(x, fx)
+    np.add(x.data, fx.data, out=fx.data)
+    return fx
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     def _bw(g):
         return (g.reshape(a.shape),)
@@ -203,9 +215,10 @@ class Dense:
     def forward(self, x: Tensor) -> Tensor:
         w, bias = self.w.value, self.b.value
         x2 = x.data.reshape(-1, w.shape[0])
-        y = np.matmul(x2, w).reshape(x.shape[:-1] + bias.shape) + bias
+        y = np.matmul(x2, w).reshape(x.shape[:-1] + bias.shape)
+        y += bias
         if self.activation == "tanh":
-            y = np.tanh(y)
+            np.tanh(y, out=y)
 
         def _bw(g):
             if self.activation == "tanh":
@@ -227,8 +240,8 @@ class MultiHeadAttention:
     lists its input once per projection, so the input receives the query, key
     and value gradients one after another. A recorded forward keeps the
     per-head query and transposed key for the backward; under
-    :func:`no_graph` it drops them before the context product, so inference
-    holds them no longer than the attention weights need them.
+    :func:`no_graph` it drops them once the weights are made, and the
+    weights and values once the context is.
     """
 
     def __init__(self, name: str, width: int, heads: int, rng: np.random.Generator):
@@ -246,36 +259,50 @@ class MultiHeadAttention:
     def params(self):
         return [self.wq, self.wk, self.wv, self.wo, self.bo]
 
-    def _heads(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """x @ w as contiguous heads, shape (batch, heads, tokens, width/heads)."""
+    def _heads(self, x: np.ndarray, w: np.ndarray, axes=(0, 2, 1, 3)) -> np.ndarray:
+        """x @ w split into heads, (batch, tokens, heads, width/heads), copied
+        contiguous in the order ``axes``: by default (batch, heads, tokens,
+        width/heads)."""
         b, n, d = x.shape
         y = np.matmul(x.reshape(-1, d), w).reshape(b, n, self.heads, d // self.heads)
-        return np.ascontiguousarray(np.swapaxes(y, 1, 2))
+        return np.ascontiguousarray(y.transpose(axes))
 
     def _query_key(self, x: np.ndarray):
         """Per-head queries and transposed keys, both contiguous."""
-        k = self._heads(x, self.wk.value)
-        return self._heads(x, self.wq.value), np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        return self._heads(x, self.wq.value), self._heads(x, self.wk.value, (0, 2, 3, 1))
 
     def _softmax(self, q: np.ndarray, kt: np.ndarray) -> np.ndarray:
         """Softmax attention matrices, shape (batch, heads, t, t); the softmax
-        is stabilized by a max-shift."""
-        s = np.matmul(q, kt) * self._scale
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+        is stabilized by a max-shift; every step works in the score array."""
+        s = np.matmul(q, kt)
+        s *= self._scale
+        # the row max column by column: s.max(axis=-1) takes several times
+        # as long on rows as short as a window
+        top = s[..., :1].copy()
+        for j in range(1, s.shape[-1]):
+            np.maximum(top, s[..., j : j + 1], out=top)
+        s -= top
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return s
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.width:
             raise ShapeMismatch(f"expected (batch, tokens, {self.width}), got {x.shape}")
         b, n, d = x.shape
         wq, wk, wv, wo = self.wq.value, self.wk.value, self.wv.value, self.wo.value
-        v = self._heads(x.data, wv)
         q, kt = self._query_key(x.data)
         a = self._softmax(q, kt)
         if not _recording:
-            q = kt = None
-        ctx = np.ascontiguousarray(np.swapaxes(np.matmul(a, v), 1, 2)).reshape(-1, d)
-        y = np.matmul(ctx, wo).reshape(x.shape) + self.bo.value
+            q = kt = None  # only the backward reads them
+        v = self._heads(x.data, wv)
+        ctx = np.empty((b, n, self.heads, d // self.heads))
+        np.matmul(a, v, out=np.swapaxes(ctx, 1, 2))  # heads written token-major
+        ctx = ctx.reshape(-1, d)
+        if not _recording:
+            a = v = None
+        y = np.matmul(ctx, wo).reshape(x.shape)
+        y += self.bo.value
 
         def _bw(g):
             g2 = g.reshape(-1, d)
@@ -344,7 +371,10 @@ class BatchNorm:
             self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
         inv = 1.0 / np.sqrt(var + self.EPS)
         x_hat = np.multiply(c, inv, out=c)  # c is needed no more
-        y = (x_hat * self.gamma.value + self.beta.value).reshape(x.shape)
+        # the backward reads x_hat, so only inference scales it in place
+        y = np.multiply(x_hat, self.gamma.value, out=None if training else x_hat)
+        y += self.beta.value
+        y = y.reshape(x.shape)
         if not training:
             return Tensor(y)
 

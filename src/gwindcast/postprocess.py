@@ -92,7 +92,9 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
     if cdf.mode == "gaussian_affine":
         gain = np.where(cdf.sigma_src > 0, cdf.sigma_tgt / np.where(cdf.sigma_src > 0, cdf.sigma_src, 1.0), 1.0)
         offset = np.where(cdf.sigma_src > 0, cdf.mu_tgt - cdf.mu_src * gain, 0.0)
-        return raw * gain + offset
+        out = raw * gain
+        out += offset
+        return out
     out = np.empty_like(raw)
     positions = np.linspace(0.0, 1.0, cdf.n_quantiles)
     for c in range(cdf.n_channels):

@@ -285,31 +285,41 @@ def prior_batchnorm_train(x2, gamma, beta, g, eps=1e-5):
     return mu, var, y, (gx, (g * x_hat).sum(axis=0), g.sum(axis=0))
 
 
+def _prior_heads(x, w, heads):
+    b, n, d = x.shape
+    y = np.matmul(x.reshape(-1, d), w).reshape(b, n, heads, d // heads)
+    return np.ascontiguousarray(np.swapaxes(y, 1, 2))
+
+
+def _prior_query_key(x, wq, wk, heads):
+    k = _prior_heads(x, wk, heads)
+    return _prior_heads(x, wq, heads), np.ascontiguousarray(np.swapaxes(k, -1, -2))
+
+
+def prior_attention_forward(x, wq, wk, wv, wo, bo, heads):
+    """Multi-head attention forward with every step in a new array: the
+    value heads, then the query and key heads, the softmax with the row max
+    as s.max and the context copied out of the head-major product; returns
+    the output and the (value heads, weights, context) a backward reads."""
+    b, n, d = x.shape
+    scale = 1.0 / np.sqrt(d / heads)
+    v = _prior_heads(x, wv, heads)
+    q, kt = _prior_query_key(x, wq, wk, heads)
+    s = np.matmul(q, kt) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    ctx = np.ascontiguousarray(np.swapaxes(np.matmul(a, v), 1, 2)).reshape(-1, d)
+    return np.matmul(ctx, wo).reshape(x.shape) + bo, (v, a, ctx)
+
+
 def prior_attention(x, g, wq, wk, wv, wo, bo, heads):
     """Multi-head attention forward and backward with the query and key
     recomputed from x in the backward; returns the output and the gradients
     (x through q, k and v; wq, wk, wv, wo, bo) for upstream gradient g."""
     b, n, d = x.shape
     scale = 1.0 / np.sqrt(d / heads)
-
-    def heads_of(w):
-        y = np.matmul(x.reshape(-1, d), w).reshape(b, n, heads, d // heads)
-        return np.ascontiguousarray(np.swapaxes(y, 1, 2))
-
-    def query_key():
-        k = heads_of(wk)
-        return heads_of(wq), np.ascontiguousarray(np.swapaxes(k, -1, -2))
-
-    v = heads_of(wv)
-    q, kt = query_key()
-    s = np.matmul(q, kt) * scale
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
-    del q, kt
-    ctx = np.ascontiguousarray(np.swapaxes(np.matmul(a, v), 1, 2)).reshape(-1, d)
-    y = np.matmul(ctx, wo).reshape(x.shape) + bo
-
-    q, kt = query_key()
+    y, (v, a, ctx) = prior_attention_forward(x, wq, wk, wv, wo, bo, heads)
+    q, kt = _prior_query_key(x, wq, wk, heads)
     g2 = g.reshape(-1, d)
     gc = np.swapaxes(np.matmul(g2, wo.T).reshape(b, n, heads, -1), 1, 2)
     ga = np.matmul(gc, np.swapaxes(v, -1, -2))
@@ -322,6 +332,66 @@ def prior_attention(x, g, wq, wk, wv, wo, bo, heads):
     gx = [np.matmul(gh, w.T).reshape(x.shape) for gh, w in zip(g_qkv, (wq, wk, wv))]
     gw = [np.matmul(x2.T, gh) for gh in g_qkv]
     return y, (*gx, *gw, np.matmul(ctx.T, g2), g.sum(axis=(0, 1)))
+
+
+def prior_dense(x, w, bias, activation):
+    """Dense forward as a new array per step: product plus bias, then tanh."""
+    y = np.matmul(x.reshape(-1, w.shape[0]), w).reshape(x.shape[:-1] + bias.shape) + bias
+    return np.tanh(y) if activation == "tanh" else y
+
+
+def prior_batchnorm_inference(x, mean, var, gamma, beta, eps=1e-5):
+    """Inference batch norm by running statistics, each step a new array."""
+    x2 = x.reshape(-1, x.shape[-1])
+    x_hat = (x2 - mean) * (1.0 / np.sqrt(var + eps))
+    return (x_hat * gamma + beta).reshape(x.shape)
+
+
+def prior_predict(model, x, chunk=2048):
+    """WindModel.predict of a transformer composed from the prior layer
+    formulas, residual sums as new arrays and the chunks concatenated."""
+    cfg = model.config
+    outs = []
+    for i in range(0, x.shape[0], chunk):
+        h = x[i : i + chunk]
+        b, d = h.shape[0], cfg.token_width
+        if d != cfg.n_stations:
+            h = np.concatenate([h, np.zeros((b, cfg.window_steps, d - cfg.n_stations))], axis=2)
+        h = h + model._pos
+        for mha, bn1, ff, bn2 in model.blocks:
+            att, _ = prior_attention_forward(h, *(p.value for p in mha.params()), mha.heads)
+            h = prior_batchnorm_inference(h + att, bn1.running_mean, bn1.running_var,
+                                          bn1.gamma.value, bn1.beta.value)
+            h = prior_batchnorm_inference(
+                h + prior_dense(h, ff.w.value, ff.b.value, ff.activation),
+                bn2.running_mean, bn2.running_var, bn2.gamma.value, bn2.beta.value)
+        outs.append(prior_dense(h.reshape(b, -1), model.head.w.value, model.head.b.value, None))
+    return np.concatenate(outs, axis=0)
+
+
+def prior_normalize(x, mean, std):
+    return (x - mean) / np.where(std > 0, std, 1.0)
+
+
+def prior_denormalize(y, mean, std):
+    return y * np.where(std > 0, std, 1.0) + mean
+
+
+def prior_apply_cdf_map(cdf, raw):
+    """apply_cdf_map's two modes with each step a new array."""
+    if cdf.mode == "gaussian_affine":
+        ok = cdf.sigma_src > 0
+        gain = np.where(ok, cdf.sigma_tgt / np.where(ok, cdf.sigma_src, 1.0), 1.0)
+        return raw * gain + np.where(ok, cdf.mu_tgt - cdf.mu_src * gain, 0.0)
+    out = np.empty_like(raw)
+    positions = np.linspace(0.0, 1.0, cdf.n_quantiles)
+    for c in range(cdf.n_channels):
+        src = cdf.src_quantiles[c]
+        values = np.unique(src)
+        top = np.searchsorted(src, values, side="right") - 1
+        u = np.interp(raw[:, c], values, positions[top])
+        out[:, c] = np.interp(u, positions, cdf.tgt_quantiles[c])
+    return out
 
 
 def per_param_adam(values, grad_steps, lr, beta1, beta2, eps):

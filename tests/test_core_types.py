@@ -13,6 +13,7 @@ from gwindcast.core import (
     parse_iso8601,
     validate,
 )
+from reference_impls import prior_denormalize, prior_normalize
 
 
 def make_stations(n, prefix="S"):
@@ -124,6 +125,25 @@ def test_norm_stats_zero_std_is_safe():
     y = stats.normalize_targets(np.array([[10.0]]))
     back = stats.denormalize_targets(y)
     assert back[0, 0] == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("rows", [1, 87, 2049])
+def test_norm_stats_keep_the_bits_of_the_prior_formulas(rows):
+    # the division and the shift work in the array the first step made; the
+    # caller's array is never written
+    rng = np.random.default_rng(rows)
+    in_std, out_std = rng.uniform(0.5, 2.0, size=60), rng.uniform(0.5, 2.0, size=27)
+    in_std[3] = out_std[5] = 0.0
+    stats = NormStats(input_mean=rng.normal(size=60), input_std=in_std,
+                      target_mean=rng.normal(size=27), target_std=out_std)
+    x, y = rng.normal(3.0, 2.0, size=(rows, 6, 60)), rng.normal(size=(rows, 27))
+    kept = x.copy(), y.copy()
+    cases = [(stats.normalize_inputs(x), prior_normalize(x, stats.input_mean, in_std)),
+             (stats.normalize_targets(y), prior_normalize(y, stats.target_mean, out_std)),
+             (stats.denormalize_targets(y), prior_denormalize(y, stats.target_mean, out_std))]
+    for got, want in cases:
+        assert got.tobytes() == want.tobytes()
+    assert (x.tobytes(), y.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
 
 
 def test_validate_flags_shape_and_coordinate_problems():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from gwindcast.model import (
     predict_denormalized,
     save_model,
 )
-from reference_impls import expected_param_count
+from reference_impls import expected_param_count, prior_predict
 
 
 def cfg(**kwargs):
@@ -150,6 +152,53 @@ def test_predict_chunking_is_equivalent():
     np.testing.assert_allclose(pieces, full, rtol=1e-10, atol=1e-12)
     # the same chunking is bit-stable across repeated calls
     np.testing.assert_array_equal(model.predict(x, chunk=5), pieces)
+
+
+def _trained_looking(config, seed):
+    """A model whose biases, batch-norm affines and running statistics are
+    not at their initial values, so every step of the forward shows."""
+    model = WindModel(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params():
+        if p.name.rsplit(".", 1)[1] in ("b", "bo", "gamma", "beta"):
+            p.value[...] = rng.normal(size=p.value.shape)
+    for bn in model._bns:
+        bn.running_mean = rng.normal(size=bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+    return model
+
+
+@pytest.mark.parametrize("n_stations", [60, 10])
+@pytest.mark.parametrize("rows", [1, 87, 2049])
+def test_predict_keeps_the_bits_of_the_prior_formulas(rows, n_stations):
+    # the single-window cycle, a chunk on OpenBLAS's small-matrix path and a
+    # two-chunk predict, at the default width and padded (10 stations, width
+    # 12); recorded or not, the forward equals the formulas that made a new
+    # array per step, and the input is left as it was
+    model = _trained_looking(ModelConfig(n_stations=n_stations), seed=rows)
+    x = np.random.default_rng(rows).normal(size=(rows, 6, n_stations))
+    kept = x.copy()
+    assert model.predict(x).tobytes() == prior_predict(model, x).tobytes()
+    recorded = model.forward_batch(x, training=False)
+    assert recorded.data.tobytes() == prior_predict(model, x, chunk=rows).tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
+def test_predict_peak_memory_is_bounded_by_four_activations():
+    # a 2048-row default-width predict holds at most the block input, the
+    # query heads, the key projection and its transposed copy at once: 4.07
+    # times one (rows, tokens, width) activation of 5.6 MiB (22.9 MiB), down
+    # from 5.4 times before the layers worked in their own arrays
+    model = _trained_looking(ModelConfig(), seed=0)
+    x = np.random.default_rng(0).normal(size=(2048, 6, 60))
+    model.predict(x[:1])
+    tracemalloc.start()
+    try:
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * x.nbytes
 
 
 def test_mlp_architecture_runs_and_counts():

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 
 import numpy as np
@@ -24,8 +25,15 @@ from reference_impls import (
     loop_batchnorm_train,
     loop_positional,
     prior_attention,
+    prior_attention_forward,
+    prior_batchnorm_inference,
     prior_batchnorm_train,
+    prior_dense,
 )
+
+# the single-window cycle, a chunk on OpenBLAS's small-matrix path and a
+# predict of two chunks
+ROWS = (1, 87, 2049)
 
 
 def leaf(rng, shape):
@@ -153,12 +161,12 @@ def test_predict_records_no_graph(monkeypatch):
     monkeypatch.setattr(neural.Tensor, "__init__", recording)
     mdl.predict(x)
     assert [t for t in built if t._parents or t._backward or t.requires_grad] == []
-    # one node per layer, 14 in all (per block attention, two residual adds,
-    # dense and two batch norms; then the flatten and the readout), the seven
-    # parameter leaves of each block's attention and dense layers, the
-    # readout's two and the input. Batch norm in inference mode takes no
-    # parameter leaves.
-    assert len(built) == 31
+    # one node per layer, 10 in all (per block attention, dense and two batch
+    # norms; then the flatten and the readout), the seven parameter leaves of
+    # each block's attention and dense layers, the readout's two and the
+    # input. The residual sums are written into the attention and dense
+    # outputs, and batch norm in inference mode takes no parameter leaves.
+    assert len(built) == 27
     built.clear()
     neural.mse_loss(mdl.forward_batch(x, training=True), np.zeros((4, mdl.config.output_dim)))
     # 15 nodes (the loss included), 24 parameter leaves and the input
@@ -227,6 +235,58 @@ def test_attention_keeps_the_bits_of_a_backward_that_recomputes_query_and_key():
             assert got_g.tobytes() == want_g.tobytes()
         with neural.no_graph():
             assert mha.forward(Tensor(x)).data.tobytes() == want_y.tobytes()
+
+
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("rows", ROWS)
+def test_forwards_keep_the_bits_of_the_prior_formulas(rows, recording):
+    # each layer does its elementwise steps in an array it made itself; the
+    # outputs must equal the formulas that made a new array per step, and
+    # the input array must be left as it was
+    rng = np.random.default_rng(rows)
+    ff = Dense("ff", 60, 60, rng, activation="tanh")
+    head = Dense("head", 360, 27, rng)
+    mha = MultiHeadAttention("a", 60, 4, rng)
+    bn = BatchNorm("bn", 60)
+    for p in (ff.b, head.b, mha.bo, bn.gamma, bn.beta):
+        p.value[...] = rng.normal(size=p.value.shape)
+    bn.running_mean, bn.running_var = rng.normal(size=60), rng.uniform(0.5, 2.0, size=60)
+    x = rng.normal(size=(rows, 6, 60))
+    kept = x.copy()
+    with contextlib.nullcontext() if recording else neural.no_graph():
+        got = {"ff": ff.forward(Tensor(x)).data,
+               "head": head.forward(Tensor(x.reshape(rows, -1))).data,
+               "attention": mha.forward(Tensor(x)).data,
+               "bn": bn.forward(Tensor(x), training=False).data}
+        want = {"ff": prior_dense(x, ff.w.value, ff.b.value, "tanh"),
+                "head": prior_dense(x.reshape(rows, -1), head.w.value, head.b.value, None),
+                "attention": prior_attention_forward(
+                    x, *(p.value for p in mha.params()), 4)[0],
+                "bn": prior_batchnorm_inference(x, bn.running_mean, bn.running_var,
+                                                bn.gamma.value, bn.beta.value)}
+        bn.MOMENTUM = 0.0
+        got["bn_train"] = bn.forward(Tensor(x), training=True).data
+        want["bn_train"] = prior_batchnorm_train(
+            x.reshape(-1, 60), bn.gamma.value, bn.beta.value, np.zeros((rows * 6, 60))
+        )[2].reshape(x.shape)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert x.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_residual_sums_into_the_layer_output_only_without_a_graph(recording):
+    rng = np.random.default_rng(7)
+    x, fx = Tensor(rng.normal(size=(5, 6, 8))), Tensor(rng.normal(size=(5, 6, 8)))
+    kept, want = x.data.copy(), x.data + fx.data
+    with contextlib.nullcontext() if recording else neural.no_graph():
+        out = neural.residual(x, fx)
+    assert out.data.tobytes() == want.tobytes()
+    assert x.data.tobytes() == kept.tobytes()
+    # recording, the sum is an add node and the layer output, which its
+    # backward may read, stays as it was; without a graph it is the sum
+    assert (out is fx) is not recording
+    assert (out._parents == (x, fx)) is recording
 
 
 def test_attention_weights_are_row_stochastic():

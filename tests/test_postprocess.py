@@ -11,7 +11,7 @@ from gwindcast.postprocess import (
     read_cdf_map,
     write_cdf_map,
 )
-from reference_impls import loop_quantiles
+from reference_impls import loop_quantiles, prior_apply_cdf_map
 
 
 class _FixedModel:
@@ -126,6 +126,23 @@ def test_both_modes_monotone_on_random_pairs(mode):
         y_lo = apply_cdf_map(cdf, row_lo)[0, c]
         y_hi = apply_cdf_map(cdf, row_hi)[0, c]
         assert y_lo <= y_hi + 1e-12
+
+
+@pytest.mark.parametrize("mode", ["gaussian_affine", "empirical_quantile"])
+@pytest.mark.parametrize("rows", [1, 87, 2049])
+def test_apply_keeps_the_bits_of_the_prior_formulas(rows, mode):
+    # the affine shift is added in the product's array; the raw outputs are
+    # never written
+    rng = np.random.default_rng(rows)
+    cdf = fit_cdf_map(_FixedModel(27), _samples(n=200, out_dim=27, seed=rows), mode=mode)
+    if mode == "gaussian_affine":  # one channel whose source spread is 0
+        sigma_src = cdf.sigma_src.copy()
+        sigma_src[4] = 0.0
+        cdf = CdfMap(mode, 27, cdf.mu_src, sigma_src, cdf.mu_tgt, cdf.sigma_tgt)
+    raw = rng.normal(3.0, 2.0, size=(rows, 27))
+    kept = raw.copy()
+    assert apply_cdf_map(cdf, raw).tobytes() == prior_apply_cdf_map(cdf, raw).tobytes()
+    assert raw.tobytes() == kept.tobytes()
 
 
 def test_fit_never_reads_val_or_test_rows():

@@ -74,6 +74,12 @@ SCENE_FILES = {
 _REORDERED_SCENE = json.dumps({"kind": "files", **{name: f"reordered/{name}.csv" for name in
                                                    ("ztd_stations", "ztd", "wind_stations", "wind")}})
 
+# the default scene and model (60 delay stations, two 4-head blocks) staged
+# for one epoch: its 2792-row train split is predicted in two chunks
+_DEFAULT_SHAPE = ["--set", "train.max_epochs=1", "--set", "train.patience=1",
+                  "--set", 'postprocess.mode="empirical_quantile"']
+_DEFAULT_RUN = ["--data", "default/prep", "--lead", "30"]
+
 # (output name, command line) in run order; later commands may read what
 # earlier ones wrote
 COMMANDS = [
@@ -115,6 +121,17 @@ COMMANDS = [
     ("emit_timeseries", ["emit-timeseries", "--pred", "staged/run/predictions.gwcs",
                          "--truth", "staged/run/truth.gwcs", "--out", "staged/timeseries"]),
     ("show_report", ["show-report", "--report", "staged/run/report.json"]),
+    ("default_preprocess", ["preprocess", *_DEFAULT_SHAPE, "--out", "default/prep"]),
+    ("default_train", ["train", *_DEFAULT_SHAPE, *_DEFAULT_RUN, "--out", "default/run"]),
+    ("default_calibrate", ["calibrate", *_DEFAULT_SHAPE, *_DEFAULT_RUN,
+                           "--model", "default/run/checkpoint.gwc",
+                           "--out", "default/run/cdf_map.json"]),
+    ("default_predict", ["predict", *_DEFAULT_SHAPE, *_DEFAULT_RUN,
+                         "--model", "default/run/checkpoint.gwc",
+                         "--cdf", "default/run/cdf_map.json", "--out", "default/run"]),
+    ("default_predict_train", ["predict", *_DEFAULT_SHAPE, *_DEFAULT_RUN,
+                               "--model", "default/run/checkpoint.gwc", "--split", "train",
+                               "--out", "default/train"]),
     ("compare_baseline", ["compare-baseline", "--baseline", "baseline.csv",
                           "--truth", "staged/raw/cube.gwcc", "--out", "staged/baseline.json"]),
 ]

@@ -178,12 +178,15 @@ class Timestamps(dict):
         return when
 
 
-def _row_axis(path, times, step: int) -> TimeAxis:
+# the grid step, in seconds, of a CSV file with a single timestamp
+SINGLE_TIME_STEP_S = 300
+
+
+def _row_axis(path, times) -> TimeAxis:
     """The grid through the timestamps: its step is the smallest positive gap
-    between them, ``step`` when there is one time."""
+    between them, ``SINGLE_TIME_STEP_S`` when there is one time."""
     times = sorted(set(times))
-    if len(times) > 1:
-        step = min(b - a for a, b in zip(times, times[1:]))
+    step = min((b - a for a, b in zip(times, times[1:])), default=SINGLE_TIME_STEP_S)
     if any((t - times[0]) % step for t in times):
         raise DataError(f"{path}: timestamps do not sit on one {step}s grid")
     return TimeAxis(times[0], step, (times[-1] - times[0]) // step + 1)
@@ -194,14 +197,13 @@ def _column(rows, i: int, dtype=np.float64) -> np.ndarray:
     return np.fromiter(map(itemgetter(i), rows), dtype, len(rows))
 
 
-def _grid_rows(path, what: str, stations: StationTable, rows, when: Timestamps, step: int,
-               upto=None):
+def _grid_rows(path, what: str, stations: StationTable, rows, when: Timestamps, upto=None):
     """The grid through the timestamps the read parsed into ``when``, and
     each row's grid row and station column; a row starts (timestamp, station).
 
     A row among the first ``upto`` (all by default) that names a station not
     in ``stations`` is a DataError naming the first such station."""
-    axis = _row_axis(path, when.values(), step)
+    axis = _row_axis(path, when.values())
     col = {sid: i for i, sid in enumerate(stations.ids)}
     sids = list(map(itemgetter(1), rows))
     cols = np.fromiter(map(col.get, sids, repeat(-1)), np.int64, len(rows))
@@ -245,16 +247,17 @@ def _ztd_row(when: Timestamps, fields):
     return when[ts], sid, float(val)
 
 
-def read_ztd_csv(path, stations: StationTable, step: int = 300) -> ZtdPanel:
+def read_ztd_csv(path, stations: StationTable) -> ZtdPanel:
     """Read delay rows onto the grid implied by the timestamps present.
 
     The grid step is the smallest positive gap between distinct timestamps
-    (``step`` when only one timestamp is present); every timestamp must sit
-    on that grid. Stations not in ``stations`` are rejected.
+    (``SINGLE_TIME_STEP_S`` when only one timestamp is present); every
+    timestamp must sit on that grid. Stations not in ``stations`` are
+    rejected.
     """
     when = Timestamps()
     _, rows = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m", partial(_ztd_row, when))
-    axis, k, s = _grid_rows(path, "delay", stations, rows, when, step)
+    axis, k, s = _grid_rows(path, "delay", stations, rows, when)
     values = np.full((axis.count, len(stations)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
     values[k, s] = _column(rows, 2)
@@ -286,7 +289,7 @@ def _wind_row(when: Timestamps, fields):
     return when[ts], sid, float(lev), float(spd), float(drc), float(w)
 
 
-def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
+def read_wind_csv(path, stations: StationTable) -> WindCube:
     """Read wind rows onto the grid implied by their timestamps, as
     :func:`read_ztd_csv` does; levels ascend for heights and descend for
     pressures. An unknown station or a negative speed is a DataError naming
@@ -298,7 +301,7 @@ def read_wind_csv(path, stations: StationTable, step: int = 300) -> WindCube:
     )
     speed = _column(rows, 3)
     negative = np.flatnonzero(speed < 0)
-    axis, k, s = _grid_rows(path, "wind", stations, rows, when, step,
+    axis, k, s = _grid_rows(path, "wind", stations, rows, when,
                             upto=negative[0] if negative.size else None)
     if negative.size:
         ts, sid, lev, spd = rows[negative[0]][:4]

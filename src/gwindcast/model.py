@@ -23,6 +23,8 @@ from .core import WindSeries
 from .errors import ConfigError, DataError, EmptySplit, ShapeMismatch, UnnormalizedInput
 
 ARCHITECTURES = ("transformer", "mlp")
+# rows per inference forward; WindModel.predict gives the reasons
+PREDICT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,17 @@ class WindModel:
         return out
 
     def load_state(self, state: dict) -> None:
+        """Load every parameter and running statistic by name, once each has
+        been found with its own shape."""
+        own = {p.name: p.value for p in self.params()}
+        for bn in self._bns:
+            own.update(bn.buffers())
+        for name, arr in own.items():
+            got = np.shape(state[name])
+            if got != arr.shape:
+                raise ShapeMismatch(f"state shape {got} != {arr.shape} for {name}")
         for p in self.params():
-            src = np.asarray(state[p.name], dtype=np.float64)
-            if src.shape != p.value.shape:
-                raise ShapeMismatch(f"state shape {src.shape} != {p.value.shape} for {p.name}")
-            p.value[...] = src
+            p.value[...] = np.asarray(state[p.name], dtype=np.float64)
         for bn in self._bns:
             bn.load_buffers(state)
 
@@ -142,9 +150,10 @@ class WindModel:
         flat = neural.reshape(h, (b, self.config.window_steps * d))
         return self.head.forward(flat)
 
-    def predict(self, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
-        """Inference forward over normalized inputs, chunked for memory; it
-        records no graph. Each chunk's readout is copied into one output array.
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Inference forward over normalized inputs, in chunks of
+        ``PREDICT_CHUNK`` rows for memory; it records no graph. Each chunk's
+        readout is copied into one output array.
 
         Two faster forms were measured and left out because they change the
         bits. A 256-row chunk gives 1.42x the rows/s, but a chunk short
@@ -156,8 +165,9 @@ class WindModel:
         """
         out = np.empty((x.shape[0], self.config.output_dim))
         with neural.no_graph():
-            for i in range(0, x.shape[0], chunk):
-                out[i : i + chunk] = self.forward_batch(x[i : i + chunk], training=False).data
+            for i in range(0, x.shape[0], PREDICT_CHUNK):
+                rows = slice(i, i + PREDICT_CHUNK)
+                out[rows] = self.forward_batch(x[rows], training=False).data
         return out
 
 
@@ -194,7 +204,7 @@ def load_model(path, expect_config: ModelConfig | None = None) -> WindModel:
         config = ModelConfig.from_dict(extra["model_config"])
         model = WindModel(config, seed=0)
         model.load_state(arrays)
-    except (ConfigError, LookupError, TypeError) as e:
+    except (ConfigError, LookupError, ShapeMismatch, TypeError) as e:
         raise DataError(f"{path}: malformed model checkpoint ({e})") from e
     if expect_config is not None and config != expect_config:
         raise ConfigError(

@@ -1,12 +1,13 @@
 """Minimal reverse-mode tensor graph and the layers the wind models need.
 
 Everything is float64. A forward pass records a dynamic graph of ``Tensor``
-nodes, one per layer: ``Dense`` (matrix product, bias and optional tanh),
-``MultiHeadAttention`` and ``BatchNorm`` each record one node whose backward
-is plain numpy, and the models join them with broadcast ``add`` (residuals),
-``reshape`` (the flatten before the readout) and ``mse_loss``.
-``Tensor.backward()`` walks the graph in reverse topological order and
-deposits gradients into the ``Param`` leaves.
+nodes over activations only, one per layer: ``Dense`` (matrix product, bias
+and optional tanh), ``MultiHeadAttention`` and ``BatchNorm`` each record one
+node whose parents are its inputs and whose backward is plain numpy, and the
+models join them with ``residual`` sums, ``reshape`` (the flatten before the
+readout) and ``mse_loss``. ``Tensor.backward()`` walks the graph in reverse
+topological order; each layer's backward adds its own parameter gradients
+into ``Param.grad`` in place and returns its input's.
 
 Each node records a backward function that maps the gradient ``g`` of its
 output to one gradient (or ``None``) per parent, in the order of the
@@ -14,7 +15,7 @@ parents. It never refers to its own output, so a graph holds no reference
 cycle and is freed by reference counting as soon as the loss is dropped.
 The gradients it returns may be ``g`` itself or views of it;
 ``Tensor.backward()`` stores them and adds later ones out of place, so no
-gradient array is ever written to. A forward does its elementwise steps
+returned gradient is ever written to. A forward does its elementwise steps
 (bias, tanh, softmax, batch-norm scale) in an array it made itself, never in
 one it was passed or one a backward reads. Inside :func:`no_graph` nothing
 is recorded: inference builds only the arrays it needs, a layer drops an
@@ -47,7 +48,7 @@ def no_graph():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad", "_param")
+    __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -59,8 +60,7 @@ class Tensor:
             parents, backward, requires_grad = (), None, False
         self._parents = tuple(parents)
         self._backward = backward
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._param = None
+        self.requires_grad = requires_grad or backward is not None
 
     @property
     def shape(self):
@@ -100,13 +100,12 @@ class Tensor:
             for p, g in zip(node._parents, node._backward(node.grad)):
                 if g is not None and p.requires_grad:
                     p.grad = g if p.grad is None else p.grad + g
-        for node in topo:
-            if node._param is not None and node.grad is not None:
-                node._param.grad += node.grad
 
 
 class Param:
-    """Named learnable array plus its accumulated gradient."""
+    """Named learnable array plus its accumulated gradient. A layer's
+    backward adds into ``grad`` in place and never rebinds it, since an
+    optimizer may hold it as a view."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -115,43 +114,12 @@ class Param:
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def tensor(self) -> Tensor:
-        t = Tensor(self.value, requires_grad=True)
-        t._param = self
-        return t
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Collapse gradient of a broadcast operand back to its own shape."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    if g.shape != tuple(shape):
-        g = g.reshape(shape)
-    return g
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def _bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor(a.data + b.data, (a, b), _bw)
-
 
 def residual(x: Tensor, fx: Tensor) -> Tensor:
     """x + fx for a layer output fx that nothing else holds; under
     :func:`no_graph` the sum is written into fx's own array."""
     if _recording:
-        return add(x, fx)
+        return Tensor(x.data + fx.data, (x, fx), lambda g: (g, g))
     np.add(x.data, fx.data, out=fx.data)
     return fx
 
@@ -224,10 +192,11 @@ class Dense:
             if self.activation == "tanh":
                 g = g * (1.0 - y * y)
             g2 = g.reshape(-1, w.shape[1])
-            gx = np.matmul(g2, w.T).reshape(x.shape) if x.requires_grad else None
-            return gx, np.matmul(x2.T, g2), _unbroadcast(g, bias.shape)
+            self.w.grad += np.matmul(x2.T, g2)
+            self.b.grad += g.sum(axis=tuple(range(g.ndim - 1)))
+            return (np.matmul(g2, w.T).reshape(x.shape) if x.requires_grad else None,)
 
-        return Tensor(y, (x, self.w.tensor(), self.b.tensor()), _bw)
+        return Tensor(y, (x,), _bw)
 
 
 class MultiHeadAttention:
@@ -314,12 +283,14 @@ class MultiHeadAttention:
             gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
             g_qkv = [np.swapaxes(gh, 1, 2).reshape(-1, d) for gh in (gq, gk, gv)]
             x2 = x.data.reshape(-1, d)
-            gx = [np.matmul(gh, w.T).reshape(x.shape) if x.requires_grad else None
-                  for gh, w in zip(g_qkv, (wq, wk, wv))]
-            gw = [np.matmul(x2.T, gh) for gh in g_qkv]
-            return (*gx, *gw, np.matmul(ctx.T, g2), _unbroadcast(g, self.bo.value.shape))
+            for p, gh in zip((self.wq, self.wk, self.wv), g_qkv):
+                p.grad += np.matmul(x2.T, gh)
+            self.wo.grad += np.matmul(ctx.T, g2)
+            self.bo.grad += g.sum(axis=tuple(range(g.ndim - 1)))
+            return tuple(np.matmul(gh, w.T).reshape(x.shape) if x.requires_grad else None
+                         for gh, w in zip(g_qkv, (wq, wk, wv)))
 
-        return Tensor(y, (x, x, x, *(p.tensor() for p in self.params())), _bw)
+        return Tensor(y, (x, x, x), _bw)
 
 
 class BatchNorm:
@@ -381,10 +352,11 @@ class BatchNorm:
         def _bw(g):
             g = g.reshape(x2.shape)
             g_beta, g_gamma = g.sum(axis=0), (g * x_hat).sum(axis=0)
-            gx = None
-            if x.requires_grad:
-                gx = ((self.gamma.value * inv / m) * (m * g - g_beta - x_hat * g_gamma)
-                      ).reshape(x.shape)
-            return gx, g_gamma, g_beta
+            self.gamma.grad += g_gamma
+            self.beta.grad += g_beta
+            if not x.requires_grad:
+                return (None,)
+            return (((self.gamma.value * inv / m) * (m * g - g_beta - x_hat * g_gamma)
+                     ).reshape(x.shape),)
 
-        return Tensor(y, (x, self.gamma.tensor(), self.beta.tensor()), _bw)
+        return Tensor(y, (x,), _bw)

@@ -12,6 +12,7 @@ from gwindcast.core import (
     WindCube,
     WindSeries,
     ZtdPanel,
+    parse_iso8601,
 )
 from gwindcast.errors import DataError, NegativeSpeed
 from gwindcast.fileio import (
@@ -130,6 +131,15 @@ def test_ztd_csv_missing_rows_are_absent(tmp_path):
     write_ztd_csv(path, panel)
     n_rows = len(path.read_text().splitlines()) - 1
     assert n_rows == int(panel.mask.sum())
+
+
+def test_ztd_csv_with_one_timestamp_reads_onto_one_row(tmp_path):
+    path = tmp_path / "ztd.csv"
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z001,2.4\n")
+    panel = read_ztd_csv(path, stations(2))
+    assert panel.axis == TimeAxis(parse_iso8601("2025-05-07T05:30:00Z"), 300, 1)
+    assert panel.mask.tolist() == [[False, True]]
+    assert panel.values[0, 1] == 2.4
 
 
 def test_ztd_csv_rejects_unknown_station(tmp_path):

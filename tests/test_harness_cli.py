@@ -750,11 +750,22 @@ def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
         ["train", "--config", cfg_path, "--data", path("bad_prep"), "--lead", "5",
          "--out", path("t2")],
     ]
+    # a checkpoint with a batch-norm buffer or a parameter of the wrong
+    # shape names its file
+    arrays, extra = fileio.read_named_arrays(path("trained", "checkpoint.gwc"))
+    wrong_shape = []
+    for command, name in (("predict", "enc0.bn1.running_mean"), ("calibrate", "head.b")):
+        wrong = {**arrays, name: np.zeros(arrays[name].size + 3)}
+        fileio.write_named_arrays(path(f"{name}.gwc"), wrong, extra=extra)
+        wrong_shape.append([command, *lead, "--model", path(f"{name}.gwc"),
+                            "--out", path(f"{name}.out")])
     capsys.readouterr()
-    for argv in cases:
+    for argv in cases + wrong_shape:
         assert cli.main(argv) == 3, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv[0], err)
+        if argv in wrong_shape:
+            assert argv[argv.index("--model") + 1] in err, err
 
 
 def test_cli_ablation_runs(tmp_path, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gwindcast import model as model_module
 from gwindcast.errors import ConfigError, EmptySplit, ShapeMismatch, UnnormalizedInput
 from gwindcast.model import (
     ModelConfig,
@@ -94,11 +95,12 @@ def test_state_round_trip_and_shape_check():
     other.load_state(state)
     for k, v in other.state().items():
         assert np.array_equal(v, state[k])
-    bad = dict(state)
-    first = next(iter(bad))
-    bad[first] = np.zeros((1, 1))
-    with pytest.raises(ShapeMismatch):
-        other.load_state(bad)
+    # a parameter or a batch-norm buffer of the wrong shape loads nothing
+    kept = other.state()
+    for name in (next(iter(state)), "enc0.bn1.running_mean"):
+        with pytest.raises(ShapeMismatch, match=name):
+            other.load_state({**state, name: np.zeros((1, 1))})
+        assert all(np.array_equal(v, kept[k]) for k, v in other.state().items())
 
 
 def test_state_includes_batchnorm_buffers():
@@ -143,15 +145,16 @@ def test_padding_leaves_state_finite_and_depends_on_real_stations():
     assert not np.allclose(model.predict(bumped), base)
 
 
-def test_predict_chunking_is_equivalent():
+def test_predict_chunking_is_equivalent(monkeypatch):
     # chunk size changes BLAS blocking, so agreement is to rounding only
     model = WindModel(cfg(), seed=0)
     x = np.random.default_rng(2).normal(size=(33, 4, 5))
-    full = model.predict(x, chunk=2048)
-    pieces = model.predict(x, chunk=5)
+    full = model.predict(x)
+    monkeypatch.setattr(model_module, "PREDICT_CHUNK", 5)
+    pieces = model.predict(x)
     np.testing.assert_allclose(pieces, full, rtol=1e-10, atol=1e-12)
     # the same chunking is bit-stable across repeated calls
-    np.testing.assert_array_equal(model.predict(x, chunk=5), pieces)
+    np.testing.assert_array_equal(model.predict(x), pieces)
 
 
 def _trained_looking(config, seed):

@@ -13,7 +13,6 @@ from gwindcast.neural import (
     MultiHeadAttention,
     Param,
     Tensor,
-    add,
     glorot_uniform,
     mse_loss,
     positional_encoding,
@@ -36,40 +35,40 @@ from reference_impls import (
 ROWS = (1, 87, 2049)
 
 
-def leaf(rng, shape):
-    p = Param("x", rng.normal(size=shape))
-    return p, p.tensor()
+def check_grad(build, target, eps=1e-6, tol=1e-7):
+    """Compare the gradient one backward of build() leaves in target, a
+    Param or a leaf Tensor that build reads, against central differences."""
+    value = target.value if isinstance(target, Param) else target.data
+    if isinstance(target, Param):
+        target.grad[...] = 0.0  # a layer's backward adds into it
+    build().backward()
+    analytic = target.grad.copy()
 
-
-def check_param_grad(build, p, t, eps=1e-6, tol=1e-7):
-    """Compare the deposited gradient of p against central differences."""
-    p.grad[...] = 0.0
-    out = build(t)
-    out.backward()
-    analytic = p.grad.copy()
-
-    def f(x):
-        saved = p.value.copy()
-        p.value[...] = x
-        val = float(build(p.tensor()).data)
-        p.value[...] = saved
+    def f(v):
+        saved = value.copy()
+        value[...] = v
+        val = float(build().data)
+        value[...] = saved
         return val
 
-    numeric = fd_gradient(f, p.value.copy(), eps=eps)
+    numeric = fd_gradient(f, value.copy(), eps=eps)
     assert np.allclose(analytic, numeric, rtol=tol, atol=tol)
 
 
 def test_tensor_is_float64_and_tracks_parents():
     t = Tensor(np.array([1, 2, 3], dtype=np.int32))
     assert t.data.dtype == np.float64
-    u = add(t, 1.0)
-    assert u._parents[0] is t
+    assert not t.requires_grad
+    # a node needs a gradient because it records a backward, whatever its
+    # parents need
+    u = neural.residual(t, Tensor(np.ones(3)))
+    assert u._parents[0] is t and u.requires_grad
 
 
 def test_backward_requires_scalar_and_graph():
     t = Tensor(np.ones(3))
     with pytest.raises(GraphNotRecorded):
-        add(t, 1.0).backward()
+        reshape(t, (3,)).backward()
     with pytest.raises(GraphNotRecorded):
         Tensor(np.ones(1)).backward()
 
@@ -77,29 +76,19 @@ def test_backward_requires_scalar_and_graph():
 def test_elementwise_ops_gradients():
     rng = np.random.default_rng(11)
     for _ in range(8):
-        p, t = leaf(rng, (3, 4))
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         other = Tensor(rng.normal(size=(4, 3)))
         y = rng.normal(size=(2, 6))
-        build = lambda x: mse_loss(reshape(add(reshape(x, (4, 3)), other), (2, 6)), y)
-        check_param_grad(build, p, t)
-
-
-def test_broadcast_add_gradient_collapses():
-    rng = np.random.default_rng(3)
-    other = Tensor(rng.normal(size=(5, 4)))
-    y = rng.normal(size=(5, 4))
-    for shape in ((4,), (5, 1), (1, 4)):
-        p, t = leaf(rng, shape)
-        check_param_grad(lambda x: mse_loss(add(other, x), y), p, t)
+        check_grad(lambda: mse_loss(
+            reshape(neural.residual(reshape(x, (4, 3)), other), (2, 6)), y), x)
 
 
 def test_mse_loss_value_and_gradient():
-    pred = Param("p", np.array([1.0, 2.0, 5.0]))
-    t = pred.tensor()
+    t = Tensor(np.array([1.0, 2.0, 5.0]), requires_grad=True)
     loss = mse_loss(t, np.array([1.0, 2.0, 3.0]))
     assert float(loss.data) == pytest.approx(4.0 / 3.0)
     loss.backward()
-    assert np.allclose(pred.grad, 2.0 * np.array([0.0, 0.0, 2.0]) / 3.0)
+    assert np.allclose(t.grad, 2.0 * np.array([0.0, 0.0, 2.0]) / 3.0)
     with pytest.raises(ShapeMismatch):
         mse_loss(t, np.zeros((2, 2)))
 
@@ -107,19 +96,36 @@ def test_mse_loss_value_and_gradient():
 def test_gradient_accumulates_across_shared_use():
     # the same leaf feeding two branches receives the sum of both gradients:
     # mean((x + x)^2) -> 8x / 2
-    p = Param("x", np.array([2.0, -1.0]))
-    t = p.tensor()
-    mse_loss(add(t, t), np.zeros(2)).backward()
-    assert np.allclose(p.grad, 4.0 * p.value, rtol=1e-14)
-    # the outer add hands one array to the inner add and to a, and the inner
-    # add hands it on to a and b, so a and b start from one shared array:
+    t = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    mse_loss(neural.residual(t, t), np.zeros(2)).backward()
+    assert np.allclose(t.grad, 4.0 * t.data, rtol=1e-14)
+    # the outer sum hands one array to the inner sum and to a, and the inner
+    # sum hands it on to a and b, so a and b start from one shared array:
     # adding a's second share into it in place would corrupt b's gradient.
     # mean((a + b + a)^2) = mean((3x)^2) -> 18x / 2
-    p = Param("x", np.array([[2.0, -1.0]]))
-    t = p.tensor()
+    t = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
     a, b = reshape(t, (2,)), reshape(t, (2,))
-    mse_loss(add(add(a, b), a), np.zeros(2)).backward()
-    assert np.allclose(p.grad, 9.0 * p.value, rtol=1e-14)
+    mse_loss(neural.residual(neural.residual(a, b), a), np.zeros(2)).backward()
+    assert np.allclose(t.grad, 9.0 * t.data, rtol=1e-14)
+
+
+def test_a_layer_used_twice_receives_the_sum_of_both_gradients():
+    # one Dense applied twice in one graph adds both uses' gradients into
+    # Param.grad: the same bits as two copies of it, each used once, and
+    # the central differences of the shared weights
+    rng = np.random.default_rng(12)
+    shared, inner, outer = (Dense("d", 4, 4, rng, activation="tanh") for _ in range(3))
+    for copies in zip(shared.params(), inner.params(), outer.params()):
+        value = rng.normal(size=copies[0].value.shape)
+        for p in copies:
+            p.value[...] = value
+    x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    mse_loss(shared.forward(shared.forward(Tensor(x))), y).backward()
+    mse_loss(outer.forward(inner.forward(Tensor(x))), y).backward()
+    for p, p_in, p_out in zip(shared.params(), inner.params(), outer.params()):
+        assert p.grad.tobytes() == (p_in.grad + p_out.grad).tobytes(), p.name
+    for p in shared.params():
+        check_grad(lambda: mse_loss(shared.forward(shared.forward(Tensor(x))), y), p)
 
 
 def test_step_and_predict_leave_no_cyclic_garbage():
@@ -148,7 +154,8 @@ def test_step_and_predict_leave_no_cyclic_garbage():
 
 def test_predict_records_no_graph(monkeypatch):
     # inference keeps no parents, backward functions or gradient flags; the
-    # training forward of the same model still records its graph
+    # training forward of the same model still records its graph, over
+    # activations only
     mdl = WindModel(ModelConfig(n_stations=10), seed=0)
     x = np.random.default_rng(0).normal(size=(4, mdl.config.window_steps, 10))
     built = []
@@ -161,17 +168,17 @@ def test_predict_records_no_graph(monkeypatch):
     monkeypatch.setattr(neural.Tensor, "__init__", recording)
     mdl.predict(x)
     assert [t for t in built if t._parents or t._backward or t.requires_grad] == []
-    # one node per layer, 10 in all (per block attention, dense and two batch
-    # norms; then the flatten and the readout), the seven parameter leaves of
-    # each block's attention and dense layers, the readout's two and the
-    # input. The residual sums are written into the attention and dense
-    # outputs, and batch norm in inference mode takes no parameter leaves.
-    assert len(built) == 27
+    # one tensor per layer, 10 in all (per block attention, dense and two
+    # batch norms; then the flatten and the readout), and the input. The
+    # residual sums are written into the attention and dense outputs.
+    assert len(built) == 11
     built.clear()
     neural.mse_loss(mdl.forward_batch(x, training=True), np.zeros((4, mdl.config.output_dim)))
-    # 15 nodes (the loss included), 24 parameter leaves and the input
-    assert len(built) == 40
+    # 15 nodes (the four residual sums and the loss included) and the input;
+    # every parent is one of them, none a parameter
+    assert len(built) == 16
     assert sum(1 for t in built if t._parents) == 15
+    assert {id(p) for t in built for p in t._parents} <= {id(t) for t in built}
 
 
 def test_positional_encoding_matches_loop_reference():
@@ -226,10 +233,14 @@ def test_attention_keeps_the_bits_of_a_backward_that_recomputes_query_and_key():
         mha.bo.value[...] = rng.normal(size=width)
         x = rng.normal(size=(b, n, width))
         g = rng.normal(size=(b, n, width))
-        out = mha.forward(Param("x", x).tensor())
+        out = mha.forward(Tensor(x, requires_grad=True))
         want_y, want = prior_attention(x, g, *(p.value for p in mha.params()), heads)
         assert out.data.tobytes() == want_y.tobytes()
-        got = out._backward(g)
+        for p in mha.params():
+            p.grad[...] = 0.0
+        # the input's query, key and value gradients are returned; the
+        # parameters' are added into Param.grad
+        got = (*out._backward(g), *(p.grad for p in mha.params()))
         assert len(got) == len(want) == 8
         for got_g, want_g in zip(got, want):
             assert got_g.tobytes() == want_g.tobytes()
@@ -324,14 +335,11 @@ def test_attention_rejects_bad_width():
 def test_attention_param_gradients():
     rng = np.random.default_rng(41)
     mha = MultiHeadAttention("a", 6, 2, rng)
-    x = Param("x", rng.normal(size=(2, 3, 6)))
+    x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
     y = rng.normal(size=(2, 3, 6))
     # the input feeds the query, key and value projections
-    for p in mha.params() + [x]:
-        check_param_grad(
-            lambda t, _p=p: mse_loss(mha.forward(t if _p is x else x.tensor()), y),
-            p, p.tensor(), tol=1e-6,
-        )
+    for target in mha.params() + [x]:
+        check_grad(lambda: mse_loss(mha.forward(x), y), target, tol=1e-6)
 
 
 def test_batchnorm_training_matches_loop_reference():
@@ -372,12 +380,13 @@ def test_batchnorm_keeps_the_bits_of_np_mean_and_np_var(rows):
     bn.beta.value[...] = rng.normal(size=60)
     x = rng.normal(loc=3.0, scale=2.0, size=(rows, 60))
     g = rng.normal(size=(rows, 60))
-    out = bn.forward(Param("x", x).tensor(), training=True)
+    out = bn.forward(Tensor(x, requires_grad=True), training=True)
     mu, var, y, grads = prior_batchnorm_train(x, bn.gamma.value, bn.beta.value, g)
     assert bn.running_mean.tobytes() == mu.tobytes()
     assert bn.running_var.tobytes() == var.tobytes()
     assert out.data.tobytes() == y.tobytes()
-    got = out._backward(g)
+    bn.gamma.grad[...] = bn.beta.grad[...] = 0.0
+    got = (*out._backward(g), bn.gamma.grad, bn.beta.grad)
     assert len(got) == 3
     for got_g, want_g in zip(got, grads):
         assert got_g.tobytes() == want_g.tobytes()
@@ -407,22 +416,20 @@ def test_batchnorm_gradients_training_mode():
     bn = BatchNorm("bn", 4)
     bn.gamma.value[...] = rng.normal(size=4)
     bn.beta.value[...] = rng.normal(size=4)
-    x = Param("x", rng.normal(size=(6, 4)))
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     y = rng.normal(size=(6, 4))
+    mean0 = bn.running_mean.copy()
+    var0 = bn.running_var.copy()
 
-    for p in (x, bn.gamma, bn.beta):
-        mean0 = bn.running_mean.copy()
-        var0 = bn.running_var.copy()
+    def build():
+        # keep running stats frozen so repeated FD evaluations see the same
+        # layer state
+        bn.running_mean[...] = mean0
+        bn.running_var[...] = var0
+        return mse_loss(bn.forward(x, training=True), y)
 
-        def build(t, _p=p):
-            # keep running stats frozen so repeated FD evaluations see the
-            # same layer state
-            bn.running_mean[...] = mean0
-            bn.running_var[...] = var0
-            xin = t if _p is x else x.tensor()
-            return mse_loss(bn.forward(xin, training=True), y)
-
-        check_param_grad(build, p, p.tensor(), tol=1e-7)
+    for target in (x, bn.gamma, bn.beta):
+        check_grad(build, target, tol=1e-7)
 
 
 def test_buffers_round_trip():

@@ -29,7 +29,7 @@ LEVEL_KINDS = (HEIGHT_M, PRESSURE_HPA)
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def _frozen(a, dtype):
+def frozen_copy(a, dtype):
     # canonical C layout so reductions sum in one fixed order regardless of
     # how the source array was produced (views, transposes, disk round trips)
     out = np.array(a, dtype=dtype, order="C")
@@ -45,7 +45,7 @@ class _FrozenArrays:
 
     def __post_init__(self):
         for name, dtype in self._ARRAYS.items():
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype))
 
 
 class _StationValues(_FrozenArrays):

@@ -180,16 +180,25 @@ class Timestamps(dict):
 
 # the grid step, in seconds, of a CSV file with a single timestamp
 SINGLE_TIME_STEP_S = 300
+# the most grid times a CSV read allocates: about 9.5 years at a 300 s step,
+# 250 times the default scene's 4000. Stations and levels are bounded by the
+# rows a file holds, the times between its first and last row are not.
+MAX_GRID_STEPS = 1_000_000
 
 
 def _row_axis(path, times) -> TimeAxis:
     """The grid through the timestamps: its step is the smallest positive gap
-    between them, ``SINGLE_TIME_STEP_S`` when there is one time."""
+    between them, ``SINGLE_TIME_STEP_S`` when there is one time. A grid of
+    more than ``MAX_GRID_STEPS`` times is a DataError."""
     times = sorted(set(times))
     step = min((b - a for a, b in zip(times, times[1:])), default=SINGLE_TIME_STEP_S)
     if any((t - times[0]) % step for t in times):
         raise DataError(f"{path}: timestamps do not sit on one {step}s grid")
-    return TimeAxis(times[0], step, (times[-1] - times[0]) // step + 1)
+    count = (times[-1] - times[0]) // step + 1
+    if count > MAX_GRID_STEPS:
+        raise DataError(f"{path}: timestamps span {count} steps of {step}s, "
+                        f"more than the {MAX_GRID_STEPS} a read allows")
+    return TimeAxis(times[0], step, count)
 
 
 def _column(rows, i: int, dtype=np.float64) -> np.ndarray:

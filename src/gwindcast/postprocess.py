@@ -11,15 +11,23 @@ distribution the train-split observations. Two modes:
   values beyond the sampled range clamp to the end quantiles.
 
 Both modes are monotone non-decreasing per channel.
+
+A map's arrays are frozen copies, and what depends on the map alone is
+computed once, when the map is made: the affine gain and offset, or each
+channel's tie-collapsed source nodes with their probabilities. Applying a
+map then runs only the affine multiply-add, or two ``np.interp`` calls per
+channel. A map no fit can produce (a non-finite entry, a decreasing
+quantile row or a negative sigma) is a ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fileio
+from .core import frozen_copy
 from .errors import ChannelMismatch, ConfigError, EmptyTrain
 
 MODES = ("gaussian_affine", "empirical_quantile")
@@ -38,10 +46,58 @@ class CdfMap:
     sigma_tgt: np.ndarray | None = None
     src_quantiles: np.ndarray | None = None
     tgt_quantiles: np.ndarray | None = None
+    # per-map constants: gaussian_affine's gain and offset, or the quantile
+    # positions and each channel's (source nodes, their probabilities)
+    _gain: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _offset: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _positions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _nodes: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown calibration mode {self.mode!r}")
+        for name in _ARRAYS[self.mode]:
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), np.float64))
+        n = self.n_channels
+        shape = (n,) if self.mode == "gaussian_affine" else (n, *self.src_quantiles.shape[-1:])
+        for name in _ARRAYS[self.mode]:
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
+        if self.mode == "gaussian_affine":
+            if (self.sigma_src < 0).any() or (self.sigma_tgt < 0).any():
+                raise ValueError("a sigma is negative")
+            ok = self.sigma_src > 0
+            gain = np.where(ok, self.sigma_tgt / np.where(ok, self.sigma_src, 1.0), 1.0)
+            offset = np.where(ok, self.mu_tgt - self.mu_src * gain, 0.0)
+            object.__setattr__(self, "_gain", _readonly(gain))
+            object.__setattr__(self, "_offset", _readonly(offset))
+            return
+        if self.n_quantiles < 2:
+            raise ValueError("a quantile row needs at least 2 entries")
+        if (np.diff(self.src_quantiles) < 0).any() or (np.diff(self.tgt_quantiles) < 0).any():
+            raise ValueError("a quantile row decreases")
+        positions = _readonly(np.linspace(0.0, 1.0, self.n_quantiles))
+        nodes = []
+        for src in self.src_quantiles:
+            # collapse ties so the forward CDF keeps a strictly increasing
+            # support; a tied node maps to the top of its probability jump
+            values = np.unique(src)
+            top = np.searchsorted(src, values, side="right") - 1
+            nodes.append((_readonly(values), _readonly(positions[top])))
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_nodes", tuple(nodes))
 
     @property
     def n_quantiles(self) -> int:
         return 0 if self.src_quantiles is None else self.src_quantiles.shape[1]
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def check_cdf_options(mode: str, n_quantiles: int) -> None:
@@ -90,21 +146,13 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
         got = raw.shape[1] if raw.ndim == 2 else raw.ndim
         raise ChannelMismatch(f"map has {cdf.n_channels} channels, input has {got}")
     if cdf.mode == "gaussian_affine":
-        gain = np.where(cdf.sigma_src > 0, cdf.sigma_tgt / np.where(cdf.sigma_src > 0, cdf.sigma_src, 1.0), 1.0)
-        offset = np.where(cdf.sigma_src > 0, cdf.mu_tgt - cdf.mu_src * gain, 0.0)
-        out = raw * gain
-        out += offset
+        out = raw * cdf._gain
+        out += cdf._offset
         return out
     out = np.empty_like(raw)
-    positions = np.linspace(0.0, 1.0, cdf.n_quantiles)
-    for c in range(cdf.n_channels):
-        src = cdf.src_quantiles[c]
-        # collapse ties so the forward CDF keeps a strictly increasing support;
-        # a tied node maps to the top of its probability jump
-        values = np.unique(src)
-        top = np.searchsorted(src, values, side="right") - 1
-        u = np.interp(raw[:, c], values, positions[top])
-        out[:, c] = np.interp(u, positions, cdf.tgt_quantiles[c])
+    for c, (values, probs) in enumerate(cdf._nodes):
+        u = np.interp(raw[:, c], values, probs)
+        out[:, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
     return out
 
 
@@ -117,18 +165,12 @@ def cdf_map_to_dict(cdf: CdfMap) -> dict:
 def cdf_map_from_dict(d: dict) -> CdfMap:
     """Inverse of :func:`cdf_map_to_dict`. An unknown version is a
     ConfigError; a missing field a KeyError; an unknown mode, or arrays that
-    are not numbers of the map's shape, a ValueError."""
+    are not numbers of the map's shape or that no fit can produce, a
+    ValueError."""
     if d["format_version"] != _FORMAT_VERSION:
         raise ConfigError(f"unsupported calibration file version: {d['format_version']}")
-    mode, n = d["mode"], int(d["n_channels"])
-    if mode not in MODES:
-        raise ValueError(f"unknown calibration mode {mode!r}")
-    arrays = {name: np.array(d[name], dtype=np.float64) for name in _ARRAYS[mode]}
-    shape = (n,) if mode == "gaussian_affine" else (n, arrays["src_quantiles"].shape[-1])
-    for name, arr in arrays.items():
-        if arr.shape != shape:
-            raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
-    return CdfMap(mode=mode, n_channels=n, **arrays)
+    arrays = {name: d[name] for name in _ARRAYS.get(d["mode"], ())}
+    return CdfMap(mode=d["mode"], n_channels=int(d["n_channels"]), **arrays)
 
 
 def write_cdf_map(path, cdf: CdfMap) -> None:

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from gwindcast import fileio
 from gwindcast.core import (
     HEIGHT_M,
     PRESSURE_HPA,
@@ -140,6 +141,32 @@ def test_ztd_csv_with_one_timestamp_reads_onto_one_row(tmp_path):
     assert panel.axis == TimeAxis(parse_iso8601("2025-05-07T05:30:00Z"), 300, 1)
     assert panel.mask.tolist() == [[False, True]]
     assert panel.values[0, 1] == 2.4
+
+
+def test_csv_grid_longer_than_the_bound_is_a_data_error(tmp_path, monkeypatch):
+    # two rows one second apart set a 1 s step; a third 10**9 s later would
+    # need a grid of 10**9 rows, which is refused before anything is allocated
+    path = tmp_path / "ztd.csv"
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z000,2.4\n"
+                    "2025-05-07T05:30:01Z,Z000,2.4\n2057-01-13T07:16:40Z,Z001,2.5\n")
+    with pytest.raises(DataError, match=r"ztd\.csv: timestamps span 1000000001 steps of 1s"):
+        read_ztd_csv(path, stations(2))
+    wind = tmp_path / "wind.csv"
+    wind.write_text("timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+                    "2025-05-07T05:30:00Z,W000,110.0,3.0,90.0,0.1\n"
+                    "2025-05-07T05:30:01Z,W000,110.0,3.0,90.0,0.1\n"
+                    "2057-01-13T07:16:40Z,W000,110.0,3.0,90.0,0.1\n")
+    with pytest.raises(DataError, match=r"wind\.csv: timestamps span 1000000001 steps"):
+        read_wind_csv(wind, stations(1, "W"))
+    # the bound itself is allowed
+    monkeypatch.setattr(fileio, "MAX_GRID_STEPS", 3)
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z000,2.4\n"
+                    "2025-05-07T05:35:00Z,Z000,2.4\n2025-05-07T05:40:00Z,Z001,2.5\n")
+    assert read_ztd_csv(path, stations(2)).axis.count == 3
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z000,2.4\n"
+                    "2025-05-07T05:35:00Z,Z000,2.4\n2025-05-07T05:45:00Z,Z001,2.5\n")
+    with pytest.raises(DataError, match=r"span 4 steps of 300s, more than the 3"):
+        read_ztd_csv(path, stations(2))
 
 
 def test_ztd_csv_rejects_unknown_station(tmp_path):

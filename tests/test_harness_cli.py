@@ -728,6 +728,16 @@ def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
     with open(path("baseline.csv"), "w", encoding="utf-8") as f:
         f.write("# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n"
                 "2025-05-07T05:30:00Z,29.3,120.1,110,1,2,0\n")
+    # a calibration map no fit can produce: a negative sigma or a decreasing
+    # quantile row
+    with open(path("cdf.json"), encoding="utf-8") as f:
+        cdf_map = json.load(f)
+    if cdf_map["mode"] == "gaussian_affine":
+        cdf_map["sigma_src"][0] = -1.0
+    else:
+        cdf_map["tgt_quantiles"][0].reverse()
+    with open(path("bad.json"), "w", encoding="utf-8") as f:
+        json.dump(cdf_map, f)
     os.makedirs(path("bad_prep"))
     shutil.copy(path("prep", "cube_prepared.gwcc"), path("bad_prep"))
     # offsets: a panel's station count follows its 8-byte magic and 24-byte
@@ -743,6 +753,8 @@ def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
          "--truth", spoiled(path("raw", "cube.gwcc"), path("kind.gwcc"), put(40, b"\x07"))],
         ["predict", *lead, "--model", path("trained", "checkpoint.gwc"), "--out", path("p2"),
          "--cdf", spoiled(path("cdf.json"), path("cdf_bad.json"), lambda blob: b"not json")],
+        ["predict", *lead, "--model", path("trained", "checkpoint.gwc"), "--out", path("p3"),
+         "--cdf", path("bad.json")],
         ["show-report", "--report", path("no_rmse.json")],
         ["calibrate", *lead, "--out", path("c2.json"),
          "--model", spoiled(path("trained", "checkpoint.gwc"), path("garbled.gwc"),

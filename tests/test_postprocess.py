@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from gwindcast.errors import ChannelMismatch, ConfigError, EmptyTrain
+from gwindcast.errors import ChannelMismatch, ConfigError, DataError, EmptyTrain
 from gwindcast.postprocess import (
     CdfMap,
     apply_cdf_map,
@@ -130,19 +132,33 @@ def test_both_modes_monotone_on_random_pairs(mode):
 
 @pytest.mark.parametrize("mode", ["gaussian_affine", "empirical_quantile"])
 @pytest.mark.parametrize("rows", [1, 87, 2049])
-def test_apply_keeps_the_bits_of_the_prior_formulas(rows, mode):
-    # the affine shift is added in the product's array; the raw outputs are
-    # never written
+def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
+    # the per-map constants are computed once, when the map is made; the
+    # affine shift is added in the product's array; the raw outputs are
+    # never written, and a second call gives the same bytes
     rng = np.random.default_rng(rows)
     cdf = fit_cdf_map(_FixedModel(27), _samples(n=200, out_dim=27, seed=rows), mode=mode)
     if mode == "gaussian_affine":  # one channel whose source spread is 0
         sigma_src = cdf.sigma_src.copy()
         sigma_src[4] = 0.0
         cdf = CdfMap(mode, 27, cdf.mu_src, sigma_src, cdf.mu_tgt, cdf.sigma_tgt)
+    else:  # a channel with tied source quantiles, and a constant one
+        src = cdf.src_quantiles.copy()
+        src[2, :40] = src[2, 40]
+        src[2, 70:90] = src[2, 70]
+        src[6] = 1.5
+        cdf = CdfMap(mode, 27, src_quantiles=src, tgt_quantiles=cdf.tgt_quantiles)
+        assert len(cdf._nodes[2][0]) == 101 - 40 - 19 and len(cdf._nodes[6][0]) == 1
+    write_cdf_map(tmp_path / "cdf_map.json", cdf)
+    loaded = read_cdf_map(tmp_path / "cdf_map.json")
     raw = rng.normal(3.0, 2.0, size=(rows, 27))
+    raw[0, 6] = 1.5  # on the constant channel's one node
     kept = raw.copy()
-    assert apply_cdf_map(cdf, raw).tobytes() == prior_apply_cdf_map(cdf, raw).tobytes()
-    assert raw.tobytes() == kept.tobytes()
+    want = prior_apply_cdf_map(cdf, raw).tobytes()
+    for m in (cdf, cdf, loaded):
+        assert apply_cdf_map(m, raw).tobytes() == want
+        assert raw.tobytes() == kept.tobytes()
+    assert prior_apply_cdf_map(loaded, raw).tobytes() == want
 
 
 def test_fit_never_reads_val_or_test_rows():
@@ -225,3 +241,54 @@ def test_read_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 99, "mode": "gaussian_affine", "n_channels": 1}')
     with pytest.raises(ConfigError):
         read_cdf_map(path)
+
+
+@pytest.mark.parametrize("mode", ["gaussian_affine", "empirical_quantile"])
+def test_a_map_holds_read_only_arrays(tmp_path, mode):
+    # the per-map constants would go stale under an in-place write
+    cdf = fit_cdf_map(_FixedModel(3), _samples(n=90, out_dim=3, seed=4), mode=mode, n_quantiles=11)
+    write_cdf_map(tmp_path / "cdf_map.json", cdf)
+    for m in (cdf, read_cdf_map(tmp_path / "cdf_map.json")):
+        stored = [m._gain, m._offset, m._positions, *(a for pair in m._nodes for a in pair)]
+        stored += [getattr(m, name) for name in ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt",
+                                                 "src_quantiles", "tgt_quantiles")]
+        stored = [a for a in stored if a is not None]
+        assert len(stored) == (6 if mode == "gaussian_affine" else 3 + 2 * 3)
+        for a in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
+def _map_dict(mode, **arrays):
+    if mode == "gaussian_affine":
+        d = {"mu_src": [0.0, 1.0], "sigma_src": [1.0, 0.0], "mu_tgt": [2.0, 3.0], "sigma_tgt": [1.0, 2.0]}
+    else:
+        d = {"src_quantiles": [[0.0, 1.0, 1.0, 3.0], [5.0, 5.0, 5.0, 5.0]],
+             "tgt_quantiles": [[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 2.0]]}
+    d.update(arrays)
+    return {"format_version": 1, "mode": mode, "n_channels": 2, **d}
+
+
+@pytest.mark.parametrize("mode, arrays, message", [
+    ("empirical_quantile", {"src_quantiles": [[0.0, 2.0, 1.0, 3.0], [5.0, 5.0, 5.0, 5.0]]}, "decreases"),
+    ("empirical_quantile", {"tgt_quantiles": [[4.0, 3.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]}, "decreases"),
+    ("empirical_quantile", {"src_quantiles": [[0.0, float("nan"), 1.0, 3.0], [5.0] * 4]}, "non-finite"),
+    ("empirical_quantile", {"tgt_quantiles": [[1.0, 2.0, 3.0, float("inf")], [0.0] * 4]}, "non-finite"),
+    ("empirical_quantile", {"src_quantiles": [[0.0], [5.0]], "tgt_quantiles": [[1.0], [0.0]]}, "at least 2"),
+    ("empirical_quantile", {"tgt_quantiles": [[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]]}, "shape"),
+    ("gaussian_affine", {"sigma_src": [-1.0, 0.0]}, "negative"),
+    ("gaussian_affine", {"sigma_tgt": [1.0, -2.0]}, "negative"),
+    ("gaussian_affine", {"mu_tgt": [float("nan"), 3.0]}, "non-finite"),
+    ("gaussian_affine", {"mu_src": [0.0]}, "shape"),
+    ("rank_histogram", {}, "unknown calibration mode"),
+])
+def test_maps_no_fit_can_produce_are_rejected(tmp_path, mode, arrays, message):
+    # each of these used to load and then serve a wrong or decreasing map
+    d = _map_dict(mode, **arrays)
+    with pytest.raises(ValueError, match=message):
+        cdf_map_from_dict(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(DataError, match=r"bad\.json: malformed calibration map \("):
+        read_cdf_map(path)
+

@@ -1,9 +1,10 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from gwindcast import fileio
+from gwindcast import cli, fileio
 from gwindcast.core import (
     HEIGHT_M,
     PRESSURE_HPA,
@@ -418,6 +419,122 @@ def test_binary_rejects_malformed_fields_and_invalid_content(tmp_path):
     write_panel(path, infinite)
     with pytest.raises(DataError, match=r"inf\.gwcp: invalid delay panel: non-finite value"):
         read_panel(path)
+
+
+# ------------------------------------------------- invalid content ------
+
+_CSV_SCENE = {
+    "ztd_stations": "station_id,lat,lon\nZ0,29.0,120.0\nZ1,29.1,120.1\n",
+    "ztd": "timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z0,2.4\n"
+           "2025-05-07T05:35:00Z,Z1,2.5\n",
+    "wind_stations": "station_id,lat,lon\nW0,29.0,120.0\n",
+    "wind": "# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+            "2025-05-07T05:30:00Z,W0,110.0,3.0,90.0,0.1\n",
+}
+
+
+def _gwc(magic, values, ids=("A", "B"), lats=(29.0, 29.1), lons=(120.0, 120.1),
+         kind=0, levels=(110.0,)):
+    """A binary panel, cube or series written field by field, every value
+    observed, so that its content can break an invariant a container keeps."""
+    values = np.asarray(values, dtype="<f8")
+    n_t = values.shape[0]
+    out = [magic]
+    if magic == b"GWCSERS1":
+        out += [struct.pack("<q", n_t), (300 * np.arange(n_t)).astype("<i8").tobytes()]
+    else:
+        out.append(struct.pack("<qqq", 0, 300, n_t))
+    if magic != b"GWCPANL1":
+        out += [struct.pack("<qB", len(levels), kind), np.array(levels, "<f8").tobytes()]
+    out.append(struct.pack("<q", len(ids)))
+    for sid, la, lo in zip(ids, lats, lons):
+        out += [struct.pack("<H", len(sid)), sid.encode(), struct.pack("<dd", la, lo)]
+    out += [values.tobytes(), np.ones(values.shape, np.uint8).tobytes()]
+    return b"".join(out)
+
+
+_PANEL = np.full((2, 2), 2.4)
+_WIND = np.zeros((2, 2, 2, 3))
+_NAN_PANEL, _INF_WIND = _PANEL.copy(), _WIND.copy()
+_NAN_PANEL[1, 0] = np.nan
+_INF_WIND[0, 1, 1, 2] = np.inf
+
+# (file, its content, the error text after the file's name); a CSV file
+# replaces one file of a valid files scene read by preprocess, a panel or
+# cube one file of a valid binary scene read by preprocess, and a series is
+# read by evaluate. No reader can make a values or mask shape that differs
+# from the counts it read, so those two invariants have no case here.
+_INVALID = {
+    "station-duplicate-id": ("ztd_stations", "station_id,lat,lon\nZ0,29.0,120.0\nZ1,29.1,120.1\n"
+                             "Z0,29.2,120.2\n", "station_id not unique: 'Z0' at rows 0 and 2"),
+    "station-lat": ("ztd_stations", "station_id,lat,lon\nZ0,29.0,120.0\nZ1,95.0,120.1\n",
+                    "lat out of [-90, 90] at row 1: 95.0"),
+    "station-lon": ("wind_stations", "station_id,lat,lon\nW0,29.0,-181.0\n",
+                    "lon out of [-180, 180] at row 0: -181.0"),
+    "station-four-problems": ("ztd_stations", "station_id,lat,lon\nZ0,nan,120.0\nZ1,29.1,200.0\n"
+                              "Z0,29.2,120.2\nZ1,-91.0,120.3\n",
+                              "station_id not unique: 'Z0' at rows 0 and 2; "
+                              "station_id not unique: 'Z1' at rows 1 and 3; "
+                              "lat out of [-90, 90] at row 0: nan (and 2 more)"),
+    "delay-non-finite": ("ztd", "timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z0,2.4\n"
+                         "2025-05-07T05:35:00Z,Z1,nan\n",
+                         "non-finite value under observed mask at (1, 1)"),
+    "wind-level-kind": ("wind", "# level_kind=sigma\n" + _CSV_SCENE["wind"].split("\n", 1)[1],
+                        "unexpected wind metadata line: '# level_kind=sigma'"),
+    "wind-non-finite-speed": ("wind", _CSV_SCENE["wind"].replace(",3.0,", ",nan,"),
+                              "non-finite value under observed mask at (0, 0, 0, 0); "
+                              "non-finite value under observed mask at (0, 0, 0, 1)"),
+    "wind-non-finite-w": ("wind", _CSV_SCENE["wind"].replace(",0.1\n", ",inf\n"),
+                          "non-finite value under observed mask at (0, 0, 0, 2)"),
+    "panel-duplicate-id": ("panel.gwcp", _gwc(b"GWCPANL1", _PANEL, ids=("A", "A")),
+                           "invalid delay panel: station_id not unique: 'A' at rows 0 and 1"),
+    "panel-lat": ("panel.gwcp", _gwc(b"GWCPANL1", _PANEL, lats=(29.0, -90.5)),
+                  "invalid delay panel: lat out of [-90, 90] at row 1: -90.5"),
+    "panel-lon": ("panel.gwcp", _gwc(b"GWCPANL1", _PANEL, lons=(180.5, 120.0)),
+                  "invalid delay panel: lon out of [-180, 180] at row 0: 180.5"),
+    "panel-non-finite": ("panel.gwcp", _gwc(b"GWCPANL1", _NAN_PANEL),
+                         "invalid delay panel: non-finite value under observed mask at (1, 0)"),
+    "cube-level-kind": ("cube.gwcc", _gwc(b"GWCCUBE1", _WIND, kind=7, levels=(110.0, 220.0)),
+                        "malformed wind cube file (tuple index out of range)"),
+    "cube-level-order": ("cube.gwcc", _gwc(b"GWCCUBE1", _WIND, levels=(220.0, 110.0)),
+                         "invalid wind cube: height levels not strictly ascending"),
+    "cube-non-finite": ("cube.gwcc", _gwc(b"GWCCUBE1", _INF_WIND, levels=(110.0, 220.0)),
+                        "invalid wind cube: non-finite value under observed mask at (0, 1, 1, 2)"),
+    "series-duplicate-id": ("pred.gwcs", _gwc(b"GWCSERS1", _WIND, ids=("B", "B"),
+                                              levels=(110.0, 220.0)),
+                            "invalid wind series: station_id not unique: 'B' at rows 0 and 1"),
+    "series-lat": ("pred.gwcs", _gwc(b"GWCSERS1", _WIND, lats=(91.0, 0.0), levels=(110.0, 220.0)),
+                   "invalid wind series: lat out of [-90, 90] at row 0: 91.0"),
+    "series-level-order": ("pred.gwcs", _gwc(b"GWCSERS1", _WIND, kind=1, levels=(500.0, 850.0)),
+                           "invalid wind series: pressure levels not strictly descending"),
+    "series-non-finite": ("pred.gwcs", _gwc(b"GWCSERS1", _INF_WIND, levels=(110.0, 220.0)),
+                          "invalid wind series: non-finite value under observed mask "
+                          "at (0, 1, 1, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID))
+def test_every_reader_names_the_file_and_the_violation(tmp_path, capsys, case):
+    name, content, text = _INVALID[case]
+    out = str(tmp_path / "out")
+    if name in _CSV_SCENE:
+        files = {key: str(tmp_path / f"{key}.csv") for key in _CSV_SCENE}
+        for key, csv in _CSV_SCENE.items():
+            with open(files[key], "w", encoding="utf-8") as f:
+                f.write(content if key == name else csv)
+        bad = files[name]
+        argv = ["preprocess", "--set", "data=" + json.dumps({"kind": "files", **files}),
+                "--out", out]
+    else:
+        write_panel(tmp_path / "panel.gwcp", sample_panel())
+        write_cube(tmp_path / "cube.gwcc", sample_cube())
+        bad = str(tmp_path / name)
+        with open(bad, "wb") as f:
+            f.write(content)
+        argv = (["preprocess", "--data", str(tmp_path), "--out", out] if name != "pred.gwcs"
+                else ["evaluate", "--pred", bad, "--truth", bad, "--out", out])
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {bad}: {text}\n"
 
 
 def test_named_arrays_round_trip_and_order():

@@ -13,7 +13,6 @@ from .core import (
     WindCube,
     WindSeries,
     ZtdPanel,
-    validate,
 )
 from .errors import ConfigError, DataError, GwindcastError, NumericError
 from .harness import DEFAULT_CONFIG, ExperimentConfig
@@ -71,5 +70,4 @@ __all__ = [
     "rmspe",
     "save_model",
     "train",
-    "validate",
 ]

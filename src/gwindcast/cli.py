@@ -170,7 +170,7 @@ def cmd_run_station_ablation(args) -> int:
 
 
 def cmd_compare_baseline(args) -> int:
-    baseline = harness.read_baseline_csv(args.baseline)
+    baseline = fileio.read_baseline_csv(args.baseline)
     truth = fileio.read_cube(args.truth)
     report = harness.compare_gridded_baseline(baseline, truth)
     write_report(args.out, report)

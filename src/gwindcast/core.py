@@ -10,8 +10,14 @@ Conventions used throughout the package:
 * wind cubes carry exactly three components, ordered ``(u, v, w)`` where
   u is the eastward, v the northward and w the vertical component in m/s.
 
-Container constructors are deliberately permissive about content so that
-:func:`validate` can report invariant violations as data instead of raising.
+Each container checks its invariants when it is made, after its arrays are
+frozen, and raises ValueError at the first violation, so an invalid one
+cannot exist, whether it was read, built or derived by ``replace``,
+``select_stations`` or ``slice_time``. Station ids are unique and
+coordinates lie on the globe; levels have a known kind and run bottom-up;
+values have the shape the other fields give, mask has the shape of values,
+and every observed value is finite. The readers in :mod:`gwindcast.fileio`
+turn the ValueError into a DataError naming the file.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
+
+from .errors import NumericError
 
 COMPONENTS = ("u", "v", "w")
 HEIGHT_M = "height_m"
@@ -48,12 +56,39 @@ class _FrozenArrays:
             object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype))
 
 
+def _check_on_globe(lats, lons, at: str) -> None:
+    """ValueError naming the first lat outside [-90, 90], else the first lon
+    outside [-180, 180]; NaN is outside both."""
+    for name, coords, bound in (("lat", lats, 90), ("lon", lons, 180)):
+        bad = np.flatnonzero(~(np.abs(coords) <= bound))
+        if bad.size:
+            raise ValueError(f"{name} out of [-{bound}, {bound}] at {at} {bad[0]}: {coords[bad[0]]}")
+
+
 class _StationValues(_FrozenArrays):
     """A container of ``values`` plus ``mask``, time first, whose stations
-    run along axis ``_STATION_AXIS``."""
+    run along axis ``_STATION_AXIS``: 1 for delays, 2 for wind, which has
+    levels before the stations and the three components after them."""
 
     _ARRAYS = {"values": np.float64, "mask": bool}
     _STATION_AXIS = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        shape, n_s = self.values.shape, len(self.stations)
+        if self._STATION_AXIS == 1:
+            expect, axes = (self._n_times(), n_s), "(time, station)"
+        else:
+            expect, axes = (self._n_times(), len(self.levels), n_s, 3), "(time, level, station, 3)"
+        if shape != expect:
+            raise ValueError(f"values shape {shape} != {axes} {expect}")
+        if self.mask.shape != shape:
+            raise ValueError(f"mask shape {self.mask.shape} != values shape {shape}")
+        bad = ~np.isfinite(self.values)
+        bad &= self.mask
+        if bad.any():
+            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"non-finite value under observed mask at {at}")
 
     def select_stations(self, indices):
         indices = list(indices)
@@ -65,6 +100,9 @@ class _StationValues(_FrozenArrays):
 
 class _OnAxis(_StationValues):
     """A :class:`_StationValues` whose time axis is a :class:`TimeAxis`."""
+
+    def _n_times(self) -> int:
+        return self.axis.count
 
     def slice_time(self, i0: int, i1: int):
         axis = TimeAxis(self.axis.time_at(i0), self.axis.step, i1 - i0)
@@ -101,6 +139,12 @@ class StationTable(_FrozenArrays):
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
         super().__post_init__()
+        first = {}
+        for i, sid in enumerate(self.ids):
+            j = first.setdefault(sid, i)
+            if j != i:
+                raise ValueError(f"station_id not unique: {sid!r} at rows {j} and {i}")
+        _check_on_globe(self.lats, self.lons, "row")
 
     @classmethod
     def from_entries(cls, entries) -> "StationTable":
@@ -168,6 +212,13 @@ class LevelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if self.kind not in LEVEL_KINDS:
+            raise ValueError(f"level kind unknown: {self.kind!r}")
+        v = self.values
+        if self.kind == HEIGHT_M and any(b <= a for a, b in zip(v, v[1:])):
+            raise ValueError("height levels not strictly ascending")
+        if self.kind == PRESSURE_HPA and any(b >= a for a, b in zip(v, v[1:])):
+            raise ValueError("pressure levels not strictly descending")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -215,6 +266,33 @@ class WindSeries(_StationValues):
     stations: StationTable
     values: np.ndarray
     mask: np.ndarray
+
+    def _n_times(self) -> int:
+        return len(self.times)
+
+
+@dataclass(frozen=True)
+class GriddedBaseline(_FrozenArrays):
+    """A regular lat/lon/level/time wind grid, e.g. extracted reanalysis.
+
+    values has shape (time, level, lat, lon, 3) with components (u, v, w);
+    every value is finite and every grid point on the globe.
+    """
+
+    _ARRAYS = {"times": np.int64, "lats": np.float64, "lons": np.float64, "values": np.float64}
+
+    times: np.ndarray
+    levels: LevelSpec
+    lats: np.ndarray
+    lons: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_on_globe(self.lats, self.lons, "grid index")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if len(bad):
+            raise ValueError(f"non-finite value at {tuple(int(i) for i in bad[0])}")
 
 
 @dataclass(frozen=True)
@@ -297,71 +375,12 @@ class SampleSet(_FrozenArrays):
     def series(self, idx, rows) -> WindSeries:
         """Per-sample rows (one ``output_dim`` row per index in ``idx``) as a
         fully observed WindSeries at those samples' target times, unfolded to
-        (time, level, station, component)."""
+        (time, level, station, component). A non-finite row value, which only
+        a model or map can make, is a NumericError."""
         values = np.reshape(rows, (len(idx), len(self.levels), len(self.target_stations), 3))
-        return WindSeries(self.target_times[idx], self.levels, self.target_stations,
-                          values, np.ones(values.shape, dtype=bool))
+        try:
+            return WindSeries(self.target_times[idx], self.levels, self.target_stations,
+                              values, np.ones(values.shape, dtype=bool))
+        except ValueError as e:
+            raise NumericError(f"predicted series is not finite ({e})") from e
 
-
-def validate(obj) -> list:
-    """Check container invariants; returns a list of violation strings.
-
-    Violations are data, not failures: callers decide whether to raise.
-    """
-    out = []
-    if isinstance(obj, StationTable):
-        seen = {}
-        for i, sid in enumerate(obj.ids):
-            if sid in seen:
-                out.append(f"station_id not unique: {sid!r} at rows {seen[sid]} and {i}")
-            seen.setdefault(sid, i)
-        for i, la in enumerate(obj.lats):
-            if not (-90.0 <= la <= 90.0):
-                out.append(f"lat out of [-90, 90] at row {i}: {la}")
-        for i, lo in enumerate(obj.lons):
-            if not (-180.0 <= lo <= 180.0):
-                out.append(f"lon out of [-180, 180] at row {i}: {lo}")
-        return out
-
-    if isinstance(obj, LevelSpec):
-        if obj.kind not in LEVEL_KINDS:
-            out.append(f"level kind unknown: {obj.kind!r}")
-        v = obj.values
-        if obj.kind == HEIGHT_M and any(b <= a for a, b in zip(v, v[1:])):
-            out.append("height levels not strictly ascending")
-        if obj.kind == PRESSURE_HPA and any(b >= a for a, b in zip(v, v[1:])):
-            out.append("pressure levels not strictly descending")
-        return out
-
-    if isinstance(obj, ZtdPanel):
-        expect = (obj.axis.count, len(obj.stations))
-        if obj.values.shape != expect:
-            out.append(f"values shape {obj.values.shape} != (time, station) {expect}")
-        if obj.mask.shape != obj.values.shape:
-            out.append(f"mask shape {obj.mask.shape} != values shape {obj.values.shape}")
-        else:
-            bad = obj.mask & ~np.isfinite(obj.values)
-            for idx in np.argwhere(bad):
-                out.append(f"non-finite value under observed mask at {tuple(int(i) for i in idx)}")
-        out.extend(validate(obj.stations))
-        return out
-
-    if isinstance(obj, (WindCube, WindSeries)):
-        n_t = obj.axis.count if isinstance(obj, WindCube) else len(obj.times)
-        expect = (n_t, len(obj.levels), len(obj.stations), 3)
-        if obj.values.ndim != 4 or obj.values.shape[3] != 3:
-            got = obj.values.shape[3] if obj.values.ndim == 4 else obj.values.ndim
-            out.append(f"component axis must have exactly 3 entries (u, v, w); got {got}")
-        if obj.values.shape != expect:
-            out.append(f"values shape {obj.values.shape} != (time, level, station, 3) {expect}")
-        if obj.mask.shape != obj.values.shape:
-            out.append(f"mask shape {obj.mask.shape} != values shape {obj.values.shape}")
-        elif obj.values.shape == expect:
-            bad = obj.mask & ~np.isfinite(obj.values)
-            for idx in np.argwhere(bad):
-                out.append(f"non-finite value under observed mask at {tuple(int(i) for i in idx)}")
-        out.extend(validate(obj.levels))
-        out.extend(validate(obj.stations))
-        return out
-
-    raise TypeError(f"validate() does not know type {type(obj).__name__}")

@@ -7,6 +7,9 @@ Text formats (CSV, UTF-8, comma separated, one header row):
   missing observations are simply absent rows, and rows may come in any order
 * wind: ``timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms``
   preceded by a metadata line ``# level_kind=height_m|pressure_hPa``
+* gridded baseline: ``timestamp,lat,lon,level,u_ms,v_ms,w_ms``, optionally
+  preceded by a ``# level_kind=...`` line (pressure_hPa when absent), with one
+  row for every combination of its times, lats, lons and levels
 
 Binary formats are little-endian, row-major float64, and round-trip
 bit-exactly (NaN payloads included). Each starts with an 8-byte magic:
@@ -20,8 +23,9 @@ order; model checkpoints use it with the model configuration in ``extra``.
 
 Text and JSON artifacts are written UTF-8 with LF line ends, JSON in the
 canonical form of :func:`canonical_json`. Every reader turns a malformed file
-into a :class:`DataError` naming it, and every station table, panel, cube and
-series it decodes must pass :func:`gwindcast.core.validate`.
+into a :class:`DataError` naming it; that includes content a container
+refuses at construction, such as a station listed twice or a non-finite
+observed value.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import numpy as np
 from .core import (
     HEIGHT_M,
     LEVEL_KINDS,
+    PRESSURE_HPA,
+    GriddedBaseline,
     LevelSpec,
     StationTable,
     TimeAxis,
@@ -48,7 +54,6 @@ from .core import (
     ZtdPanel,
     format_iso8601,
     parse_iso8601,
-    validate,
 )
 from .errors import DataError, NegativeSpeed
 from .preprocess import compose_wind, decompose_wind
@@ -76,14 +81,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _checked(obj, where: str):
-    """obj, unless core.validate finds violations: then a DataError naming
-    where and the first of them."""
-    problems = validate(obj)
-    if problems:
-        more = f" (and {len(problems) - 3} more)" if len(problems) > 3 else ""
-        raise DataError(f"{where}: {'; '.join(problems[:3])}{more}")
-    return obj
+def _build(path, make, *args):
+    """make(*args), the ValueError of a container's checks a DataError
+    naming the file at path."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 # ------------------------------------------------------- text and JSON ----
@@ -155,7 +159,7 @@ def check_no_repeats(path, what: str, rows, n_set: int, n_key: int) -> None:
     """After the per-row loop: if the rows set fewer than ``len(rows)`` cells,
     a later row overwrote an earlier one, and the DataError names the first
     repeated key, the row's timestamp and next ``n_key - 1`` fields. The
-    readers validate the values first, so a bad value is reported as such."""
+    readers build their container first, so a bad value is reported as such."""
     if n_set == len(rows):
         return
     seen = set()
@@ -237,7 +241,7 @@ def _station_row(fields):
 
 def read_station_csv(path) -> StationTable:
     _, entries = read_csv_rows(path, "station", "station_id,lat,lon", _station_row)
-    return _checked(StationTable.from_entries(entries), str(path))
+    return _build(path, StationTable.from_entries, entries)
 
 
 def write_ztd_csv(path, panel: ZtdPanel) -> None:
@@ -271,7 +275,7 @@ def read_ztd_csv(path, stations: StationTable) -> ZtdPanel:
     mask = np.zeros_like(values, dtype=bool)
     values[k, s] = _column(rows, 2)
     mask[k, s] = True
-    panel = _checked(ZtdPanel(axis, stations, values, mask), str(path))
+    panel = _build(path, ZtdPanel, axis, stations, values, mask)
     check_no_repeats(path, "delay", rows, int(mask.sum()), 2)
     return panel
 
@@ -325,9 +329,40 @@ def read_wind_csv(path, stations: StationTable) -> WindCube:
     u, v = decompose_wind(speed, _column(rows, 4))
     values[k, l, s] = np.stack((u, v, _column(rows, 5)), axis=-1)
     mask[k, l, s] = True
-    cube = _checked(WindCube(axis, levels, stations, values, mask), str(path))
+    cube = _build(path, WindCube, axis, levels, stations, values, mask)
     check_no_repeats(path, "wind", rows, int(mask[..., 0].sum()), 3)
     return cube
+
+
+def _baseline_row(when: Timestamps, fields):
+    ts, la, lo, lev, u, v, w = fields
+    return when[ts], float(la), float(lo), float(lev), float(u), float(v), float(w)
+
+
+def read_baseline_csv(path) -> GriddedBaseline:
+    """Read a gridded baseline; every grid combination must appear."""
+    kind, rows = read_csv_rows(path, "baseline", "timestamp,lat,lon,level,u_ms,v_ms,w_ms",
+                               partial(_baseline_row, Timestamps()), level_kind=PRESSURE_HPA)
+    times = sorted({r[0] for r in rows})
+    lats = sorted({r[1] for r in rows})
+    lons = sorted({r[2] for r in rows})
+    levs = sorted({r[3] for r in rows}, reverse=(kind == PRESSURE_HPA))
+    shape = (len(times), len(levs), len(lats), len(lons))
+    t_i = {t: i for i, t in enumerate(times)}
+    la_i = {v: i for i, v in enumerate(lats)}
+    lo_i = {v: i for i, v in enumerate(lons)}
+    le_i = {v: i for i, v in enumerate(levs)}
+    values = np.empty(shape + (3,))
+    filled = np.zeros(shape, dtype=bool)
+    for ts, la, lo, lev, u, v, w in rows:
+        cell = t_i[ts], le_i[lev], la_i[la], lo_i[lo]
+        values[cell] = (u, v, w)
+        filled[cell] = True
+    check_no_repeats(path, "baseline", rows, int(filled.sum()), 4)
+    if len(rows) != filled.size:
+        raise DataError(f"{path}: baseline grid incomplete: {len(rows)} rows for shape {shape}")
+    return _build(path, GriddedBaseline, np.array(times, dtype=np.int64),
+                  LevelSpec(kind, tuple(levs)), np.array(lats), np.array(lons), values)
 
 
 # --------------------------------------------------------------- binary ----
@@ -429,8 +464,7 @@ def _from_bytes(data: bytes, kind):
             entries.append((sid, *cur.unpack("<dd")))
         stations = StationTable.from_entries(entries)
         shape = (n_t, len(stations)) if kind is ZtdPanel else (n_t, len(parts[1]), len(stations), 3)
-        obj = kind(*parts, stations, cur.f64_array(shape), cur.bool_array(shape))
-        return _checked(obj, f"invalid {_WHAT[kind]}")
+        return kind(*parts, stations, cur.f64_array(shape), cur.bool_array(shape))
 
     return _decode(data, _MAGIC[kind], _WHAT[kind], body)
 

@@ -16,20 +16,17 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import __version__, fileio, geo
 from .core import (
     COMPONENTS,
-    PRESSURE_HPA,
-    LevelSpec,
+    GriddedBaseline,
     TimeAxis,
     WindCube,
     WindSeries,
     ZtdPanel,
-    _FrozenArrays,
     format_iso8601,
     parse_iso8601,
 )
@@ -191,11 +188,10 @@ class ExperimentConfig:
         if not (-90 <= lat <= 90 and -180 <= lon <= 180):
             raise ConfigError("reference lat must lie in [-90, 90] and lon in [-180, 180], "
                               f"got ({lat}, {lon})")
+        # each section checks itself when built, in this order
         cfg = cls(raw=d, synth=SynthConfig(**d["synth"]), train=TrainConfig(**d["train"]),
                   model=ModelConfig(window_steps=d["window_steps"], **d["model"]),
                   split=SplitConfig(ratios=tuple(d["split"]["ratios"])))
-        for section in (cfg.synth, cfg.train, cfg.model, cfg.split):
-            section.validate()
         for key in ("leads_minutes", "station_counts"):
             if not d[key]:
                 raise ConfigError(f"{key} must not be empty")
@@ -466,60 +462,6 @@ def write_manifest(out_dir, cfg: ExperimentConfig, panel: ZtdPanel, cube: WindCu
 
 
 # ------------------------------------------------- gridded baseline ----
-
-
-@dataclass(frozen=True)
-class GriddedBaseline(_FrozenArrays):
-    """A regular lat/lon/level/time wind grid, e.g. extracted reanalysis.
-
-    values has shape (time, level, lat, lon, 3) with components (u, v, w).
-    """
-
-    _ARRAYS = {"times": np.int64, "lats": np.float64, "lons": np.float64, "values": np.float64}
-
-    times: np.ndarray
-    levels: LevelSpec
-    lats: np.ndarray
-    lons: np.ndarray
-    values: np.ndarray
-
-
-def _baseline_row(when: fileio.Timestamps, fields):
-    ts, la, lo, lev, u, v, w = fields
-    return when[ts], float(la), float(lo), float(lev), float(u), float(v), float(w)
-
-
-def read_baseline_csv(path) -> GriddedBaseline:
-    """Delimited grid: ``timestamp,lat,lon,level,u_ms,v_ms,w_ms`` preceded by
-    a ``# level_kind=...`` metadata line; every grid combination must appear."""
-    kind, rows = fileio.read_csv_rows(path, "baseline", "timestamp,lat,lon,level,u_ms,v_ms,w_ms",
-                                      partial(_baseline_row, fileio.Timestamps()),
-                                      level_kind=PRESSURE_HPA)
-    times = sorted({r[0] for r in rows})
-    lats = sorted({r[1] for r in rows})
-    lons = sorted({r[2] for r in rows})
-    levs = sorted({r[3] for r in rows}, reverse=(kind == PRESSURE_HPA))
-    shape = (len(times), len(levs), len(lats), len(lons))
-    t_i = {t: i for i, t in enumerate(times)}
-    la_i = {v: i for i, v in enumerate(lats)}
-    lo_i = {v: i for i, v in enumerate(lons)}
-    le_i = {v: i for i, v in enumerate(levs)}
-    values = np.empty(shape + (3,))
-    filled = np.zeros(shape, dtype=bool)
-    for ts, la, lo, lev, u, v, w in rows:
-        cell = t_i[ts], le_i[lev], la_i[la], lo_i[lo]
-        values[cell] = (u, v, w)
-        filled[cell] = True
-    fileio.check_no_repeats(path, "baseline", rows, int(filled.sum()), 4)
-    if len(rows) != filled.size:
-        raise DataError(f"{path}: baseline grid incomplete: {len(rows)} rows for shape {shape}")
-    return GriddedBaseline(
-        times=np.array(times, dtype=np.int64),
-        levels=LevelSpec(kind, tuple(levs)),
-        lats=np.array(lats),
-        lons=np.array(lons),
-        values=values,
-    )
 
 
 def compare_gridded_baseline(baseline: GriddedBaseline, truth: WindCube) -> MetricReport:

@@ -37,7 +37,7 @@ class ModelConfig:
     heads: int = 4
     hidden_activation: str = "tanh"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
         for name in ("window_steps", "n_stations", "output_dim"):
@@ -68,7 +68,6 @@ class WindModel:
     """A configured forecast network with named parameters and state dicts."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
         self.blocks = []
@@ -196,18 +195,14 @@ def save_model(path, model: WindModel) -> None:
     )
 
 
-def load_model(path, expect_config: ModelConfig | None = None) -> WindModel:
+def load_model(path) -> WindModel:
     arrays, extra = fileio.read_named_arrays(path)
     if not isinstance(extra, dict) or extra.get("kind") != "wind-model":
-        raise ConfigError("file is not a model checkpoint")
+        raise DataError(f"{path}: malformed model checkpoint (its kind is not wind-model)")
     try:
         config = ModelConfig.from_dict(extra["model_config"])
         model = WindModel(config, seed=0)
         model.load_state(arrays)
     except (ConfigError, LookupError, ShapeMismatch, TypeError) as e:
         raise DataError(f"{path}: malformed model checkpoint ({e})") from e
-    if expect_config is not None and config != expect_config:
-        raise ConfigError(
-            f"checkpoint config {config.to_dict()} does not match expected {expect_config.to_dict()}"
-        )
     return model

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fileio
 from .core import frozen_copy
-from .errors import ChannelMismatch, ConfigError, EmptyTrain
+from .errors import ChannelMismatch, ConfigError, EmptyTrain, NumericError
 
 MODES = ("gaussian_affine", "empirical_quantile")
 _FORMAT_VERSION = 1
@@ -120,23 +120,17 @@ def fit_cdf_map(model, samples, mode: str = "gaussian_affine", n_quantiles: int 
     stats = samples.norm_stats
     preds = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.inputs[tr])))
     targets = samples.targets[tr]
-    n_channels = targets.shape[1]
     if mode == "gaussian_affine":
-        return CdfMap(
-            mode=mode,
-            n_channels=n_channels,
-            mu_src=preds.mean(axis=0),
-            sigma_src=preds.std(axis=0),
-            mu_tgt=targets.mean(axis=0),
-            sigma_tgt=targets.std(axis=0),
-        )
-    q = np.linspace(0.0, 1.0, n_quantiles)
-    return CdfMap(
-        mode=mode,
-        n_channels=n_channels,
-        src_quantiles=np.quantile(preds, q, axis=0).T,
-        tgt_quantiles=np.quantile(targets, q, axis=0).T,
-    )
+        arrays = dict(mu_src=preds.mean(axis=0), sigma_src=preds.std(axis=0),
+                      mu_tgt=targets.mean(axis=0), sigma_tgt=targets.std(axis=0))
+    else:
+        q = np.linspace(0.0, 1.0, n_quantiles)
+        arrays = dict(src_quantiles=np.quantile(preds, q, axis=0).T,
+                      tgt_quantiles=np.quantile(targets, q, axis=0).T)
+    try:
+        return CdfMap(mode=mode, n_channels=targets.shape[1], **arrays)
+    except ValueError as e:  # the targets are finite: the model's outputs are not
+        raise NumericError(f"calibration fit on non-finite predictions ({e})") from e
 
 
 def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .errors import (
     Misaligned,
     NegativeSpeed,
     NoSamples,
+    NumericError,
 )
 
 _IDW_NEIGHBORS = 4
@@ -48,7 +49,7 @@ class SplitConfig:
     ratios: tuple = (0.7, 0.15, 0.15)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
             raise ConfigError(f"split ratios must be 3 non-negative numbers, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
@@ -88,7 +89,10 @@ def fill_gaps(panel: ZtdPanel) -> ZtdPanel:
         else:
             w = 1.0 / nd
             filled[:, s] = filled[:, nb] @ (w / w.sum())
-    return ZtdPanel(panel.axis, panel.stations, filled, np.ones_like(mask))
+    try:
+        return ZtdPanel(panel.axis, panel.stations, filled, np.ones_like(mask))
+    except ValueError as e:  # delays near the float range overflow the interpolation
+        raise NumericError(f"gap filling left a non-finite delay ({e})") from e
 
 
 def gap_report(panel: ZtdPanel) -> dict:
@@ -215,7 +219,6 @@ def build_samples(
         raise ConfigError("window_steps must be at least 1")
     if lead_steps < 1:
         raise ConfigError("lead_steps must be at least 1")
-    split.validate()
     step = ztd.axis.step
     if wind.axis.step != step:
         raise Misaligned(f"time steps differ: delays {step}s, wind {wind.axis.step}s")
@@ -223,12 +226,11 @@ def build_samples(
         raise Misaligned("delay and wind axes are offset by a fraction of the step")
 
     check_window_fits(window_steps, ztd.axis.count)
-    obs_row = ztd.mask.all(axis=1) & np.isfinite(ztd.values).all(axis=1)
+    obs_row = ztd.mask.all(axis=1)
     starts = np.flatnonzero(sliding_window_view(obs_row, window_steps).all(axis=1))
     # the wind row of each window's target: the window's last row plus the lead
     rows = starts + (window_steps - 1 + lead_steps + (ztd.axis.start - wind.axis.start) // step)
     target_ok = wind.mask.reshape(wind.axis.count, -1).all(axis=1)
-    target_ok &= np.isfinite(wind.values.reshape(wind.axis.count, -1)).all(axis=1)
     keep = (rows >= 0) & (rows < wind.axis.count)
     keep[keep] = target_ok[rows[keep]]
     starts, rows = starts[keep], rows[keep]

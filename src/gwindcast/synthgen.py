@@ -53,7 +53,7 @@ class SynthConfig:
     center_lon: float = 120.07
     start_epoch: int = 1746595800
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for name in ("n_ztd_stations", "n_wind_stations", "n_levels", "n_steps",
@@ -101,19 +101,11 @@ def generate(cfg: SynthConfig = SynthConfig()):
     Identical configs give bit-identical outputs. Missing delay entries are
     NaN with mask False; wind cubes are fully observed.
     """
-    cfg.validate()
     ss = np.random.SeedSequence(cfg.seed)
     r_geo, r_lat, r_wts, r_mix, r_noise, r_mask = (np.random.default_rng(s) for s in ss.spawn(6))
 
     zlats, zlons = _jittered_grid(r_geo, cfg.n_ztd_stations, cfg.center_lat, cfg.center_lon, 0.9)
     wlats, wlons = _jittered_grid(r_geo, cfg.n_wind_stations, cfg.center_lat, cfg.center_lon, 0.35)
-    ztd_stations = StationTable(
-        ids=tuple(f"Z{i:04d}" for i in range(cfg.n_ztd_stations)), lats=zlats, lons=zlons
-    )
-    wind_stations = StationTable(
-        ids=tuple(f"W{i:02d}" for i in range(cfg.n_wind_stations)), lats=wlats, lons=wlons
-    )
-
     latent = _latent(r_lat, cfg)
     axis = TimeAxis(cfg.start_epoch, cfg.step_seconds, cfg.n_steps)
 
@@ -132,7 +124,6 @@ def generate(cfg: SynthConfig = SynthConfig()):
     ztd = ztd + cfg.noise_std * _ZTD_SCALE_M * r_noise.normal(size=ztd.shape)
     mask = r_mask.random(ztd.shape) >= cfg.missing_rate
     values = np.where(mask, ztd, np.nan)
-    panel = ZtdPanel(axis, ztd_stations, values, mask)
 
     # wind: per-channel affine + tanh mixture of the lagged latent state
     n_ch = cfg.n_levels * cfg.n_wind_stations * 3
@@ -152,11 +143,23 @@ def generate(cfg: SynthConfig = SynthConfig()):
     wind_values = core.reshape(cfg.n_steps, cfg.n_levels, cfg.n_wind_stations, 3) * amp
 
     heights = tuple(np.linspace(110.0, 7160.0, cfg.n_levels)) if cfg.n_levels > 1 else (110.0,)
-    cube = WindCube(
-        axis=axis,
-        levels=LevelSpec(HEIGHT_M, heights),
-        stations=wind_stations,
-        values=wind_values,
-        mask=np.ones(wind_values.shape, dtype=bool),
-    )
+    # a center near a pole or the antimeridian puts stations off the globe,
+    # and large gains overflow the winds
+    try:
+        ztd_stations = StationTable(
+            ids=tuple(f"Z{i:04d}" for i in range(cfg.n_ztd_stations)), lats=zlats, lons=zlons
+        )
+        wind_stations = StationTable(
+            ids=tuple(f"W{i:02d}" for i in range(cfg.n_wind_stations)), lats=wlats, lons=wlons
+        )
+        panel = ZtdPanel(axis, ztd_stations, values, mask)
+        cube = WindCube(
+            axis=axis,
+            levels=LevelSpec(HEIGHT_M, heights),
+            stations=wind_stations,
+            values=wind_values,
+            mask=np.ones(wind_values.shape, dtype=bool),
+        )
+    except ValueError as e:
+        raise ConfigError(f"the synth config makes an invalid scene ({e})") from e
     return ztd_stations, panel, cube, latent

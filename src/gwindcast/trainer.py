@@ -21,7 +21,7 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
@@ -137,7 +137,6 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     For the transformer, leftover batches of a single sample are skipped
     (batch statistics need at least two rows).
     """
-    cfg.validate()
     if samples.norm_stats is None:
         raise UnnormalizedInput("sample set carries no normalization statistics")
     tr = samples.indices("train")

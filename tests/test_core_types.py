@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gwindcast.core import (
+    GriddedBaseline,
     LevelSpec,
     NormStats,
     StationTable,
@@ -11,7 +14,6 @@ from gwindcast.core import (
     ZtdPanel,
     format_iso8601,
     parse_iso8601,
-    validate,
 )
 from reference_impls import prior_denormalize, prior_normalize
 
@@ -146,37 +148,83 @@ def test_norm_stats_keep_the_bits_of_the_prior_formulas(rows):
     assert (x.tobytes(), y.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
 
 
-def test_validate_flags_shape_and_coordinate_problems():
+def test_containers_check_shape_coordinates_and_finiteness_at_construction():
     st = make_stations(2)
-    bad_lat = StationTable(ids=("A", "B"), lats=np.array([0.0, 95.0]), lons=np.zeros(2))
-    assert any("lat" in v for v in validate(bad_lat))
+    ax = TimeAxis(0, 300, 2)
+    ones = np.ones((2, 2), bool)
+    with pytest.raises(ValueError, match=r"lat out of \[-90, 90\] at row 1: 95\.0"):
+        StationTable(ids=("A", "B"), lats=np.array([0.0, 95.0]), lons=np.zeros(2))
+    with pytest.raises(ValueError, match=r"lon out of \[-180, 180\] at row 0: nan"):
+        StationTable(ids=("A", "B"), lats=np.zeros(2), lons=np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="station_id not unique: 'A' at rows 0 and 1"):
+        StationTable(ids=("A", "A"), lats=np.zeros(2), lons=np.zeros(2))
 
-    dup = StationTable(ids=("A", "A"), lats=np.zeros(2), lons=np.zeros(2))
-    assert any("unique" in v for v in validate(dup))
-
-    panel = ZtdPanel(TimeAxis(0, 300, 2), st, np.zeros((3, 2)), np.ones((3, 2), bool))
-    assert any("shape" in v for v in validate(panel))
+    with pytest.raises(ValueError, match=r"values shape \(3, 2\) != \(time, station\) \(2, 2\)"):
+        ZtdPanel(ax, st, np.zeros((3, 2)), np.ones((3, 2), bool))
+    with pytest.raises(ValueError, match=r"mask shape \(2, 1\) != values shape \(2, 2\)"):
+        ZtdPanel(ax, st, np.zeros((2, 2)), np.ones((2, 1), bool))
 
     vals = np.zeros((2, 2))
     vals[0, 1] = np.nan
-    masked_ok = ZtdPanel(TimeAxis(0, 300, 2), st,
-                         vals, np.array([[True, False], [True, True]]))
-    assert validate(masked_ok) == []
-    exposed = ZtdPanel(TimeAxis(0, 300, 2), st, vals, np.ones((2, 2), bool))
-    assert any("finite" in v for v in validate(exposed))
+    ZtdPanel(ax, st, vals, np.array([[True, False], [True, True]]))  # NaN where unobserved
+    with pytest.raises(ValueError, match=r"non-finite value under observed mask at \(0, 1\)"):
+        ZtdPanel(ax, st, vals, ones)
+
+    # wind: a component axis other than (u, v, w), a time count that differs
+    # from the series' times, an infinite observed value
+    levels = LevelSpec("height_m", (100.0,))
+    with pytest.raises(ValueError, match=r"\(2, 1, 2, 2\) != \(time, level, station, 3\) "
+                                         r"\(2, 1, 2, 3\)"):
+        WindCube(ax, levels, st, np.zeros((2, 1, 2, 2)), np.ones((2, 1, 2, 2), bool))
+    wind = np.zeros((2, 1, 2, 3))
+    with pytest.raises(ValueError, match=r"values shape \(2, 1, 2, 3\) != .* \(3, 1, 2, 3\)"):
+        WindSeries([0, 300, 600], levels, st, wind, np.ones(wind.shape, bool))
+    wind[1, 0, 1, 2] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite value under observed mask at \(1, 0, 1, 2\)"):
+        WindSeries([0, 300], levels, st, wind, np.ones(wind.shape, bool))
 
 
-def test_validate_level_monotonicity():
-    st = make_stations(1, "W")
-    ax = TimeAxis(0, 300, 1)
-    good_h = LevelSpec("height_m", (100.0, 200.0))
-    bad_h = LevelSpec("height_m", (200.0, 100.0))
-    good_p = LevelSpec("pressure_hPa", (900.0, 500.0))
-    bad_p = LevelSpec("pressure_hPa", (500.0, 900.0))
-    shape = (1, 2, 1, 3)
-    ones = np.ones(shape)
-    mask = np.ones(shape, bool)
-    assert validate(WindCube(ax, good_h, st, ones, mask)) == []
-    assert any("ascending" in v for v in validate(WindCube(ax, bad_h, st, ones, mask)))
-    assert validate(WindCube(ax, good_p, st, ones, mask)) == []
-    assert any("descending" in v for v in validate(WindCube(ax, bad_p, st, ones, mask)))
+def test_derived_containers_are_checked_too():
+    # select_stations, replace and slice_time build through the constructor
+    panel = ZtdPanel(TimeAxis(0, 300, 3), make_stations(2), np.zeros((3, 2)), np.ones((3, 2), bool))
+    with pytest.raises(ValueError, match="station_id not unique: 'S000' at rows 0 and 1"):
+        panel.select_stations([0, 0])
+    with pytest.raises(ValueError, match=r"values shape \(2, 2\) != \(time, station\) \(3, 2\)"):
+        replace(panel, values=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"values shape \(1, 2\) != \(time, station\) \(2, 2\)"):
+        panel.slice_time(2, 4)  # past the end: a 2-step axis over 1 row
+    levels = LevelSpec("height_m", (100.0,))
+    wind = np.zeros((2, 1, 2, 3))
+    series = WindSeries([0, 300], levels, make_stations(2), wind, np.ones(wind.shape, bool))
+    with pytest.raises(ValueError, match="non-finite value under observed mask at"):
+        replace(series, values=np.full(wind.shape, np.nan))
+    with pytest.raises(ValueError, match="station_id not unique"):
+        series.select_stations([1, 1])
+
+
+def test_level_spec_checks_kind_and_order():
+    LevelSpec("height_m", (100.0, 200.0))
+    LevelSpec("pressure_hPa", (900.0, 500.0))
+    for kind, values, message in (("height_m", (200.0, 100.0), "height levels not strictly ascending"),
+                                  ("height_m", (100.0, 100.0), "height levels not strictly ascending"),
+                                  ("pressure_hPa", (500.0, 900.0),
+                                   "pressure levels not strictly descending"),
+                                  ("sigma", (1.0,), "level kind unknown: 'sigma'")):
+        with pytest.raises(ValueError, match=message):
+            LevelSpec(kind, values)
+
+
+def test_gridded_baseline_is_finite_and_on_the_globe():
+    def grid(lats=(29.0,), lons=(120.0,), value=0.0):
+        values = np.full((1, 1, len(lats), len(lons), 3), value)
+        return GriddedBaseline(np.array([0]), LevelSpec("height_m", (500.0,)),
+                               np.array(lats), np.array(lons), values)
+
+    assert grid().values.shape == (1, 1, 1, 1, 3)
+    with pytest.raises(ValueError, match=r"lat out of \[-90, 90\] at grid index 1: 200\.0"):
+        grid(lats=(29.0, 200.0))
+    with pytest.raises(ValueError, match=r"lon out of \[-180, 180\] at grid index 0: -180\.5"):
+        grid(lons=(-180.5,))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"non-finite value at \(0, 0, 0, 0, 0\)"):
+            grid(value=value)

@@ -33,12 +33,12 @@ from gwindcast.harness import (
     merge_config,
     parse_override,
     prepare_scene,
-    read_baseline_csv,
     reference_wind_station,
     run_lead_sweep,
     run_single_lead,
     run_station_ablation,
 )
+from gwindcast.fileio import read_baseline_csv
 from gwindcast.metrics import evaluate_series, read_report
 
 
@@ -612,7 +612,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "--out", os.path.join(tmp_path, "prep"),
     ]) == 3
     assert "ztd.csv, line" in capsys.readouterr().err
-    # a delay row holding nan, or a station listed twice, fails core.validate -> data error
+    # a delay row holding nan, or a station listed twice, is refused by the
+    # container the reader builds -> data error
     for name, row, problem in (("ztd", "2025-05-07T05:30:00Z,Z0001,nan", "non-finite value"),
                                ("ztd_stations", "Z0001,29.3,120.1", "not unique")):
         assert cli.main(["synth", "--config", cfg_path, "--out", raw]) == 0
@@ -763,21 +764,72 @@ def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
          "--out", path("t2")],
     ]
     # a checkpoint with a batch-norm buffer or a parameter of the wrong
-    # shape names its file
+    # shape, or a named-array file of another kind, names its file
     arrays, extra = fileio.read_named_arrays(path("trained", "checkpoint.gwc"))
-    wrong_shape = []
+    named = {}
     for command, name in (("predict", "enc0.bn1.running_mean"), ("calibrate", "head.b")):
         wrong = {**arrays, name: np.zeros(arrays[name].size + 3)}
         fileio.write_named_arrays(path(f"{name}.gwc"), wrong, extra=extra)
-        wrong_shape.append([command, *lead, "--model", path(f"{name}.gwc"),
-                            "--out", path(f"{name}.out")])
+        named[path(f"{name}.gwc")] = [command, *lead, "--model", path(f"{name}.gwc"),
+                                      "--out", path(f"{name}.out")]
+    fileio.write_named_arrays(path("other.gwc"), arrays, extra={"kind": "other"})
+    named[path("other.gwc")] = ["predict", *lead, "--model", path("other.gwc"), "--out", path("o")]
+    # a baseline grid with a non-finite value or a point off the globe names its file
+    for name, row in (("nan", "29.3,120.1,110,nan,2,0"), ("inf", "29.3,120.1,110,1,inf,0"),
+                      ("lat", "200,120.1,110,1,2,0")):
+        with open(path(f"grid_{name}.csv"), "w", encoding="utf-8") as f:
+            f.write("# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n"
+                    f"2025-05-07T05:30:00Z,{row}\n")
+        named[path(f"grid_{name}.csv")] = ["compare-baseline", "--baseline", path(f"grid_{name}.csv"),
+                                           "--truth", path("raw", "cube.gwcc"),
+                                           "--out", path(f"grid_{name}.json")]
     capsys.readouterr()
-    for argv in cases + wrong_shape:
+    for argv in cases + list(named.values()):
         assert cli.main(argv) == 3, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv[0], err)
-        if argv in wrong_shape:
-            assert argv[argv.index("--model") + 1] in err, err
+    for file, argv in named.items():
+        cli.main(argv)
+        assert capsys.readouterr().err.startswith(f"error: {file}: "), argv[0]
+        assert not os.path.exists(argv[-1])
+
+
+def test_cli_non_finite_model_output_exits_4(tmp_path, capsys):
+    # a checkpoint or calibration map that makes a non-finite prediction ends
+    # in a numeric error, and no predictions are written
+    cfg_path = _write_config(tmp_path)
+    path = functools.partial(os.path.join, str(tmp_path))
+    lead = ["--config", cfg_path, "--data", path("prep"), "--lead", "5"]
+    for argv in (["synth", "--config", cfg_path, "--out", path("raw")],
+                 ["preprocess", "--config", cfg_path, "--data", path("raw"), "--out", path("prep")],
+                 ["train", *lead, "--out", path("trained")],
+                 ["calibrate", *lead, "--model", path("trained", "checkpoint.gwc"),
+                  "--out", path("cdf.json")]):
+        assert cli.main(argv) == 0
+    arrays, extra = fileio.read_named_arrays(path("trained", "checkpoint.gwc"))
+    fileio.write_named_arrays(path("nan.gwc"), {**arrays, "head.b": arrays["head.b"] * np.nan},
+                              extra=extra)
+    fileio.write_named_arrays(path("huge.gwc"), {**arrays, "head.w": arrays["head.w"] * 0 + 1e307},
+                              extra=extra)
+    with open(path("cdf.json"), encoding="utf-8") as f:
+        cdf_map = json.load(f)
+    cdf_map["sigma_src"] = [5e-324] * len(cdf_map["sigma_src"])  # an infinite gain
+    with open(path("tiny.json"), "w", encoding="utf-8") as f:
+        json.dump(cdf_map, f)
+    capsys.readouterr()
+    for argv, message in (
+            (["predict", *lead, "--model", path("nan.gwc"), "--out", path("p1")],
+             "predicted series is not finite"),
+            (["predict", *lead, "--model", path("huge.gwc"), "--out", path("p2")],
+             "predicted series is not finite"),
+            (["predict", *lead, "--model", path("trained", "checkpoint.gwc"),
+              "--cdf", path("tiny.json"), "--out", path("p3")], "predicted series is not finite"),
+            (["calibrate", *lead, "--model", path("nan.gwc"), "--out", path("c.json")],
+             "calibration fit on non-finite predictions")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 4, argv
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(argv[-1])
 
 
 def test_cli_ablation_runs(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gwindcast import model as model_module
-from gwindcast.errors import ConfigError, EmptySplit, ShapeMismatch, UnnormalizedInput
+from gwindcast.errors import ConfigError, DataError, EmptySplit, ShapeMismatch, UnnormalizedInput
 from gwindcast.model import (
     ModelConfig,
     WindModel,
@@ -56,17 +57,17 @@ def test_param_count_matches_closed_form(kwargs):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        cfg(arch="cnn").validate()
-    with pytest.raises(ConfigError):
-        cfg(window_steps=0).validate()
-    with pytest.raises(ConfigError):
-        cfg(heads=0).validate()
-    with pytest.raises(ConfigError):
-        cfg(n_encoder_blocks=-1).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(arch="transformer", hidden_activation="relu").validate()
-    cfg().validate()
+    # a section checks itself when built, directly or by replace
+    for kwargs, message in (({"arch": "cnn"}, "arch must be one of"),
+                            ({"window_steps": 0}, "window_steps must be at least 1"),
+                            ({"heads": 0}, "heads must be at least 1"),
+                            ({"n_encoder_blocks": -1}, "n_encoder_blocks must be non-negative"),
+                            ({"hidden_activation": "relu"}, "only tanh hidden activations")):
+        with pytest.raises(ConfigError, match=message):
+            cfg(**kwargs)
+    with pytest.raises(ConfigError, match="n_stations must be at least 1"):
+        replace(cfg(), n_stations=0)
+    cfg()
 
 
 def test_param_names_are_unique():
@@ -235,18 +236,16 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_load_model_checks_kind_and_expected_config(tmp_path):
+def test_load_model_checks_kind(tmp_path):
     model = WindModel(cfg(), seed=0)
     path = tmp_path / "model.gwc"
     save_model(path, model)
-    load_model(path, expect_config=cfg())
-    with pytest.raises(ConfigError):
-        load_model(path, expect_config=cfg(heads=1))
+    assert load_model(path).config == cfg()
     from gwindcast import fileio
 
     other = tmp_path / "other.gwc"
     fileio.write_named_arrays(other, {"a": np.zeros(2)}, extra={"kind": "something"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match=r"other\.gwc: malformed model checkpoint"):
         load_model(other)
 
 

@@ -15,6 +15,7 @@ from gwindcast.errors import (
     ConfigError,
     Misaligned,
     NoSamples,
+    NumericError,
 )
 from gwindcast.preprocess import (
     PressureMapParams,
@@ -273,17 +274,17 @@ def test_build_samples_shapes_and_alignment():
 
 @pytest.mark.parametrize("wind_offset", [-2, 0, 3])
 def test_build_samples_matches_loop_oracle_on_a_scene_with_gaps(wind_offset):
-    # gaps in both inputs, a NaN that the panel's mask calls observed, and a
-    # wind axis that starts wind_offset steps after the delays and ends early
+    # gaps in both inputs, one of them over a NaN, and a wind axis that starts
+    # wind_offset steps after the delays and ends early
     panel, cube = make_aligned_scene(seed=7, n_t=40)
     mask = np.array(panel.mask)
-    mask[[3, 17, 18], [0, 4, 1]] = False
+    mask[[3, 17, 18, 25], [0, 4, 1, 2]] = False
     values = np.array(panel.values)
     values[25, 2] = np.nan
     panel = ZtdPanel(panel.axis, panel.stations, values, mask)
     n_w = 40 - wind_offset - 4 if wind_offset > 0 else 36
     cmask = np.array(cube.mask[:n_w])
-    cmask[[8, 21], [0, 1], [1, 0], [2, 0]] = False
+    cmask[[8, 21, 30], [0, 1, 1], [1, 0, 1], [2, 0, 1]] = False
     cvalues = np.array(cube.values[:n_w])
     cvalues[30, 1, 1, 1] = np.inf
     cube = WindCube(TimeAxis(wind_offset * 300, 300, n_w), cube.levels, cube.stations,
@@ -359,12 +360,25 @@ def test_build_samples_no_usable_windows_raises():
             build_samples(panel, cube, window, 2, SplitConfig())
 
 
+def test_fill_gaps_overflow_is_a_numeric_error():
+    # interpolating across a gap between delays near the float range
+    # overflows, and the filled panel would hold an infinite observed value
+    panel, _ = make_aligned_scene(n_t=6)
+    values, mask = np.array(panel.values), np.array(panel.mask)
+    values[:, 0] = [-1e308, np.nan, np.nan, np.nan, np.nan, 1e308]
+    mask[1:5, 0] = False
+    with pytest.raises(NumericError, match=r"gap filling left a non-finite delay \(non-finite "
+                                           r"value under observed mask at \(1, 0\)\)"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill_gaps(ZtdPanel(panel.axis, panel.stations, values, mask))
+
+
 def test_split_config_validation():
-    with pytest.raises(ConfigError):
-        SplitConfig(ratios=(0.5, 0.2, 0.2)).validate()
-    with pytest.raises(ConfigError):
-        SplitConfig(ratios=(1.2, -0.1, -0.1)).validate()
-    SplitConfig(ratios=(0.8, 0.1, 0.1)).validate()
+    with pytest.raises(ConfigError, match="split ratios must sum to 1"):
+        SplitConfig(ratios=(0.5, 0.2, 0.2))
+    with pytest.raises(ConfigError, match="split ratios must be 3 non-negative numbers"):
+        SplitConfig(ratios=(1.2, -0.1, -0.1))
+    SplitConfig(ratios=(0.8, 0.1, 0.1))
 
 
 def test_build_samples_deterministic_given_seed():

@@ -105,6 +105,14 @@ def test_config_validation():
         generate(small_cfg(noise_std=-0.1))
     with pytest.raises(ConfigError):
         generate(small_cfg(center_lat=91.0))
+    # a center that leaves room for no station grid, and gains so large the
+    # winds overflow, make a scene no container holds
+    for kwargs, message in (({"center_lat": -89.9}, r"lat out of \[-90, 90\] at row"),
+                            ({"center_lon": -179.9}, r"lon out of \[-180, 180\] at row"),
+                            ({"linear_gain": 1e308}, "non-finite value under observed mask")):
+        with pytest.raises(ConfigError, match="the synth config makes an invalid scene .*" + message):
+            with np.errstate(over="ignore", invalid="ignore"):
+                generate(small_cfg(**kwargs))
 
 
 def test_windows_predict_future_wind_linear_probe():

@@ -74,3 +74,17 @@ def test_summary_of_a_single_pair_has_no_spread():
     out = bench_pairs.summarize([{"base": ok_run(3.0, 1.0), "change": ok_run(2.0, 2.0)}], BETTER)
     assert out["metrics"]["wall_s"]["scaled"]["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert out["metrics"]["wall_s"]["scaled"]["change_wins"] == 1
+
+
+def test_summary_lines_print_raw_beside_scaled():
+    pairs = [{"base": ok_run(3.0, 100.0), "change": ok_run(2.0, 80.0)},
+             {"base": ok_run(3.0, 100.0), "change": bench_pairs.parse_run("", 1)}]
+    summary = bench_pairs.summarize(pairs, BETTER)
+    # a metric no successful run reported on one side is left out
+    summary["metrics"]["cycle_p50_ms"] = {"better": "lower"}
+    assert bench_pairs.summary_lines({"sweep": summary}) == [
+        "sweep: 1 pairs, failed {'base': 0, 'change': 1}",
+        "  wall_s: scaled 3 -> 2 (change better in 1); raw 6 -> 4 (change better in 1)",
+        "  train_samples_per_s: scaled 100 -> 80 (change better in 0); "
+        "raw 200 -> 160 (change better in 0)",
+    ]

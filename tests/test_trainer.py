@@ -26,7 +26,6 @@ def test_train_config_defaults():
     assert cfg.max_epochs == 5000
     assert cfg.patience == 1000
     assert cfg.batch_size == 64
-    cfg.validate()
 
 
 @pytest.mark.parametrize(
@@ -46,7 +45,7 @@ def test_train_config_defaults():
 )
 def test_train_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
-        TrainConfig(**kwargs).validate()
+        TrainConfig(**kwargs)
 
 
 def _single_param(theta0=1.0):

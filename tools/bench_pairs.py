@@ -14,7 +14,8 @@ median and quartiles of each side (scaled and raw, as
 ``statistics.quantiles(values, n=4)`` gives them), the number of pairs HEAD
 won, every run's figures and the BLAS each side ran with. A run that exits
 non-zero, prints no result or fails its checks counts as failed: it is
-listed with its error and its pair is left out of the wins.
+listed with its error and its pair is left out of the wins. It ends by
+printing each metric's medians and wins, scaled and raw side by side.
 
 Run from anywhere inside the repository; needs git on PATH and uses only
 the standard library.
@@ -87,6 +88,23 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def summary_lines(workloads: dict) -> list:
+    """The closing summary: per workload its pair and failure counts, then
+    per metric each side's median and the change's wins, scaled and then
+    raw. Raw stands beside scaled because the benchmark's scaling can
+    reverse a direction the raw clock shows."""
+    lines = []
+    for workload, summary in workloads.items():
+        lines.append(f"{workload}: {summary['pairs']} pairs, failed {summary['failed']}")
+        for name, entry in summary["metrics"].items():
+            parts = [f"{kind} {s['base']['median']:.6g} -> {s['change']['median']:.6g} "
+                     f"(change better in {s['change_wins']})"
+                     for kind in ("scaled", "raw") if (s := entry.get(kind))]
+            if parts:
+                lines.append(f"  {name}: " + "; ".join(parts))
+    return lines
+
+
 def git(*args) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True)
 
@@ -142,13 +160,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
-    for workload, summary in report["workloads"].items():
-        print(f"{workload}: {summary['pairs']} pairs, failed {summary['failed']}")
-        for name, entry in summary["metrics"].items():
-            if "scaled" in entry:
-                s = entry["scaled"]
-                print(f"  {name}: {s['base']['median']:.6g} -> {s['change']['median']:.6g} "
-                      f"(change better in {s['change_wins']})")
+    print("\n".join(summary_lines(report["workloads"])))
     return 0
 
 

@@ -445,7 +445,8 @@ def _gwc(magic, values, ids=("A", "B"), lats=(29.0, 29.1), lons=(120.0, 120.1),
         out += [struct.pack("<qB", len(levels), kind), np.array(levels, "<f8").tobytes()]
     out.append(struct.pack("<q", len(ids)))
     for sid, la, lo in zip(ids, lats, lons):
-        out += [struct.pack("<H", len(sid)), sid.encode(), struct.pack("<dd", la, lo)]
+        raw = sid.encode()
+        out += [struct.pack("<H", len(raw)), raw, struct.pack("<dd", la, lo)]
     out += [values.tobytes(), np.ones(values.shape, np.uint8).tobytes()]
     return b"".join(out)
 

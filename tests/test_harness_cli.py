@@ -766,32 +766,30 @@ def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
     # a checkpoint with a batch-norm buffer or a parameter of the wrong
     # shape, or a named-array file of another kind, names its file
     arrays, extra = fileio.read_named_arrays(path("trained", "checkpoint.gwc"))
-    named = {}
+    named = []  # (the file the error names, argv)
     for command, name in (("predict", "enc0.bn1.running_mean"), ("calibrate", "head.b")):
         wrong = {**arrays, name: np.zeros(arrays[name].size + 3)}
         fileio.write_named_arrays(path(f"{name}.gwc"), wrong, extra=extra)
-        named[path(f"{name}.gwc")] = [command, *lead, "--model", path(f"{name}.gwc"),
-                                      "--out", path(f"{name}.out")]
+        named.append((path(f"{name}.gwc"), [command, *lead, "--model", path(f"{name}.gwc"),
+                                            "--out", path(f"{name}.out")]))
     fileio.write_named_arrays(path("other.gwc"), arrays, extra={"kind": "other"})
-    named[path("other.gwc")] = ["predict", *lead, "--model", path("other.gwc"), "--out", path("o")]
+    named.append((path("other.gwc"), ["predict", *lead, "--model", path("other.gwc"),
+                                      "--out", path("o")]))
     # a baseline grid with a non-finite value or a point off the globe names its file
     for name, row in (("nan", "29.3,120.1,110,nan,2,0"), ("inf", "29.3,120.1,110,1,inf,0"),
                       ("lat", "200,120.1,110,1,2,0")):
-        with open(path(f"grid_{name}.csv"), "w", encoding="utf-8") as f:
+        grid = path(f"grid_{name}.csv")
+        with open(grid, "w", encoding="utf-8") as f:
             f.write("# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n"
                     f"2025-05-07T05:30:00Z,{row}\n")
-        named[path(f"grid_{name}.csv")] = ["compare-baseline", "--baseline", path(f"grid_{name}.csv"),
-                                           "--truth", path("raw", "cube.gwcc"),
-                                           "--out", path(f"grid_{name}.json")]
+        named.append((grid, ["compare-baseline", "--baseline", grid, "--truth", path("raw", "cube.gwcc"),
+                             "--out", path(f"grid_{name}.json")]))
     capsys.readouterr()
-    for argv in cases + list(named.values()):
+    for file, argv in [("", argv) for argv in cases] + named:
         assert cli.main(argv) == 3, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, (argv[0], err)
-    for file, argv in named.items():
-        cli.main(argv)
-        assert capsys.readouterr().err.startswith(f"error: {file}: "), argv[0]
-        assert not os.path.exists(argv[-1])
+        assert err.startswith(f"error: {file}") and "Traceback" not in err, (argv[0], err)
+        assert not file or not os.path.exists(argv[-1])
 
 
 def test_cli_non_finite_model_output_exits_4(tmp_path, capsys):

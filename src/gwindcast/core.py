@@ -14,7 +14,8 @@ Each container checks its invariants when it is made, after its arrays are
 frozen, and raises ValueError at the first violation, so an invalid one
 cannot exist, whether it was read, built or derived by ``replace``,
 ``select_stations`` or ``slice_time``. Station ids are unique and
-coordinates lie on the globe; levels have a known kind and run bottom-up;
+coordinates lie on the globe; levels have a known kind, are finite and run
+bottom-up;
 values have the shape the other fields give, mask has the shape of values,
 and every observed value is finite. The readers in :mod:`gwindcast.fileio`
 turn the ValueError into a DataError naming the file.
@@ -22,7 +23,8 @@ turn the ValueError into a DataError naming the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -215,9 +217,13 @@ class LevelSpec:
         if self.kind not in LEVEL_KINDS:
             raise ValueError(f"level kind unknown: {self.kind!r}")
         v = self.values
-        if self.kind == HEIGHT_M and any(b <= a for a, b in zip(v, v[1:])):
+        bad = [x for x in v if not math.isfinite(x)]
+        if bad:
+            raise ValueError(f"level not finite: {bad[0]}")
+        # "not b > a" rather than "b <= a", so the order check alone fails NaN
+        if self.kind == HEIGHT_M and any(not b > a for a, b in zip(v, v[1:])):
             raise ValueError("height levels not strictly ascending")
-        if self.kind == PRESSURE_HPA and any(b >= a for a, b in zip(v, v[1:])):
+        if self.kind == PRESSURE_HPA and any(not b < a for a, b in zip(v, v[1:])):
             raise ValueError("pressure levels not strictly descending")
 
     def __len__(self) -> int:
@@ -301,6 +307,7 @@ class NormStats(_FrozenArrays):
 
     Stds of constant series are stored as 0; normalization treats them as 1
     so constant channels pass through centered instead of dividing by zero.
+    Those safe stds are computed once, at construction.
     """
 
     _ARRAYS = dict.fromkeys(("input_mean", "input_std", "target_mean", "target_std"), np.float64)
@@ -309,26 +316,29 @@ class NormStats(_FrozenArrays):
     input_std: np.ndarray
     target_mean: np.ndarray
     target_std: np.ndarray
+    _input_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _target_scale: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name, std in (("_input_scale", self.input_std), ("_target_scale", self.target_std)):
+            object.__setattr__(self, name, frozen_copy(np.where(std > 0, std, 1.0), np.float64))
 
     @staticmethod
-    def _safe(std):
-        return np.where(std > 0, std, 1.0)
-
-    @classmethod
-    def _standardize(cls, x, mean, std):
-        """(x - mean) / std, the division done in the difference's array."""
+    def _standardize(x, mean, scale):
+        """(x - mean) / scale, the division done in the difference's array."""
         out = np.subtract(x, mean)
-        out /= cls._safe(std)
+        out /= scale
         return out
 
     def normalize_inputs(self, x):
-        return self._standardize(x, self.input_mean, self.input_std)
+        return self._standardize(x, self.input_mean, self._input_scale)
 
     def normalize_targets(self, y):
-        return self._standardize(y, self.target_mean, self.target_std)
+        return self._standardize(y, self.target_mean, self._target_scale)
 
     def denormalize_targets(self, y):
-        out = np.multiply(y, self._safe(self.target_std))
+        out = np.multiply(y, self._target_scale)
         out += self.target_mean
         return out
 

@@ -321,7 +321,7 @@ def read_wind_csv(path, stations: StationTable) -> WindCube:
         raise NegativeSpeed(f"{path}: negative wind speed {spd!r} at "
                             f"{format_iso8601(ts)}, station {sid}, level {lev!r}")
     levs = list(map(itemgetter(2), rows))
-    levels = LevelSpec(kind, tuple(sorted(set(levs), reverse=(kind != HEIGHT_M))))
+    levels = _build(path, LevelSpec, kind, tuple(sorted(set(levs), reverse=(kind != HEIGHT_M))))
     lev_idx = {v: i for i, v in enumerate(levels.values)}
     l = np.fromiter(map(lev_idx.__getitem__, levs), np.int64, len(rows))
     values = np.full((axis.count, len(levels), len(stations), 3), np.nan)
@@ -347,6 +347,7 @@ def read_baseline_csv(path) -> GriddedBaseline:
     lats = sorted({r[1] for r in rows})
     lons = sorted({r[2] for r in rows})
     levs = sorted({r[3] for r in rows}, reverse=(kind == PRESSURE_HPA))
+    levels = _build(path, LevelSpec, kind, tuple(levs))
     shape = (len(times), len(levs), len(lats), len(lons))
     t_i = {t: i for i, t in enumerate(times)}
     la_i = {v: i for i, v in enumerate(lats)}
@@ -361,8 +362,8 @@ def read_baseline_csv(path) -> GriddedBaseline:
     check_no_repeats(path, "baseline", rows, int(filled.sum()), 4)
     if len(rows) != filled.size:
         raise DataError(f"{path}: baseline grid incomplete: {len(rows)} rows for shape {shape}")
-    return _build(path, GriddedBaseline, np.array(times, dtype=np.int64),
-                  LevelSpec(kind, tuple(levs)), np.array(lats), np.array(lons), values)
+    return _build(path, GriddedBaseline, np.array(times, dtype=np.int64), levels,
+                  np.array(lats), np.array(lons), values)
 
 
 # --------------------------------------------------------------- binary ----
@@ -457,6 +458,8 @@ def _from_bytes(data: bytes, kind):
             n_t, parts = axis.count, [axis]
         if kind is not ZtdPanel:
             n_lev, kind_byte = cur.count(), cur.unpack("<B")[0]
+            if kind_byte >= len(LEVEL_KINDS):
+                raise ValueError(f"level kind byte {kind_byte} not in [0, {len(LEVEL_KINDS) - 1}]")
             parts.append(LevelSpec(LEVEL_KINDS[kind_byte], tuple(cur.f64_array((n_lev,)))))
         entries = []
         for _ in range(cur.count()):

@@ -301,6 +301,12 @@ class BatchNorm:
     updates exponential running statistics with momentum 0.9; inference mode
     normalizes by the running statistics and records no parents, so no
     gradient flows through it. eps = 1e-5 floors the variance.
+
+    The ``running_var`` property owns inference's inverse std
+    ``1 / sqrt(running_var + eps)``: every assignment, whether direct, by
+    :meth:`load_buffers` or by a training step's update, computes it again,
+    so inference only reads it. Replace the running variance; do not write
+    into its array.
     """
 
     MOMENTUM = 0.9
@@ -312,6 +318,15 @@ class BatchNorm:
         self.beta = Param(f"{name}.beta", np.zeros(width))
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
+
+    @property
+    def running_var(self) -> np.ndarray:
+        return self._running_var
+
+    @running_var.setter
+    def running_var(self, var) -> None:
+        self._running_var = var
+        self._inv_std = 1.0 / np.sqrt(var + self.EPS)
 
     def params(self):
         return [self.gamma, self.beta]
@@ -330,7 +345,7 @@ class BatchNorm:
         x2 = x.data.reshape(-1, x.shape[-1])
         m = x2.shape[0]
         if not training:
-            mu, var = self.running_mean, self.running_var
+            mu, inv = self.running_mean, self._inv_std
         elif m < 2:
             raise BatchTooSmall("batch statistics need at least 2 rows")
         else:
@@ -340,7 +355,7 @@ class BatchNorm:
             var = np.add.reduce(c * c, axis=0) / m  # np.var's own sequence, c computed once
             self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mu
             self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
-        inv = 1.0 / np.sqrt(var + self.EPS)
+            inv = 1.0 / np.sqrt(var + self.EPS)
         x_hat = np.multiply(c, inv, out=c)  # c is needed no more
         # the backward reads x_hat, so only inference scales it in place
         y = np.multiply(x_hat, self.gamma.value, out=None if training else x_hat)

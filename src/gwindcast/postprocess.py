@@ -14,15 +14,20 @@ Both modes are monotone non-decreasing per channel.
 
 A map's arrays are frozen copies, and what depends on the map alone is
 computed once, when the map is made: the affine gain and offset, or each
-channel's tie-collapsed source nodes with their probabilities. Applying a
-map then runs only the affine multiply-add, or two ``np.interp`` calls per
-channel. A map no fit can produce (a non-finite entry, a decreasing
-quantile row or a negative sigma) is a ValueError.
+channel's tie-collapsed source nodes with their probabilities and the
+lookup tables that interpolate every channel at once. Applying a map then
+runs only the affine multiply-add, or, for the empirical map, one of two
+paths with the same bits as ``np.interp``: up to ``ONE_PASS_MAX_ROWS``
+rows (a serving cycle's one window) one pass over every channel, longer
+inputs two ``np.interp`` calls per channel. A map no fit can produce (a
+non-finite entry, a decreasing quantile row or a negative sigma) is a
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,28 @@ MODES = ("gaussian_affine", "empirical_quantile")
 _FORMAT_VERSION = 1
 _ARRAYS = {"gaussian_affine": ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt"),  # per mode
            "empirical_quantile": ("src_quantiles", "tgt_quantiles")}
+
+# the most rows apply_cdf_map calibrates in one pass over every channel;
+# longer inputs take the per-channel np.interp loop. One pass pays a
+# binary search of each value over every channel's merged nodes, the loop
+# numpy's per-call cost; see apply_cdf_map for the measurements.
+ONE_PASS_MAX_ROWS = 16
+
+
+class _Lookup(NamedTuple):
+    """One piecewise-linear interpolation of every channel at once.
+
+    A value x of channel c is searched in the sorted nodes ``grid``;
+    ``start[c]`` plus the number of grid nodes at or below x indexes
+    ``entry``, which gives the row of ``table`` for the interval x lies in
+    (``entry`` None: the index is that row). A row holds the interval's
+    (node, value, slope), each channel's rows one block.
+    """
+
+    grid: np.ndarray
+    start: np.ndarray
+    entry: np.ndarray | None
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,11 +74,13 @@ class CdfMap:
     src_quantiles: np.ndarray | None = None
     tgt_quantiles: np.ndarray | None = None
     # per-map constants: gaussian_affine's gain and offset, or the quantile
-    # positions and each channel's (source nodes, their probabilities)
+    # positions, each channel's (source nodes, their probabilities) and the
+    # two lookups of the one-pass path, source CDF then inverse target CDF
     _gain: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _offset: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _nodes: tuple = field(default=(), init=False, repr=False, compare=False)
+    _lookups: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -89,6 +118,8 @@ class CdfMap:
             nodes.append((_readonly(values), _readonly(positions[top])))
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_nodes", tuple(nodes))
+        object.__setattr__(self, "_lookups", (_source_lookup(nodes),
+                                              _target_lookup(positions, self.tgt_quantiles)))
 
     @property
     def n_quantiles(self) -> int:
@@ -98,6 +129,64 @@ class CdfMap:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _segments(xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp) as one (node, value, slope) row per interval x
+    can lie in: below xp[0], then from each node on. The slope is numpy's
+    own (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]). The end rows have slope +0.0
+    below the first node and -0.0 from the last, so their product with
+    x - node is -0.0 for every finite x, and -0.0 + fp is fp exactly."""
+    rows = np.empty((len(xp) + 1, 3))
+    rows[0] = xp[0], fp[0], 0.0
+    rows[1:, 0] = xp
+    rows[1:, 1] = fp
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[1:-1, 2] = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])
+    rows[-1, 2] = -0.0
+    return rows
+
+
+def _source_lookup(nodes) -> _Lookup:
+    """The source CDFs of every channel: the grid merges every channel's
+    nodes, and entry[start[c] + k] is channel c's first table row plus the
+    number of its nodes among the k lowest grid nodes, in the narrowest
+    unsigned dtype that holds every row index."""
+    grid = np.unique(np.concatenate([values for values, _ in nodes]))
+    first = np.cumsum([0] + [len(values) + 1 for values, _ in nodes])
+    entry = np.empty((len(nodes), len(grid) + 1), np.min_scalar_type(first[-1] - 1))
+    entry[:, 0] = first[:-1]
+    for c, (values, _) in enumerate(nodes):
+        entry[c, 1:] = first[c] + np.searchsorted(values, grid, side="right")
+    table = np.concatenate([_segments(values, probs) for values, probs in nodes])
+    return _Lookup(_readonly(grid), _readonly(np.arange(len(nodes)) * entry.shape[1]),
+                   _readonly(entry.ravel()), _readonly(table))
+
+
+def _target_lookup(positions: np.ndarray, tgt_quantiles: np.ndarray) -> _Lookup:
+    """The inverse target CDFs of every channel, all on the shared
+    positions, so no entry map is needed."""
+    table = np.concatenate([_segments(positions, row) for row in tgt_quantiles])
+    return _Lookup(positions, _readonly(np.arange(len(tgt_quantiles)) * (len(positions) + 1)),
+                   None, _readonly(table))
+
+
+def _interp_all(x: np.ndarray, lookup: _Lookup) -> np.ndarray:
+    """Every channel of x, shape (n, channels), through its piecewise-linear
+    map, with np.interp's formula slope * (x - node) + value. On an exact
+    node, as at both clamps, the result is the node's value itself, so a
+    value of -0.0 stays -0.0 as np.interp keeps it. A key np.interp does not
+    evaluate with the formula (NaN or infinite, or with an infinite slope)
+    comes out non-finite."""
+    k = np.searchsorted(lookup.grid, x, side="right")
+    k += lookup.start
+    rows = lookup.table.take(k if lookup.entry is None else lookup.entry.take(k), axis=0)
+    node, value, slope = rows[..., 0], rows[..., 1], rows[..., 2]
+    d = np.subtract(x, node)
+    out = np.multiply(slope, d)
+    out += value
+    np.copyto(out, value, where=d == 0)  # an exact node
+    return out
 
 
 def check_cdf_options(mode: str, n_quantiles: int) -> None:
@@ -134,7 +223,27 @@ def fit_cdf_map(model, samples, mode: str = "gaussian_affine", n_quantiles: int 
 
 
 def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
-    """Calibrate raw per-channel outputs, shape (n, n_channels)."""
+    """Calibrate raw per-channel outputs, shape (n, n_channels).
+
+    An empirical map pushes each channel through its source CDF and its
+    inverse target CDF, both as np.interp computes them and with its bits.
+    Up to ``ONE_PASS_MAX_ROWS`` rows this runs once over every channel: one
+    binary search of all values over the merged source nodes and one over
+    the shared quantile positions, each followed by one table gather and
+    np.interp's formula. A result that comes out non-finite (an infinite or
+    NaN input, or an infinite slope) is computed again by np.interp, which
+    keeps its NaN and one-node cases. Longer inputs run two np.interp calls
+    per channel, whose search starts from the last interval found and so
+    costs less than the merged search there. Per call, in microseconds, for
+    27 channels of 101 quantiles (Python 3.11, numpy 2.4, one BLAS thread,
+    shared 2-core host; the lower of two runs, each the best of 5 x 200):
+
+    ========  ====  ====  ====  ====  =====  =====  =====
+    rows         1     2     4     8     16     32     87
+    one pass  20.3  22.2  23.9  29.9   50.0  131.0  439.4
+    loop      91.3  98.3  96.6 100.6  110.6  120.0  244.9
+    ========  ====  ====  ====  ====  =====  =====  =====
+    """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[1] != cdf.n_channels:
         got = raw.shape[1] if raw.ndim == 2 else raw.ndim
@@ -143,10 +252,21 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
         out = raw * cdf._gain
         out += cdf._offset
         return out
-    out = np.empty_like(raw)
-    for c, (values, probs) in enumerate(cdf._nodes):
-        u = np.interp(raw[:, c], values, probs)
-        out[:, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
+    if len(raw) > ONE_PASS_MAX_ROWS:
+        out = np.empty_like(raw)
+        for c, (values, probs) in enumerate(cdf._nodes):
+            u = np.interp(raw[:, c], values, probs)
+            out[:, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
+        return out
+    source, target = cdf._lookups
+    with np.errstate(all="ignore"):
+        out = _interp_all(_interp_all(raw, source), target)
+        if np.isfinite(out).all():  # a non-finite u always gives a non-finite result
+            return out
+    for r, c in np.argwhere(~np.isfinite(out)):
+        values, probs = cdf._nodes[c]
+        u = np.interp(raw[r, c], values, probs)
+        out[r, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
     return out
 
 

@@ -209,7 +209,14 @@ def test_level_spec_checks_kind_and_order():
                                   ("height_m", (100.0, 100.0), "height levels not strictly ascending"),
                                   ("pressure_hPa", (500.0, 900.0),
                                    "pressure levels not strictly descending"),
-                                  ("sigma", (1.0,), "level kind unknown: 'sigma'")):
+                                  ("sigma", (1.0,), "level kind unknown: 'sigma'"),
+                                  ("height_m", (float("nan"), 110.0, 220.0),
+                                   "level not finite: nan"),
+                                  ("pressure_hPa", (850.0, float("nan")),
+                                   "level not finite: nan"),
+                                  ("height_m", (float("nan"),), "level not finite: nan"),
+                                  ("height_m", (100.0, float("inf")),
+                                   "level not finite: inf")):
         with pytest.raises(ValueError, match=message):
             LevelSpec(kind, values)
 

@@ -477,6 +477,9 @@ _INVALID = {
                          "non-finite value under observed mask at (1, 1)"),
     "wind-level-kind": ("wind", "# level_kind=sigma\n" + _CSV_SCENE["wind"].split("\n", 1)[1],
                         "unexpected wind metadata line: '# level_kind=sigma'"),
+    "wind-level-nan": ("wind", _CSV_SCENE["wind"] + "2025-05-07T05:30:00Z,W0,nan,3.0,90.0,0.1\n"
+                       "2025-05-07T05:30:00Z,W0,220.0,3.0,90.0,0.1\n",
+                       "level not finite: nan"),
     "wind-non-finite-speed": ("wind", _CSV_SCENE["wind"].replace(",3.0,", ",nan,"),
                               "non-finite value under observed mask at (0, 0, 0, 0)"),
     "wind-non-finite-w": ("wind", _CSV_SCENE["wind"].replace(",0.1\n", ",inf\n"),
@@ -490,7 +493,7 @@ _INVALID = {
     "panel-non-finite": ("panel.gwcp", _gwc(b"GWCPANL1", _NAN_PANEL),
                          "malformed delay panel file (non-finite value under observed mask at (1, 0))"),
     "cube-level-kind": ("cube.gwcc", _gwc(b"GWCCUBE1", _WIND, kind=7, levels=(110.0, 220.0)),
-                        "malformed wind cube file (tuple index out of range)"),
+                        "malformed wind cube file (level kind byte 7 not in [0, 1])"),
     "cube-level-order": ("cube.gwcc", _gwc(b"GWCCUBE1", _WIND, levels=(220.0, 110.0)),
                          "malformed wind cube file (height levels not strictly ascending)"),
     "cube-non-finite": ("cube.gwcc", _gwc(b"GWCCUBE1", _INF_WIND, levels=(110.0, 220.0)),
@@ -500,6 +503,8 @@ _INVALID = {
                             "malformed wind series file (station_id not unique: 'B' at rows 0 and 1)"),
     "series-lat": ("pred.gwcs", _gwc(b"GWCSERS1", _WIND, lats=(91.0, 0.0), levels=(110.0, 220.0)),
                    "malformed wind series file (lat out of [-90, 90] at row 0: 91.0)"),
+    "series-level-kind": ("pred.gwcs", _gwc(b"GWCSERS1", _WIND, kind=2, levels=(110.0, 220.0)),
+                          "malformed wind series file (level kind byte 2 not in [0, 1])"),
     "series-level-order": ("pred.gwcs", _gwc(b"GWCSERS1", _WIND, kind=1, levels=(500.0, 850.0)),
                            "malformed wind series file (pressure levels not strictly descending)"),
     "series-non-finite": ("pred.gwcs", _gwc(b"GWCSERS1", _INF_WIND, levels=(110.0, 220.0)),

@@ -775,15 +775,27 @@ def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
     fileio.write_named_arrays(path("other.gwc"), arrays, extra={"kind": "other"})
     named.append((path("other.gwc"), ["predict", *lead, "--model", path("other.gwc"),
                                       "--out", path("o")]))
-    # a baseline grid with a non-finite value or a point off the globe names its file
+    # a baseline grid with a non-finite value or level or a point off the
+    # globe names its file
     for name, row in (("nan", "29.3,120.1,110,nan,2,0"), ("inf", "29.3,120.1,110,1,inf,0"),
-                      ("lat", "200,120.1,110,1,2,0")):
+                      ("lat", "200,120.1,110,1,2,0"), ("level", "29.3,120.1,nan,1,2,0")):
         grid = path(f"grid_{name}.csv")
         with open(grid, "w", encoding="utf-8") as f:
             f.write("# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n"
                     f"2025-05-07T05:30:00Z,{row}\n")
         named.append((grid, ["compare-baseline", "--baseline", grid, "--truth", path("raw", "cube.gwcc"),
                              "--out", path(f"grid_{name}.json")]))
+    # so does a wind CSV with a NaN level among its levels
+    with open(path("raw", "wind_stations.csv"), encoding="utf-8") as f:
+        sid = f.read().splitlines()[1].split(",")[0]
+    wind = path("wind_nan.csv")
+    with open(wind, "w", encoding="utf-8") as f:
+        f.write("# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+                + "".join(f"2025-05-07T05:30:00Z,{sid},{lev},3.0,90.0,0.1\n" for lev in (220, "nan", 110)))
+    scene = {"kind": "files", "wind": wind,
+             **{name: path("raw", f"{name}.csv") for name in ("ztd_stations", "ztd", "wind_stations")}}
+    named.append((wind, ["preprocess", "--config", cfg_path, "--set", "data=" + json.dumps(scene),
+                         "--out", path("wind_nan")]))
     capsys.readouterr()
     for file, argv in [("", argv) for argv in cases] + named:
         assert cli.main(argv) == 3, argv[0]

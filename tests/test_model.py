@@ -188,6 +188,42 @@ def test_predict_keeps_the_bits_of_the_prior_formulas(rows, n_stations):
     assert x.tobytes() == kept.tobytes()
 
 
+def test_every_running_variance_writer_refreshes_the_inverse_std():
+    # inference reads the inverse std that each assignment of running_var
+    # computes: after a direct assignment, load_buffers, a training step's
+    # update and the trainer's best-state restore, a one-window and a
+    # two-chunk predict keep the bits of the formulas that compute it from
+    # the running variance on every call
+    import test_trainer
+    from gwindcast.trainer import TrainConfig, train
+
+    rng = np.random.default_rng(7)
+
+    def same_as_prior(model):
+        shape = (model.config.window_steps, model.config.n_stations)
+        for rows in (1, 2049):
+            x = rng.normal(size=(rows, *shape))
+            assert model.predict(x).tobytes() == prior_predict(model, x).tobytes()
+
+    model = _trained_looking(ModelConfig(), seed=7)  # assigns running_var
+    same_as_prior(model)
+    state = model.state()
+    for bn in model._bns:
+        state[f"{bn.name}.running_var"] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+    model.load_state(state)
+    assert all(bn.running_var.tobytes() == state[f"{bn.name}.running_var"].tobytes()
+               for bn in model._bns)
+    same_as_prior(model)
+    before = [bn.running_var for bn in model._bns]
+    model.forward_batch(rng.normal(size=(8, 6, 60)), training=True)
+    assert all(bn.running_var is not var for bn, var in zip(model._bns, before))
+    same_as_prior(model)
+    samples = test_trainer._toy_samples()
+    model = test_trainer._toy_model(samples, arch="transformer")
+    train(model, samples, TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=1))
+    same_as_prior(model)
+
+
 def test_predict_peak_memory_is_bounded_by_four_activations():
     # a 2048-row default-width predict holds at most the block input, the
     # query heads, the key projection and its transposed copy at once: 4.07

@@ -5,6 +5,7 @@ import pytest
 
 from gwindcast.errors import ChannelMismatch, ConfigError, DataError, EmptyTrain
 from gwindcast.postprocess import (
+    ONE_PASS_MAX_ROWS,
     CdfMap,
     apply_cdf_map,
     cdf_map_from_dict,
@@ -130,29 +131,51 @@ def test_both_modes_monotone_on_random_pairs(mode):
         assert y_lo <= y_hi + 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["gaussian_affine", "empirical_quantile"])
-@pytest.mark.parametrize("rows", [1, 87, 2049])
+@pytest.mark.parametrize("rows", [1, ONE_PASS_MAX_ROWS, ONE_PASS_MAX_ROWS + 1, 87, 2049])
 def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
     # the per-map constants are computed once, when the map is made; the
     # affine shift is added in the product's array; the raw outputs are
-    # never written, and a second call gives the same bytes
+    # never written, and a second call gives the same bytes. Short inputs
+    # take the one pass over every channel, longer ones the per-channel
+    # loop; both keep np.interp's bits on infinite, NaN and huge inputs, on
+    # exact and end nodes, on a one-node channel and on target quantiles
+    # of -0.0, and neither warns
     rng = np.random.default_rng(rows)
     cdf = fit_cdf_map(_FixedModel(27), _samples(n=200, out_dim=27, seed=rows), mode=mode)
     if mode == "gaussian_affine":  # one channel whose source spread is 0
         sigma_src = cdf.sigma_src.copy()
         sigma_src[4] = 0.0
         cdf = CdfMap(mode, 27, cdf.mu_src, sigma_src, cdf.mu_tgt, cdf.sigma_tgt)
+        nodes = cdf.mu_src[:, None]
     else:  # a channel with tied source quantiles, and a constant one
         src = cdf.src_quantiles.copy()
         src[2, :40] = src[2, 40]
         src[2, 70:90] = src[2, 70]
         src[6] = 1.5
-        cdf = CdfMap(mode, 27, src_quantiles=src, tgt_quantiles=cdf.tgt_quantiles)
+        # target quantiles of -0.0 at the first position, the last and the
+        # middle one, which a value below every source node, above every
+        # one and on the middle one reach, each on an exact node
+        tgt = cdf.tgt_quantiles.copy()
+        for c, j in ((9, 0), (10, -1), (11, 50)):
+            tgt[c] -= tgt[c, j]
+            tgt[c, j] = -0.0
+        cdf = CdfMap(mode, 27, src_quantiles=src, tgt_quantiles=tgt)
         assert len(cdf._nodes[2][0]) == 101 - 40 - 19 and len(cdf._nodes[6][0]) == 1
+        assert len(cdf._nodes[11][0]) == 101
+        nodes = [values for values, _ in cdf._nodes]
     write_cdf_map(tmp_path / "cdf_map.json", cdf)
     loaded = read_cdf_map(tmp_path / "cdf_map.json")
     raw = rng.normal(3.0, 2.0, size=(rows, 27))
-    raw[0, 6] = 1.5  # on the constant channel's one node
+    for r in range(min(rows, 8)):  # each channel meets each value in 8 rows
+        for c, v in enumerate(nodes):
+            raw[r, c] = (np.inf, -np.inf, np.nan, 1e300, -1e300, v[len(v) // 2], v[0], v[-1])[(c + r) % 8]
+    if mode == "empirical_quantile":
+        raw[0, 6] = np.nan  # a one-node channel maps NaN to its node's value
+        raw[0, 9], raw[0, 10], raw[0, 11] = src[9, 0] - 1.0, src[10, -1] + 1.0, src[11, 50]
+        want = np.array([[-0.0, -0.0, -0.0]]).tobytes()
+        assert prior_apply_cdf_map(cdf, raw)[:1, 9:12].tobytes() == want
     kept = raw.copy()
     want = prior_apply_cdf_map(cdf, raw).tobytes()
     for m in (cdf, cdf, loaded):
@@ -249,11 +272,12 @@ def test_a_map_holds_read_only_arrays(tmp_path, mode):
     cdf = fit_cdf_map(_FixedModel(3), _samples(n=90, out_dim=3, seed=4), mode=mode, n_quantiles=11)
     write_cdf_map(tmp_path / "cdf_map.json", cdf)
     for m in (cdf, read_cdf_map(tmp_path / "cdf_map.json")):
-        stored = [m._gain, m._offset, m._positions, *(a for pair in m._nodes for a in pair)]
+        stored = [m._gain, m._offset, m._positions, *(a for pair in m._nodes for a in pair),
+                  *(a for lookup in m._lookups for a in lookup if a is not m._positions)]
         stored += [getattr(m, name) for name in ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt",
                                                  "src_quantiles", "tgt_quantiles")]
         stored = [a for a in stored if a is not None]
-        assert len(stored) == (6 if mode == "gaussian_affine" else 3 + 2 * 3)
+        assert len(stored) == (6 if mode == "gaussian_affine" else 3 + 2 * 3 + 4 + 2)
         for a in stored:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0

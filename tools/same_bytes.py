@@ -73,6 +73,12 @@ SCENE_FILES = {
 }
 _REORDERED_SCENE = json.dumps({"kind": "files", **{name: f"reordered/{name}.csv" for name in
                                                    ("ztd_stations", "ztd", "wind_stations", "wind")}})
+# the reordered scene trained and calibrated in empirical_quantile mode: its
+# calibrated test (1 row) and train (3 rows) predictions are short enough for
+# postprocess's one pass over every channel (postprocess.ONE_PASS_MAX_ROWS)
+_SHORT = ["--config", "small.json", "--set", 'postprocess.mode="empirical_quantile"',
+          "--data", "reordered/prep", "--lead", "5"]
+_SHORT_CDF = ["--model", "reordered/run/checkpoint.gwc", "--cdf", "reordered/run/cdf_map.json"]
 
 # the default scene and model (60 delay stations, two 4-head blocks) staged
 # for one epoch: its 2792-row train split is predicted in two chunks
@@ -118,6 +124,12 @@ COMMANDS = [
                         "--out", "staged/prep_csv"]),
     ("preprocess_reordered", ["preprocess", "--config", "small.json", "--set",
                               "data=" + _REORDERED_SCENE, "--out", "reordered/prep"]),
+    ("short_train", ["train", *_SHORT, "--out", "reordered/run"]),
+    ("short_calibrate", ["calibrate", *_SHORT, "--model", "reordered/run/checkpoint.gwc",
+                         "--out", "reordered/run/cdf_map.json"]),
+    ("short_predict", ["predict", *_SHORT, *_SHORT_CDF, "--out", "reordered/run"]),
+    ("short_predict_train", ["predict", *_SHORT, *_SHORT_CDF, "--split", "train",
+                             "--out", "reordered/train"]),
     ("emit_timeseries", ["emit-timeseries", "--pred", "staged/run/predictions.gwcs",
                          "--truth", "staged/run/truth.gwcs", "--out", "staged/timeseries"]),
     ("show_report", ["show-report", "--report", "staged/run/report.json"]),

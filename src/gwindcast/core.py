@@ -15,10 +15,10 @@ frozen, and raises ValueError at the first violation, so an invalid one
 cannot exist, whether it was read, built or derived by ``replace``,
 ``select_stations`` or ``slice_time``. Station ids are unique and
 coordinates lie on the globe; levels have a known kind, are finite and run
-bottom-up;
-values have the shape the other fields give, mask has the shape of values,
-and every observed value is finite. The readers in :mod:`gwindcast.fileio`
-turn the ValueError into a DataError naming the file.
+bottom-up; values have the shape the other fields give, mask has the shape
+of values, and every observed value is finite. The readers in
+:mod:`gwindcast.fileio` turn the ValueError into a DataError naming the
+file.
 """
 
 from __future__ import annotations

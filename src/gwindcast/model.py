@@ -14,6 +14,7 @@ window and applies two tanh layers of the same width, then a linear readout.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ from .errors import ConfigError, DataError, EmptySplit, ShapeMismatch, Unnormali
 ARCHITECTURES = ("transformer", "mlp")
 # rows per inference forward; WindModel.predict gives the reasons
 PREDICT_CHUNK = 2048
+# activation bytes of one inference block: 256 rows of 6 tokens at width 60
+PREDICT_BLOCK_BYTES = 256 * 6 * 60 * 8
+# OpenBLAS computes a product with M*N*K up to this on its small-matrix path,
+# whose bits differ from the blocked kernel's
+SMALL_GEMM_MNK = 100**3
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,11 @@ class WindModel:
             self.hidden1 = neural.Dense("hidden1", f, f, rng, activation="tanh")
             self.hidden2 = neural.Dense("hidden2", f, f, rng, activation="tanh")
             self.head = neural.Dense("head", f, config.output_dim, rng)
+        self._block_rows, self._fewest_block_rows = _block_rule(config)
+        # predict splits no input shorter than this into blocks
+        self._split_rows = max(self._block_rows + 1, 2 * self._fewest_block_rows)
+        if self._split_rows > PREDICT_CHUNK:
+            self._split_rows = math.inf  # no chunk can be split
 
     # ------------------------------------------------------------ state --
 
@@ -154,20 +165,96 @@ class WindModel:
         ``PREDICT_CHUNK`` rows for memory; it records no graph. Each chunk's
         readout is copied into one output array.
 
-        Two faster forms were measured and left out because they change the
-        bits. A 256-row chunk gives 1.42x the rows/s, but a chunk short
-        enough for BLAS's small-matrix path computes other bits: at width 60
-        that is under 103 rows (a 599-row split ends in an 87-row chunk), at
-        token width 8 every 256-row chunk. One fused query-key-value product
-        differs from three separate ones at 1 row, and at width 20 with 87
-        rows.
+        A chunk is split into blocks of about ``PREDICT_BLOCK_BYTES`` of
+        activation (256 rows at width 60), which the calling thread and up
+        to one pool thread per further usable CPU take from one queue, each
+        writing its own rows of the output. A row's bits do not depend on
+        the split as long as every row-scaling product of every block (the
+        attention projections and the feed-forward at rows x tokens by
+        width by width, the readout at rows by window x width by outputs;
+        the mlp's hidden layers and readout) stays off BLAS's small-matrix
+        path: M*N*K above ``SMALL_GEMM_MNK``. So the blocks depend only on
+        the row count and the model's shape, never on the worker count, and
+        a chunk whose blocks would break that rule runs whole. The rule's
+        floor is the measured one: against a whole 2048-row forward (6-step
+        window, 27 outputs, OpenBLAS 0.3.31) the smallest block that keeps
+        the bits is 103 rows at width 60 and 417 at width 20, and a block
+        one row shorter changes them. At token widths 8 and 12 no chunk is
+        split. A 3995-row predict at width 60 took 63-84 ms on 2 threads
+        and 117-165 ms on 1, against 115-156 ms as whole 2048-row chunks
+        (fastest of 15, in 5 alternating processes each; noisy 2-core host,
+        one BLAS thread). One fused query-key-value product differs from
+        three separate ones at 1 row, and at width 20 with 87 rows, so it
+        was left out.
         """
-        out = np.empty((x.shape[0], self.config.output_dim))
-        with neural.no_graph():
-            for i in range(0, x.shape[0], PREDICT_CHUNK):
-                rows = slice(i, i + PREDICT_CHUNK)
+        n = x.shape[0]
+        out = np.empty((n, self.config.output_dim))
+        if n < self._split_rows:
+            with neural.no_graph():
+                for i in range(0, n, PREDICT_CHUNK):
+                    rows = slice(i, i + PREDICT_CHUNK)
+                    out[rows] = self.forward_batch(x[rows], training=False).data
+            return out
+        blocks = [b for i in range(0, n, PREDICT_CHUNK)
+                  for b in self._blocks(i, min(n, i + PREDICT_CHUNK))]
+        todo = iter(blocks)
+
+        def work():
+            for rows in todo:
                 out[rows] = self.forward_batch(x[rows], training=False).data
+
+        helpers = min(len(blocks), _usable_cpus()) - 1
+        with neural.no_graph():
+            futures = [_pool(helpers).submit(work) for _ in range(helpers)]
+            try:
+                work()
+            finally:
+                for f in futures:
+                    f.exception()  # waits: the helpers run under no_graph too
+        for f in futures:
+            f.result()
         return out
+
+    def _blocks(self, start: int, stop: int) -> list:
+        """Rows start:stop as near-equal blocks of at most ``_block_rows``
+        and at least ``_fewest_block_rows`` rows, or as one slice."""
+        rows = stop - start
+        k = min(-(-rows // self._block_rows), rows // self._fewest_block_rows)
+        if k < 2:
+            return [slice(start, stop)]
+        return [slice(start + rows * j // k, start + rows * (j + 1) // k) for j in range(k)]
+
+
+def _block_rule(config: ModelConfig) -> tuple:
+    """Rows per inference block and the fewest rows for which every
+    row-scaling product has M*N*K above SMALL_GEMM_MNK."""
+    if config.arch == "transformer":
+        row = config.window_steps * config.token_width
+        inner = config.token_width  # a projection's M*N*K per row is row * width
+    else:
+        row = config.window_steps * config.n_stations
+        inner = row
+    block = max(1, PREDICT_BLOCK_BYTES // (8 * row))
+    return block, SMALL_GEMM_MNK // (row * min(inner, config.output_dim)) + 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (taskset and cgroup cpusets cap it)."""
+    return len(os.sched_getaffinity(0))
+
+
+_POOL = None  # (pid, threads, executor) of the inference helper threads
+
+
+def _pool(threads: int):
+    """A thread pool of at least ``threads`` threads owned by this process;
+    a forked child builds its own, since its parent's threads are gone."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] < threads:
+        from concurrent.futures import ThreadPoolExecutor  # 7.7 ms of imports
+
+        _POOL = (os.getpid(), threads, ThreadPoolExecutor(threads, "gwindcast-predict"))
+    return _POOL[2]
 
 
 def predict_denormalized(model: WindModel, samples, split) -> WindSeries:

@@ -19,9 +19,10 @@ lookup tables that interpolate every channel at once. Applying a map then
 runs only the affine multiply-add, or, for the empirical map, one of two
 paths with the same bits as ``np.interp``: up to ``ONE_PASS_MAX_ROWS``
 rows (a serving cycle's one window) one pass over every channel, longer
-inputs two ``np.interp`` calls per channel. A map no fit can produce (a
-non-finite entry, a decreasing quantile row or a negative sigma) is a
-ValueError.
+inputs two ``np.interp`` calls per channel. A map whose one-pass entry
+table would exceed ``ONE_PASS_MAX_ENTRY_BYTES`` builds no one-pass lookups
+and always takes the loop. A map no fit can produce (a non-finite entry, a
+decreasing quantile row or a negative sigma) is a ValueError.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ _ARRAYS = {"gaussian_affine": ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt"),  #
 # binary search of each value over every channel's merged nodes, the loop
 # numpy's per-call cost; see apply_cdf_map for the measurements.
 ONE_PASS_MAX_ROWS = 16
+# the largest entry table an empirical map builds for the one pass; it
+# grows as channels squared times quantiles (27 x 101: 0.14 MiB, 27 x 5001:
+# 13.9 MiB), and a map whose table would be larger always takes the loop
+ONE_PASS_MAX_ENTRY_BYTES = 1 << 20
 
 
 class _Lookup(NamedTuple):
@@ -76,6 +81,7 @@ class CdfMap:
     # per-map constants: gaussian_affine's gain and offset, or the quantile
     # positions, each channel's (source nodes, their probabilities) and the
     # two lookups of the one-pass path, source CDF then inverse target CDF
+    # (none on a map whose source entry table would be too large)
     _gain: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _offset: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -118,8 +124,10 @@ class CdfMap:
             nodes.append((_readonly(values), _readonly(positions[top])))
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_nodes", tuple(nodes))
-        object.__setattr__(self, "_lookups", (_source_lookup(nodes),
-                                              _target_lookup(positions, self.tgt_quantiles)))
+        source = _source_lookup(nodes)
+        if source is not None:
+            object.__setattr__(self, "_lookups", (source, _target_lookup(positions,
+                                                                         self.tgt_quantiles)))
 
     @property
     def n_quantiles(self) -> int:
@@ -147,14 +155,18 @@ def _segments(xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _source_lookup(nodes) -> _Lookup:
+def _source_lookup(nodes) -> _Lookup | None:
     """The source CDFs of every channel: the grid merges every channel's
     nodes, and entry[start[c] + k] is channel c's first table row plus the
     number of its nodes among the k lowest grid nodes, in the narrowest
-    unsigned dtype that holds every row index."""
+    unsigned dtype that holds every row index. None if the entry table would
+    take more than ONE_PASS_MAX_ENTRY_BYTES."""
     grid = np.unique(np.concatenate([values for values, _ in nodes]))
     first = np.cumsum([0] + [len(values) + 1 for values, _ in nodes])
-    entry = np.empty((len(nodes), len(grid) + 1), np.min_scalar_type(first[-1] - 1))
+    dtype = np.min_scalar_type(first[-1] - 1)
+    if len(nodes) * (len(grid) + 1) * dtype.itemsize > ONE_PASS_MAX_ENTRY_BYTES:
+        return None
+    entry = np.empty((len(nodes), len(grid) + 1), dtype)
     entry[:, 0] = first[:-1]
     for c, (values, _) in enumerate(nodes):
         entry[c, 1:] = first[c] + np.searchsorted(values, grid, side="right")
@@ -227,16 +239,18 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
 
     An empirical map pushes each channel through its source CDF and its
     inverse target CDF, both as np.interp computes them and with its bits.
-    Up to ``ONE_PASS_MAX_ROWS`` rows this runs once over every channel: one
-    binary search of all values over the merged source nodes and one over
-    the shared quantile positions, each followed by one table gather and
-    np.interp's formula. A result that comes out non-finite (an infinite or
-    NaN input, or an infinite slope) is computed again by np.interp, which
-    keeps its NaN and one-node cases. Longer inputs run two np.interp calls
-    per channel, whose search starts from the last interval found and so
-    costs less than the merged search there. Per call, in microseconds, for
-    27 channels of 101 quantiles (Python 3.11, numpy 2.4, one BLAS thread,
-    shared 2-core host; the lower of two runs, each the best of 5 x 200):
+    Up to ``ONE_PASS_MAX_ROWS`` rows, on a map small enough to hold the
+    one-pass lookups (``ONE_PASS_MAX_ENTRY_BYTES``), this runs once over
+    every channel: one binary search of all values over the merged source
+    nodes and one over the shared quantile positions, each followed by one
+    table gather and np.interp's formula. A result that comes out
+    non-finite (an infinite or NaN input, or an infinite slope) is computed
+    again by np.interp, which keeps its NaN and one-node cases. Longer
+    inputs run two np.interp calls per channel, whose search starts from
+    the last interval found and so costs less than the merged search there.
+    Per call, in microseconds, for 27 channels of 101 quantiles (Python
+    3.11, numpy 2.4, one BLAS thread, shared 2-core host; the lower of two
+    runs, each the best of 5 x 200):
 
     ========  ====  ====  ====  ====  =====  =====  =====
     rows         1     2     4     8     16     32     87
@@ -252,7 +266,7 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
         out = raw * cdf._gain
         out += cdf._offset
         return out
-    if len(raw) > ONE_PASS_MAX_ROWS:
+    if len(raw) > ONE_PASS_MAX_ROWS or not cdf._lookups:
         out = np.empty_like(raw)
         for c, (values, probs) in enumerate(cdf._nodes):
             u = np.interp(raw[:, c], values, probs)

@@ -348,13 +348,20 @@ def prior_batchnorm_inference(x, mean, var, gamma, beta, eps=1e-5):
 
 
 def prior_predict(model, x, chunk=2048):
-    """WindModel.predict of a transformer composed from the prior layer
-    formulas, residual sums as new arrays and the chunks concatenated."""
+    """WindModel.predict composed from the prior layer formulas, residual
+    sums as new arrays and the chunks concatenated; a transformer or an
+    mlp."""
     cfg = model.config
     outs = []
     for i in range(0, x.shape[0], chunk):
         h = x[i : i + chunk]
         b, d = h.shape[0], cfg.token_width
+        if cfg.arch == "mlp":
+            h = h.reshape(b, -1)
+            for layer in (model.hidden1, model.hidden2):
+                h = prior_dense(h, layer.w.value, layer.b.value, layer.activation)
+            outs.append(prior_dense(h, model.head.w.value, model.head.b.value, None))
+            continue
         if d != cfg.n_stations:
             h = np.concatenate([h, np.zeros((b, cfg.window_steps, d - cfg.n_stations))], axis=2)
         h = h + model._pos

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,33 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
         assert apply_cdf_map(m, raw).tobytes() == want
         assert raw.tobytes() == kept.tobytes()
     assert prior_apply_cdf_map(loaded, raw).tobytes() == want
+
+
+def test_a_map_too_large_for_the_one_pass_keeps_the_bits_within_its_memory_bound():
+    # the one-pass entry table grows as channels squared times quantiles: at
+    # 27 x 5001 it would take 13.9 MiB, 6.7 times the map's quantiles, so
+    # the map builds no one-pass lookups and even one row takes the loop,
+    # with np.interp's bits. Building it peaks under 4 times its quantiles:
+    # it keeps them twice (the frozen copies and the tie-collapsed nodes)
+    # beside the merged grid's temporaries
+    rng = np.random.default_rng(5001)
+    src, tgt = (np.sort(rng.normal(size=(27, 5001)), axis=1) for _ in range(2))
+    # a 101-quantile map keeps the one pass (and its build imports what any build needs)
+    assert CdfMap("empirical_quantile", 27, src_quantiles=src[:, ::50],
+                  tgt_quantiles=tgt[:, ::50])._lookups
+    tracemalloc.start()
+    try:
+        cdf = CdfMap("empirical_quantile", 27, src_quantiles=src, tgt_quantiles=tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cdf._lookups == ()
+    assert peak < 4 * (src.nbytes + tgt.nbytes)
+    raw = rng.normal(size=(ONE_PASS_MAX_ROWS, 27))
+    raw[0, :4] = src[:4, 2500]  # exact nodes
+    for rows in (1, ONE_PASS_MAX_ROWS):
+        assert apply_cdf_map(cdf, raw[:rows]).tobytes() == prior_apply_cdf_map(
+            cdf, raw[:rows]).tobytes()
 
 
 def test_fit_never_reads_val_or_test_rows():

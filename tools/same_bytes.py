@@ -103,6 +103,10 @@ COMMANDS = [
                            "--set", 'postprocess.mode="empirical_quantile"',
                            "--set", "postprocess.n_quantiles=51", "--out", "sweep_off_default"]),
     ("ablation", ["run-station-ablation", "--config", "small.json", "--out", "ablation"]),
+    # token widths 8 and 12, whose predicts run whole chunks, and 20 and 60,
+    # whose predicts run in blocks (model.WindModel.predict)
+    ("ablation_default", ["run-station-ablation", *_DEFAULT_SHAPE,
+                          "--set", "station_counts=[5,10,20,60]", "--out", "ablation_default"]),
     ("sweep_default", ["run-lead-sweep", "--set", "train.max_epochs=2", "--set", "train.patience=2",
                        "--set", "leads_minutes=[5,30]", "--out", "sweep_default"]),
     ("synth", ["synth", *_STAGED, "--out", "staged/raw"]),

@@ -294,7 +294,7 @@ def test_predict_peak_memory_is_bounded_by_four_block_activations_per_worker(mon
     # a 2048-row default-width predict runs 256-row blocks; each worker holds
     # at most its block input, the query heads, the key projection and its
     # transposed copy at once, beside the output: 4.0 block activations of
-    # 0.7 MiB each (1 worker: 3.4 MiB in all, 2 workers: at most 6.3 MiB),
+    # 0.7 MiB each (1 worker: 3.2 MiB in all, 2 workers: at most 6.1 MiB),
     # down from 4.07 activations of the whole 2048 rows (22.9 MiB)
     model = _trained_looking(ModelConfig(), seed=0)
     x = np.random.default_rng(0).normal(size=(2048, 6, 60))

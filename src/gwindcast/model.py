@@ -14,7 +14,6 @@ window and applies two tanh layers of the same width, then a linear readout.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,10 +94,6 @@ class WindModel:
             self.hidden2 = neural.Dense("hidden2", f, f, rng, activation="tanh")
             self.head = neural.Dense("head", f, config.output_dim, rng)
         self._block_rows, self._fewest_block_rows = _block_rule(config)
-        # predict splits no input shorter than this into blocks
-        self._split_rows = max(self._block_rows + 1, 2 * self._fewest_block_rows)
-        if self._split_rows > PREDICT_CHUNK:
-            self._split_rows = math.inf  # no chunk can be split
 
     # ------------------------------------------------------------ state --
 
@@ -166,53 +161,38 @@ class WindModel:
         readout is copied into one output array.
 
         A chunk is split into blocks of about ``PREDICT_BLOCK_BYTES`` of
-        activation (256 rows at width 60), which the calling thread and up
-        to one pool thread per further usable CPU take from one queue, each
-        writing its own rows of the output. A row's bits do not depend on
-        the split as long as every row-scaling product of every block (the
-        attention projections and the feed-forward at rows x tokens by
-        width by width, the readout at rows by window x width by outputs;
-        the mlp's hidden layers and readout) stays off BLAS's small-matrix
-        path: M*N*K above ``SMALL_GEMM_MNK``. So the blocks depend only on
-        the row count and the model's shape, never on the worker count, and
-        a chunk whose blocks would break that rule runs whole. The rule's
+        activation (256 rows at width 60), run one after another. A row's
+        bits do not depend on the split as long as every row-scaling product
+        of every block (the attention projections and the feed-forward at
+        rows x tokens by width by width, the readout at rows by window x
+        width by outputs; the mlp's hidden layers and readout) stays off
+        BLAS's small-matrix path: M*N*K above ``SMALL_GEMM_MNK``. So the
+        blocks depend only on the row count and the model's shape, and a
+        chunk whose blocks would break that rule runs whole. The rule's
         floor is the measured one: against a whole 2048-row forward (6-step
-        window, 27 outputs, OpenBLAS 0.3.31) the smallest block that keeps
-        the bits is 103 rows at width 60 and 417 at width 20, and a block
-        one row shorter changes them. At token widths 8 and 12 no chunk is
-        split. A 3995-row predict at width 60 took 63-84 ms on 2 threads
-        and 117-165 ms on 1, against 115-156 ms as whole 2048-row chunks
-        (fastest of 15, in 5 alternating processes each; noisy 2-core host,
-        one BLAS thread). One fused query-key-value product differs from
-        three separate ones at 1 row, and at width 20 with 87 rows, so it
-        was left out.
+        window, 27 outputs, OpenBLAS 0.3.31, one thread) the smallest block
+        that keeps the bits is 103 rows at width 60 and 417 at width 20, and
+        a block one row shorter changes them; the tests also compare at two
+        BLAS threads. At token widths 8 and 12 no chunk is split. Another
+        BLAS may draw its small-matrix line elsewhere or let a row's bits
+        depend on the other rows; then blocks and whole chunks can differ,
+        though the blocks still depend on nothing but the row count and the
+        model's shape. A batch re-forecast of 3995
+        width-60 rows (normalize, predict, calibrate with a 27 x 101
+        empirical map) took 101-103 ms in blocks against 122-129 ms in whole
+        chunks (fastest of 15, in 5 alternating processes each; 2-core host,
+        one BLAS thread). Predicts alone, back to back, gain nothing
+        (116-166 against 114-124 ms): each block's freed memory is faulted
+        in again. One fused query-key-value product differs from three
+        separate ones at 1 row, and at width 20 with 87 rows, so it was left
+        out.
         """
         n = x.shape[0]
         out = np.empty((n, self.config.output_dim))
-        if n < self._split_rows:
-            with neural.no_graph():
-                for i in range(0, n, PREDICT_CHUNK):
-                    rows = slice(i, i + PREDICT_CHUNK)
-                    out[rows] = self.forward_batch(x[rows], training=False).data
-            return out
-        blocks = [b for i in range(0, n, PREDICT_CHUNK)
-                  for b in self._blocks(i, min(n, i + PREDICT_CHUNK))]
-        todo = iter(blocks)
-
-        def work():
-            for rows in todo:
-                out[rows] = self.forward_batch(x[rows], training=False).data
-
-        helpers = min(len(blocks), _usable_cpus()) - 1
         with neural.no_graph():
-            futures = [_pool(helpers).submit(work) for _ in range(helpers)]
-            try:
-                work()
-            finally:
-                for f in futures:
-                    f.exception()  # waits: the helpers run under no_graph too
-        for f in futures:
-            f.result()
+            for i in range(0, n, PREDICT_CHUNK):
+                for rows in self._blocks(i, min(n, i + PREDICT_CHUNK)):
+                    out[rows] = self.forward_batch(x[rows], training=False).data
         return out
 
     def _blocks(self, start: int, stop: int) -> list:
@@ -236,25 +216,6 @@ def _block_rule(config: ModelConfig) -> tuple:
         inner = row
     block = max(1, PREDICT_BLOCK_BYTES // (8 * row))
     return block, SMALL_GEMM_MNK // (row * min(inner, config.output_dim)) + 1
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (taskset and cgroup cpusets cap it)."""
-    return len(os.sched_getaffinity(0))
-
-
-_POOL = None  # (pid, threads, executor) of the inference helper threads
-
-
-def _pool(threads: int):
-    """A thread pool of at least ``threads`` threads owned by this process;
-    a forked child builds its own, since its parent's threads are gone."""
-    global _POOL
-    if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] < threads:
-        from concurrent.futures import ThreadPoolExecutor  # 7.7 ms of imports
-
-        _POOL = (os.getpid(), threads, ThreadPoolExecutor(threads, "gwindcast-predict"))
-    return _POOL[2]
 
 
 def predict_denormalized(model: WindModel, samples, split) -> WindSeries:

@@ -3,8 +3,6 @@ import json
 import os
 import shutil
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -842,52 +840,6 @@ def test_cli_non_finite_model_output_exits_4(tmp_path, capsys):
             assert cli.main(argv) == 4, argv
         assert message in capsys.readouterr().err
         assert not os.path.exists(argv[-1])
-
-
-# runs the CLI with its arguments after the first; "pin" pins the process to
-# one CPU after numpy has started BLAS with its thread count, so predict runs
-# every block on its calling thread and BLAS keeps its threads
-_PINNABLE_CLI = ("import os, sys, numpy\n"
-                 "from gwindcast import cli\n"
-                 "if sys.argv[1] == 'pin':\n"
-                 "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-                 "sys.exit(cli.main(sys.argv[2:]))")
-
-
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_cli_predict_bytes_do_not_depend_on_the_inference_workers(tmp_path):
-    # a predict whose split runs in blocks writes the same bytes pinned to one
-    # CPU (one worker) as unpinned (two workers), at one and at two BLAS threads
-    import gwindcast
-    from gwindcast.model import load_model
-
-    cfg_path = _write_config(tmp_path, {"window_steps": 6,
-                                        "train": {"max_epochs": 1, "patience": 1},
-                                        "synth": {"n_ztd_stations": 60, "n_steps": 1000}})
-    path = functools.partial(os.path.join, str(tmp_path))
-    lead = ["--config", cfg_path, "--data", path("prep"), "--lead", "5"]
-    assert cli.main(["synth", "--config", cfg_path, "--out", path("raw")]) == 0
-    assert cli.main(["preprocess", "--config", cfg_path, "--data", path("raw"),
-                     "--out", path("prep")]) == 0
-    assert cli.main(["train", *lead, "--out", path("trained")]) == 0
-    model = load_model(path("trained", "checkpoint.gwc"))
-    src = os.path.dirname(os.path.dirname(gwindcast.__file__))
-    written = {}
-    for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=src)
-        for pin in ("pin", "free"):
-            out = path(f"pred-{blas}-{pin}")
-            proc = subprocess.run(
-                [sys.executable, "-c", _PINNABLE_CLI, pin, "predict", *lead, "--split", "train",
-                 "--model", path("trained", "checkpoint.gwc"), "--out", out],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            with open(os.path.join(out, "predictions.gwcs"), "rb") as f:
-                written[blas, pin] = f.read()
-    rows = int(proc.stdout.split()[1])
-    assert len(model._blocks(0, rows)) > 1  # the train split runs in blocks
-    for blas in ("1", "2"):
-        assert written[blas, "pin"] == written[blas, "free"], blas
 
 
 def test_cli_ablation_runs(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -227,90 +230,55 @@ def test_every_running_variance_writer_refreshes_the_inverse_std():
 @pytest.mark.parametrize("config", [
     ModelConfig(n_stations=8), ModelConfig(n_stations=12), ModelConfig(n_stations=20),
     ModelConfig(), ModelConfig(arch="mlp")], ids=["width8", "width12", "width20", "width60", "mlp"])
-def test_predict_blocks_keep_the_bits_of_whole_chunks_at_any_worker_count(config, monkeypatch):
-    # the blocks depend on the row count and the model's shape only: at one
-    # and at two workers every row keeps the bits of a whole 2048-row chunk,
-    # around the smallest block at width 60 and the mlp (103 rows), around
-    # one chunk, and where a chunk splits at widths 20 and 60 and the mlp
+def test_predict_blocks_keep_the_bits_of_whole_chunks(config):
+    # the blocks depend on the row count and the model's shape only, and
+    # every row keeps the bits of a whole 2048-row chunk: around the smallest
+    # block at width 60 and the mlp (103 rows), around one chunk, and where a
+    # chunk splits at widths 20 and 60 and the mlp
     model = _trained_looking(config, seed=3)
     rng = np.random.default_rng(3)
     for rows in (1, 102, 103, 206, 599, 2048, 2049, 3995):
         x = rng.normal(size=(rows, config.window_steps, config.n_stations))
-        want = prior_predict(model, x, chunk=2048).tobytes()
-        for workers in (1, 2):
-            monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
-            assert model.predict(x).tobytes() == want, (rows, workers)
+        assert model.predict(x).tobytes() == prior_predict(model, x, chunk=2048).tobytes(), rows
     assert (len(model._blocks(0, 2048)) > 1) == (config.arch == "mlp" or config.n_stations >= 20)
 
 
-def test_predict_blocks_run_once_each_under_thread_stress(monkeypatch):
-    # more workers than CPUs, switching threads every microsecond: every
-    # block is taken from the shared queue and written to its own rows (a
-    # skipped one would leave np.empty's garbage), within a time bound
-    import sys
-    import threading
-
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 8)
-    model = _trained_looking(ModelConfig(), seed=6)
-    x = np.random.default_rng(6).normal(size=(3995, 6, 60))
-    want = prior_predict(model, x).tobytes()
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=lambda: got.extend(model.predict(x) for _ in range(3)))
-        runner.start()
-        runner.join(120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive() and len(got) == 3
-    assert all(out.tobytes() == want for out in got)
+def test_predict_blocks_keep_the_bits_of_whole_chunks_on_two_blas_threads():
+    # the same compare with BLAS threading its products, as it does by
+    # default on a multi-core host
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import numpy as np\n"
+            "from gwindcast.model import ModelConfig\n"
+            "from reference_impls import prior_predict\n"
+            "from test_model import _trained_looking\n"
+            "for config in (ModelConfig(), ModelConfig(arch='mlp')):\n"
+            "    model = _trained_looking(config, seed=4)\n"
+            "    x = np.random.default_rng(4).normal(size=(3995, 6, 60))\n"
+            "    assert model.predict(x).tobytes() == prior_predict(model, x).tobytes()\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
-def test_predict_in_a_forked_child_builds_its_own_pool(monkeypatch):
-    # a forked child inherits the parent's pool but not its threads; its
-    # predict builds a pool of its own and writes the parent's bytes
-    import multiprocessing
-
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
-    model = _trained_looking(ModelConfig(), seed=5)
-    x = np.random.default_rng(5).normal(size=(599, 6, 60))
-    want = model.predict(x).tobytes()
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=lambda: send.send_bytes(model.predict(x).tobytes()))
-    child.start()
-    try:
-        assert receive.poll(120), "the forked child's predict did not finish"
-        assert receive.recv_bytes() == want
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-
-
-def test_predict_peak_memory_is_bounded_by_four_block_activations_per_worker(monkeypatch):
-    # a 2048-row default-width predict runs 256-row blocks; each worker holds
-    # at most its block input, the query heads, the key projection and its
+def test_predict_peak_memory_is_bounded_by_four_block_activations():
+    # a 2048-row default-width predict runs 256-row blocks one after another
+    # and holds at most a block's input, query heads, key projection and its
     # transposed copy at once, beside the output: 4.0 block activations of
-    # 0.7 MiB each (1 worker: 3.2 MiB in all, 2 workers: at most 6.1 MiB),
-    # down from 4.07 activations of the whole 2048 rows (22.9 MiB)
+    # 0.7 MiB each (3.2 MiB in all), down from 4.07 activations of the whole
+    # 2048 rows (22.9 MiB)
     model = _trained_looking(ModelConfig(), seed=0)
     x = np.random.default_rng(0).normal(size=(2048, 6, 60))
-    block = model_module.PREDICT_BLOCK_BYTES
     assert model._blocks(0, 2048) == [slice(i, i + 256) for i in range(0, 2048, 256)]
-    for workers in (1, 2):
-        monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
-        model.predict(x[:1])
-        model.predict(x)
-        tracemalloc.start()
-        try:
-            out = model.predict(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + workers * 4.1 * block, workers
+    model.predict(x[:1])
+    tracemalloc.start()
+    try:
+        out = model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4.1 * model_module.PREDICT_BLOCK_BYTES
 
 
 def test_mlp_architecture_runs_and_counts():

@@ -26,7 +26,6 @@ from .preprocess import (
     decompose_wind,
     fill_gaps,
     height_to_pressure,
-    interpolate_to_pressure_levels,
 )
 from .synthgen import SynthConfig, generate
 from .trainer import TrainConfig, train
@@ -62,7 +61,6 @@ __all__ = [
     "fit_cdf_map",
     "generate",
     "height_to_pressure",
-    "interpolate_to_pressure_levels",
     "load_model",
     "mae",
     "pearson_r",

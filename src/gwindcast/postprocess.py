@@ -15,14 +15,14 @@ Both modes are monotone non-decreasing per channel.
 A map's arrays are frozen copies, and what depends on the map alone is
 computed once, when the map is made: the affine gain and offset, or each
 channel's tie-collapsed source nodes with their probabilities and the
-lookup tables that interpolate every channel at once. Applying a map then
-runs only the affine multiply-add, or, for the empirical map, one of two
-paths with the same bits as ``np.interp``: up to ``ONE_PASS_MAX_ROWS``
+lookups that interpolate every channel at once, which grow as channels
+times quantiles. Applying a map then runs only the affine multiply-add,
+or, for the empirical map, one of two paths with the same bits as
+``np.interp``, chosen by the row count alone: up to ``ONE_PASS_MAX_ROWS``
 rows (a serving cycle's one window) one pass over every channel, longer
-inputs two ``np.interp`` calls per channel. A map whose one-pass entry
-table would exceed ``ONE_PASS_MAX_ENTRY_BYTES`` builds no one-pass lookups
-and always takes the loop. A map no fit can produce (a non-finite entry, a
-decreasing quantile row or a negative sigma) is a ValueError.
+inputs two ``np.interp`` calls per channel. A map no fit can produce (a
+non-finite entry, a decreasing quantile row or a negative sigma) is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -43,28 +43,23 @@ _ARRAYS = {"gaussian_affine": ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt"),  #
 
 # the most rows apply_cdf_map calibrates in one pass over every channel;
 # longer inputs take the per-channel np.interp loop. One pass pays a
-# binary search of each value over every channel's merged nodes, the loop
-# numpy's per-call cost; see apply_cdf_map for the measurements.
+# binary search of each value over every channel's nodes, the loop numpy's
+# per-call cost; see apply_cdf_map for the measurements.
 ONE_PASS_MAX_ROWS = 16
-# the largest entry table an empirical map builds for the one pass; it
-# grows as channels squared times quantiles (27 x 101: 0.14 MiB, 27 x 5001:
-# 13.9 MiB), and a map whose table would be larger always takes the loop
-ONE_PASS_MAX_ENTRY_BYTES = 1 << 20
 
 
 class _Lookup(NamedTuple):
     """One piecewise-linear interpolation of every channel at once.
 
-    A value x of channel c is searched in the sorted nodes ``grid``;
-    ``start[c]`` plus the number of grid nodes at or below x indexes
-    ``entry``, which gives the row of ``table`` for the interval x lies in
-    (``entry`` None: the index is that row). A row holds the interval's
-    (node, value, slope), each channel's rows one block.
+    Channel c's node x is the complex key c + x*j, and ``keys`` holds every
+    channel's keys in numpy's complex order (real part, then imaginary
+    part), so one sorted array serves every channel. The number of keys at
+    or below c + x*j, plus c, is the row of ``table`` for the interval x
+    lies in; a row holds the interval's (node, value, slope), each
+    channel's rows one block.
     """
 
-    grid: np.ndarray
-    start: np.ndarray
-    entry: np.ndarray | None
+    keys: np.ndarray
     table: np.ndarray
 
 
@@ -81,7 +76,6 @@ class CdfMap:
     # per-map constants: gaussian_affine's gain and offset, or the quantile
     # positions, each channel's (source nodes, their probabilities) and the
     # two lookups of the one-pass path, source CDF then inverse target CDF
-    # (none on a map whose source entry table would be too large)
     _gain: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _offset: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _positions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -124,10 +118,8 @@ class CdfMap:
             nodes.append((_readonly(values), _readonly(positions[top])))
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_nodes", tuple(nodes))
-        source = _source_lookup(nodes)
-        if source is not None:
-            object.__setattr__(self, "_lookups", (source, _target_lookup(positions,
-                                                                         self.tgt_quantiles)))
+        object.__setattr__(self, "_lookups", (
+            _lookup(nodes), _lookup([(positions, row) for row in self.tgt_quantiles])))
 
     @property
     def n_quantiles(self) -> int:
@@ -155,46 +147,32 @@ def _segments(xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _source_lookup(nodes) -> _Lookup | None:
-    """The source CDFs of every channel: the grid merges every channel's
-    nodes, and entry[start[c] + k] is channel c's first table row plus the
-    number of its nodes among the k lowest grid nodes, in the narrowest
-    unsigned dtype that holds every row index. None if the entry table would
-    take more than ONE_PASS_MAX_ENTRY_BYTES."""
-    grid = np.unique(np.concatenate([values for values, _ in nodes]))
-    first = np.cumsum([0] + [len(values) + 1 for values, _ in nodes])
-    dtype = np.min_scalar_type(first[-1] - 1)
-    if len(nodes) * (len(grid) + 1) * dtype.itemsize > ONE_PASS_MAX_ENTRY_BYTES:
-        return None
-    entry = np.empty((len(nodes), len(grid) + 1), dtype)
-    entry[:, 0] = first[:-1]
-    for c, (values, _) in enumerate(nodes):
-        entry[c, 1:] = first[c] + np.searchsorted(values, grid, side="right")
-    table = np.concatenate([_segments(values, probs) for values, probs in nodes])
-    return _Lookup(_readonly(grid), _readonly(np.arange(len(nodes)) * entry.shape[1]),
-                   _readonly(entry.ravel()), _readonly(table))
+def _lookup(curves) -> _Lookup:
+    """The piecewise-linear maps np.interp(x, xp, fp) of every channel, one
+    (xp, fp) per channel with xp strictly increasing."""
+    counts = [len(xp) for xp, _ in curves]
+    keys = np.empty(sum(counts), np.complex128)
+    keys.real = np.repeat(np.arange(len(curves)), counts)
+    keys.imag = np.concatenate([xp for xp, _ in curves])
+    table = np.concatenate([_segments(xp, fp) for xp, fp in curves])
+    return _Lookup(_readonly(keys), _readonly(table))
 
 
-def _target_lookup(positions: np.ndarray, tgt_quantiles: np.ndarray) -> _Lookup:
-    """The inverse target CDFs of every channel, all on the shared
-    positions, so no entry map is needed."""
-    table = np.concatenate([_segments(positions, row) for row in tgt_quantiles])
-    return _Lookup(positions, _readonly(np.arange(len(tgt_quantiles)) * (len(positions) + 1)),
-                   None, _readonly(table))
-
-
-def _interp_all(x: np.ndarray, lookup: _Lookup) -> np.ndarray:
-    """Every channel of x, shape (n, channels), through its piecewise-linear
-    map, with np.interp's formula slope * (x - node) + value. On an exact
-    node, as at both clamps, the result is the node's value itself, so a
-    value of -0.0 stays -0.0 as np.interp keeps it. A key np.interp does not
-    evaluate with the formula (NaN or infinite, or with an infinite slope)
-    comes out non-finite."""
-    k = np.searchsorted(lookup.grid, x, side="right")
-    k += lookup.start
-    rows = lookup.table.take(k if lookup.entry is None else lookup.entry.take(k), axis=0)
+def _interp_all(key: np.ndarray, channel: np.ndarray, lookup: _Lookup) -> np.ndarray:
+    """Every value x of key = c + x*j, shape (n, channels), through its
+    channel's piecewise-linear map, with np.interp's formula
+    slope * (x - node) + value. On an exact node, as at both clamps, the
+    result is the node's value itself, so a value of -0.0 stays -0.0 as
+    np.interp keeps it, and a -0.0 finds a node of 0.0. A value np.interp
+    does not evaluate with the formula (NaN or infinite, or with an
+    infinite slope) comes out non-finite; an infinite one stays in its
+    channel's rows, and a NaN one, which sorts after every key, indexes a
+    row within the table."""
+    k = np.searchsorted(lookup.keys, key, side="right")
+    k += channel
+    rows = lookup.table.take(k, axis=0)
     node, value, slope = rows[..., 0], rows[..., 1], rows[..., 2]
-    d = np.subtract(x, node)
+    d = np.subtract(key.imag, node)
     out = np.multiply(slope, d)
     out += value
     np.copyto(out, value, where=d == 0)  # an exact node
@@ -239,23 +217,23 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
 
     An empirical map pushes each channel through its source CDF and its
     inverse target CDF, both as np.interp computes them and with its bits.
-    Up to ``ONE_PASS_MAX_ROWS`` rows, on a map small enough to hold the
-    one-pass lookups (``ONE_PASS_MAX_ENTRY_BYTES``), this runs once over
-    every channel: one binary search of all values over the merged source
-    nodes and one over the shared quantile positions, each followed by one
-    table gather and np.interp's formula. A result that comes out
-    non-finite (an infinite or NaN input, or an infinite slope) is computed
-    again by np.interp, which keeps its NaN and one-node cases. Longer
-    inputs run two np.interp calls per channel, whose search starts from
-    the last interval found and so costs less than the merged search there.
-    Per call, in microseconds, for 27 channels of 101 quantiles (Python
-    3.11, numpy 2.4, one BLAS thread, shared 2-core host; the lower of two
-    runs, each the best of 5 x 200):
+    Up to ``ONE_PASS_MAX_ROWS`` rows this runs once over every channel:
+    one binary search of all values, each keyed by its channel, over every
+    channel's source nodes and one over every channel's quantile positions,
+    each followed by one table gather and np.interp's formula. A result
+    that comes out non-finite (an infinite or NaN input, or an infinite
+    slope) is computed again by np.interp, which keeps its NaN and one-node
+    cases. Longer inputs run two np.interp calls per channel, whose search
+    starts from the last interval found and so costs less than the keyed
+    search there. Per call, in microseconds, for 27 channels of 101
+    quantiles (Python 3.11, numpy 2.4, one BLAS thread, shared 2-core host;
+    the lower of two runs, each the best of 5 x 200; building the map takes
+    590):
 
     ========  ====  ====  ====  ====  =====  =====  =====
     rows         1     2     4     8     16     32     87
-    one pass  20.3  22.2  23.9  29.9   50.0  131.0  439.4
-    loop      91.3  98.3  96.6 100.6  110.6  120.0  244.9
+    one pass  20.1  22.7  26.4  35.1   48.6   85.4  330.1
+    loop      76.1  83.3  85.2  91.2   93.1  102.5  241.0
     ========  ====  ====  ====  ====  =====  =====  =====
     """
     raw = np.asarray(raw, dtype=np.float64)
@@ -266,15 +244,21 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
         out = raw * cdf._gain
         out += cdf._offset
         return out
-    if len(raw) > ONE_PASS_MAX_ROWS or not cdf._lookups:
+    if len(raw) > ONE_PASS_MAX_ROWS:
         out = np.empty_like(raw)
         for c, (values, probs) in enumerate(cdf._nodes):
             u = np.interp(raw[:, c], values, probs)
             out[:, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
         return out
     source, target = cdf._lookups
+    # each part assigned on its own: c + 1j * x gives an infinite x a NaN
+    # real part
+    channel = np.arange(cdf.n_channels)
+    key = np.empty(raw.shape, np.complex128)
+    key.real, key.imag = channel, raw
     with np.errstate(all="ignore"):
-        out = _interp_all(_interp_all(raw, source), target)
+        key.imag = _interp_all(key, channel, source)
+        out = _interp_all(key, channel, target)
         if np.isfinite(out).all():  # a non-finite u always gives a non-finite result
             return out
     for r, c in np.argwhere(~np.isfinite(out)):

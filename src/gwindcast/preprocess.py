@@ -1,8 +1,7 @@
 """Turning raw observations into model-ready tensors.
 
-Covers gap filling of delay panels, the height->pressure map, vertical
-interpolation onto pressure levels, speed/direction <-> (u, v) conversion,
-and sliding-window sample assembly.
+Covers gap filling of delay panels, the height->pressure map,
+speed/direction <-> (u, v) conversion, and sliding-window sample assembly.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geo
 from .core import (
-    HEIGHT_M,
-    PRESSURE_HPA,
-    LevelSpec,
     NormStats,
     SampleSet,
     WindCube,
@@ -121,50 +117,6 @@ def gap_report(panel: ZtdPanel) -> dict:
 def height_to_pressure(height_m, params: PressureMapParams = PressureMapParams()):
     """Map height above the surface to pressure via p0 * exp(-h / h_scale)."""
     return params.p0_hpa * np.exp(-np.asarray(height_m, dtype=np.float64) / params.h_scale_m)
-
-
-def interpolate_to_pressure_levels(
-    cube: WindCube,
-    target_levels: LevelSpec,
-    params: PressureMapParams = PressureMapParams(),
-) -> WindCube:
-    """Re-grid a height-level cube onto pressure levels.
-
-    Source heights are mapped to pressures with :func:`height_to_pressure`;
-    interpolation is linear in log-pressure. Targets outside the source range
-    take the nearest source level. A target entry is observed only when every
-    source level it draws from is observed.
-    """
-    if cube.levels.kind != HEIGHT_M:
-        raise ConfigError(f"source cube must be on height levels, got {cube.levels.kind}")
-    if not isinstance(target_levels, LevelSpec):
-        target_levels = LevelSpec(PRESSURE_HPA, tuple(float(p) for p in target_levels))
-    if target_levels.kind != PRESSURE_HPA:
-        raise ConfigError(f"target levels must be pressures, got {target_levels.kind}")
-    src_p = height_to_pressure(np.array(cube.levels.values), params)
-    # heights ascend, so log-pressure descends; flip to ascending for interp
-    x_src = np.log(src_p)[::-1]
-    v_src = cube.values[:, ::-1]
-    m_src = cube.mask[:, ::-1]
-    n_src = len(cube.levels)
-    n_t, _, n_s, _ = cube.values.shape
-    values = np.empty((n_t, len(target_levels), n_s, 3))
-    mask = np.empty(values.shape, dtype=bool)
-    for j, p_tgt in enumerate(target_levels.values):
-        x = np.log(p_tgt)
-        if x <= x_src[0]:
-            i0 = i1 = 0
-            w = 0.0
-        elif x >= x_src[-1]:
-            i0 = i1 = n_src - 1
-            w = 0.0
-        else:
-            i1 = int(np.searchsorted(x_src, x))
-            i0 = i1 - 1
-            w = (x - x_src[i0]) / (x_src[i1] - x_src[i0])
-        values[:, j] = (1.0 - w) * v_src[:, i0] + w * v_src[:, i1]
-        mask[:, j] = m_src[:, i0] & m_src[:, i1]
-    return WindCube(cube.axis, target_levels, cube.stations, values, mask)
 
 
 def decompose_wind(speed_ms, direction_deg):

@@ -9,9 +9,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # names kept without a caller, each for its reason
 EXEMPT = {
-    # the paper compares with ERA5 on pressure levels; wiring it into
-    # compare-baseline changes that command's output, a change of its own
-    "interpolate_to_pressure_levels",
+    # acceptance criterion 5 defines it; no command regrids onto pressure
+    # levels, so a pressure-level baseline against a height-level cube is
+    # refused as misaligned
+    "height_to_pressure",
     # acceptance criterion 1 defines it; the reports take the mean over
     # valid cells of pearson_cells themselves, and give NaN where none is valid
     "pearson_r",

@@ -243,6 +243,22 @@ def test_predict_blocks_keep_the_bits_of_whole_chunks(config):
     assert (len(model._blocks(0, 2048)) > 1) == (config.arch == "mlp" or config.n_stations >= 20)
 
 
+@pytest.mark.parametrize("config", [ModelConfig(), ModelConfig(arch="mlp")], ids=["width60", "mlp"])
+def test_predict_blocks_at_the_floor_keep_the_bits_of_whole_chunks(config, monkeypatch):
+    # with blocks of one row's activation only the floor bounds them: at
+    # width 60 and for the mlp, 206 rows split into two blocks of 103, the
+    # fewest rows that keep every product off BLAS's small-matrix path, and
+    # 205 rows run as one slice; each keeps the bits of a whole chunk
+    monkeypatch.setattr(model_module, "PREDICT_BLOCK_BYTES", 8 * 6 * 60)
+    model = _trained_looking(config, seed=5)
+    assert model._blocks(0, 206) == [slice(0, 103), slice(103, 206)]
+    assert model._blocks(0, 205) == [slice(0, 205)]
+    x = np.random.default_rng(5).normal(size=(206, 6, 60))
+    for rows in (205, 206):
+        assert model.predict(x[:rows]).tobytes() == prior_predict(
+            model, x[:rows], chunk=2048).tobytes(), rows
+
+
 def test_predict_blocks_keep_the_bits_of_whole_chunks_on_two_blas_threads():
     # the same compare with BLAS threading its products, as it does by
     # default on a multi-core host

@@ -141,8 +141,9 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
     # never written, and a second call gives the same bytes. Short inputs
     # take the one pass over every channel, longer ones the per-channel
     # loop; both keep np.interp's bits on infinite, NaN and huge inputs, on
-    # exact and end nodes, on a one-node channel and on target quantiles
-    # of -0.0, and neither warns
+    # exact and end nodes, on a one-node channel, on target quantiles of
+    # -0.0 and on a raw -0.0 at a source node of 0.0, and on a value above
+    # every node of its channel but not of the next; neither warns
     rng = np.random.default_rng(rows)
     cdf = fit_cdf_map(_FixedModel(27), _samples(n=200, out_dim=27, seed=rows), mode=mode)
     if mode == "gaussian_affine":  # one channel whose source spread is 0
@@ -162,6 +163,8 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
         for c, j in ((9, 0), (10, -1), (11, 50)):
             tgt[c] -= tgt[c, j]
             tgt[c, j] = -0.0
+        src[12] -= src[12, 30]  # a source node of 0.0
+        assert src[12, 30] == 0.0 and not np.signbit(src[12, 30])
         cdf = CdfMap(mode, 27, src_quantiles=src, tgt_quantiles=tgt)
         assert len(cdf._nodes[2][0]) == 101 - 40 - 19 and len(cdf._nodes[6][0]) == 1
         assert len(cdf._nodes[11][0]) == 101
@@ -175,6 +178,11 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
     if mode == "empirical_quantile":
         raw[0, 6] = np.nan  # a one-node channel maps NaN to its node's value
         raw[0, 9], raw[0, 10], raw[0, 11] = src[9, 0] - 1.0, src[10, -1] + 1.0, src[11, 50]
+        raw[0, 12] = -0.0  # the search finds the node of 0.0, as np.interp does
+        # above every node of channel 13 but above the first of channel 14
+        # too: the search stays in channel 13's rows
+        raw[0, 13] = src[13, -1] + 1.0
+        assert src[14, 0] < raw[0, 13]
         want = np.array([[-0.0, -0.0, -0.0]]).tobytes()
         assert prior_apply_cdf_map(cdf, raw)[:1, 9:12].tobytes() == want
     kept = raw.copy()
@@ -186,25 +194,28 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
 
 
 def test_a_map_too_large_for_the_one_pass_keeps_the_bits_within_its_memory_bound():
-    # the one-pass entry table grows as channels squared times quantiles: at
-    # 27 x 5001 it would take 13.9 MiB, 6.7 times the map's quantiles, so
-    # the map builds no one-pass lookups and even one row takes the loop,
-    # with np.interp's bits. Building it peaks under 4 times its quantiles:
-    # it keeps them twice (the frozen copies and the tie-collapsed nodes)
-    # beside the merged grid's temporaries
+    # a 27 x 5001 map once built no one-pass lookups, because a merged-grid
+    # entry table would have taken 13.9 MiB, and even one row took the loop.
+    # The channel-keyed lookups grow as channels times quantiles, so every
+    # map holds them. Building one peaks under 10 times its quantile arrays
+    # at 101 quantiles and at 5001 alike: it keeps them about 7 times (the
+    # frozen copies, the tie-collapsed nodes, two lookups' keys and tables)
+    # beside the last table's pieces. One row and 16 take the one pass, with
+    # np.interp's bits
     rng = np.random.default_rng(5001)
     src, tgt = (np.sort(rng.normal(size=(27, 5001)), axis=1) for _ in range(2))
-    # a 101-quantile map keeps the one pass (and its build imports what any build needs)
-    assert CdfMap("empirical_quantile", 27, src_quantiles=src[:, ::50],
-                  tgt_quantiles=tgt[:, ::50])._lookups
-    tracemalloc.start()
-    try:
-        cdf = CdfMap("empirical_quantile", 27, src_quantiles=src, tgt_quantiles=tgt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cdf._lookups == ()
-    assert peak < 4 * (src.nbytes + tgt.nbytes)
+    # a first build imports what any build needs
+    CdfMap("empirical_quantile", 27, src_quantiles=src[:, :2], tgt_quantiles=tgt[:, :2])
+    for step in (50, 1):
+        s, t = src[:, ::step], tgt[:, ::step]
+        tracemalloc.start()
+        try:
+            cdf = CdfMap("empirical_quantile", 27, src_quantiles=s, tgt_quantiles=t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cdf.n_quantiles == (101 if step == 50 else 5001) and cdf._lookups
+        assert peak < 10 * (s.nbytes + t.nbytes)
     raw = rng.normal(size=(ONE_PASS_MAX_ROWS, 27))
     raw[0, :4] = src[:4, 2500]  # exact nodes
     for rows in (1, ONE_PASS_MAX_ROWS):
@@ -301,11 +312,13 @@ def test_a_map_holds_read_only_arrays(tmp_path, mode):
     write_cdf_map(tmp_path / "cdf_map.json", cdf)
     for m in (cdf, read_cdf_map(tmp_path / "cdf_map.json")):
         stored = [m._gain, m._offset, m._positions, *(a for pair in m._nodes for a in pair),
-                  *(a for lookup in m._lookups for a in lookup if a is not m._positions)]
+                  *(a for lookup in m._lookups for a in lookup)]
         stored += [getattr(m, name) for name in ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt",
                                                  "src_quantiles", "tgt_quantiles")]
         stored = [a for a in stored if a is not None]
-        assert len(stored) == (6 if mode == "gaussian_affine" else 3 + 2 * 3 + 4 + 2)
+        # an empirical map: the positions, each channel's nodes and their
+        # probabilities, two lookups' keys and tables, and the quantiles
+        assert len(stored) == (6 if mode == "gaussian_affine" else 1 + 2 * 3 + 2 * 2 + 2)
         for a in stored:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0

@@ -26,7 +26,6 @@ from gwindcast.preprocess import (
     fill_gaps,
     gap_report,
     height_to_pressure,
-    interpolate_to_pressure_levels,
 )
 from reference_impls import loop_build_samples, loop_decompose, loop_pressure
 
@@ -42,20 +41,6 @@ def make_panel(values, mask=None, start=0, step=300):
     if mask is None:
         mask = np.isfinite(values)
     return ZtdPanel(TimeAxis(start, step, n_t), st, values, np.asarray(mask, bool))
-
-
-def make_cube(values, levels, mask=None, kind="height_m"):
-    values = np.asarray(values, dtype=float)
-    n_t, _, n_s, _ = values.shape
-    st = StationTable(
-        ids=tuple(f"W{i}" for i in range(n_s)),
-        lats=29.0 + 0.02 * np.arange(n_s),
-        lons=120.0 + 0.02 * np.arange(n_s),
-    )
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    return WindCube(TimeAxis(0, 300, n_t), LevelSpec(kind, levels), st,
-                    values, np.asarray(mask, bool))
 
 
 # ----------------------------------------------------------- fill_gaps ----
@@ -133,51 +118,6 @@ def test_height_to_pressure_known_values():
     assert arr[2] == pytest.approx(1013.25 / np.e**2, rel=1e-12)
     custom = PressureMapParams(p0_hpa=1000.0, h_scale_m=7000.0)
     assert height_to_pressure(7000.0, custom) == pytest.approx(1000.0 / np.e, rel=1e-12)
-
-
-def test_interpolate_to_pressure_levels_linear_in_log_p():
-    # two height levels map to two pressures; ask for the log-midpoint
-    heights = (0.0, 8000.0)
-    p_top = height_to_pressure(8000.0)
-    mid_p = float(np.exp((np.log(1013.25) + np.log(p_top)) / 2.0))
-    vals = np.zeros((2, 2, 1, 3))
-    vals[:, 0, 0, 0] = 10.0
-    vals[:, 1, 0, 0] = 20.0
-    cube = make_cube(vals, heights)
-    out = interpolate_to_pressure_levels(cube, (mid_p,))
-    assert out.levels.kind == "pressure_hPa"
-    assert out.values[0, 0, 0, 0] == pytest.approx(15.0)
-
-
-def test_interpolate_clamps_outside_range():
-    heights = (1000.0, 2000.0)
-    vals = np.zeros((1, 2, 1, 3))
-    vals[0, 0, 0, 1] = 5.0
-    vals[0, 1, 0, 1] = 9.0
-    cube = make_cube(vals, heights)
-    out = interpolate_to_pressure_levels(cube, (1013.25, 100.0))
-    # 1013.25 hPa is below the lowest height -> clamp to first level
-    assert out.values[0, 0, 0, 1] == 5.0
-    # 100 hPa is far above the highest height -> clamp to last level
-    assert out.values[0, 1, 0, 1] == 9.0
-
-
-def test_interpolate_mask_requires_both_brackets():
-    heights = (1000.0, 2000.0)
-    vals = np.zeros((1, 2, 1, 3))
-    mask = np.ones(vals.shape, bool)
-    mask[0, 1, 0, 0] = False
-    cube = make_cube(vals, heights, mask=mask)
-    mid_p = float(height_to_pressure(1500.0))
-    out = interpolate_to_pressure_levels(cube, (mid_p,))
-    assert not out.mask[0, 0, 0, 0]
-    assert out.mask[0, 0, 0, 1]
-
-
-def test_interpolate_rejects_pressure_input():
-    cube = make_cube(np.zeros((1, 2, 1, 3)), (900.0, 500.0), kind="pressure_hPa")
-    with pytest.raises(ConfigError):
-        interpolate_to_pressure_levels(cube, (700.0,))
 
 
 # -------------------------------------------------- wind decomposition ----

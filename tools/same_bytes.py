@@ -79,6 +79,10 @@ _REORDERED_SCENE = json.dumps({"kind": "files", **{name: f"reordered/{name}.csv"
 _SHORT = ["--config", "small.json", "--set", 'postprocess.mode="empirical_quantile"',
           "--data", "reordered/prep", "--lead", "5"]
 _SHORT_CDF = ["--model", "reordered/run/checkpoint.gwc", "--cdf", "reordered/run/cdf_map.json"]
+# the same with 5001 quantiles: a map of 12 channels this large once took the
+# per-channel loop even for the 1-row test prediction, and now takes the one pass
+_SHORT_5001 = [*_SHORT, "--set", "postprocess.n_quantiles=5001",
+               "--model", "reordered/run/checkpoint.gwc"]
 
 # the default scene and model (60 delay stations, two 4-head blocks) staged
 # for one epoch: its 2792-row train split is predicted in two chunks
@@ -134,6 +138,10 @@ COMMANDS = [
     ("short_predict", ["predict", *_SHORT, *_SHORT_CDF, "--out", "reordered/run"]),
     ("short_predict_train", ["predict", *_SHORT, *_SHORT_CDF, "--split", "train",
                              "--out", "reordered/train"]),
+    ("short_calibrate_5001", ["calibrate", *_SHORT_5001,
+                              "--out", "reordered/run/cdf_map_5001.json"]),
+    ("short_predict_5001", ["predict", *_SHORT_5001, "--cdf", "reordered/run/cdf_map_5001.json",
+                            "--out", "reordered/run_5001"]),
     ("emit_timeseries", ["emit-timeseries", "--pred", "staged/run/predictions.gwcs",
                          "--truth", "staged/run/truth.gwcs", "--out", "staged/timeseries"]),
     ("show_report", ["show-report", "--report", "staged/run/report.json"]),

@@ -179,8 +179,8 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
         raw[0, 6] = np.nan  # a one-node channel maps NaN to its node's value
         raw[0, 9], raw[0, 10], raw[0, 11] = src[9, 0] - 1.0, src[10, -1] + 1.0, src[11, 50]
         raw[0, 12] = -0.0  # the search finds the node of 0.0, as np.interp does
-        # above every node of channel 13 but above the first of channel 14
-        # too: the search stays in channel 13's rows
+        # above every node of channel 13, and so above channel 14's first
+        # node too: the search stays in channel 13's rows
         raw[0, 13] = src[13, -1] + 1.0
         assert src[14, 0] < raw[0, 13]
         want = np.array([[-0.0, -0.0, -0.0]]).tobytes()
@@ -194,14 +194,12 @@ def test_apply_keeps_the_bits_of_the_prior_formulas(tmp_path, rows, mode):
 
 
 def test_a_map_too_large_for_the_one_pass_keeps_the_bits_within_its_memory_bound():
-    # a 27 x 5001 map once built no one-pass lookups, because a merged-grid
-    # entry table would have taken 13.9 MiB, and even one row took the loop.
-    # The channel-keyed lookups grow as channels times quantiles, so every
-    # map holds them. Building one peaks under 10 times its quantile arrays
-    # at 101 quantiles and at 5001 alike: it keeps them about 7 times (the
-    # frozen copies, the tie-collapsed nodes, two lookups' keys and tables)
-    # beside the last table's pieces. One row and 16 take the one pass, with
-    # np.interp's bits
+    # the channel-keyed lookups grow as channels times quantiles, so even a
+    # 27 x 5001 map holds them, and one row and 16 take the one pass with
+    # np.interp's bits. Building a map peaks under 10 times its quantile
+    # arrays at 101 quantiles and at 5001 alike: it keeps them about 7 times
+    # (the frozen copies, the tie-collapsed nodes, two lookups' keys and
+    # tables) beside the last table's pieces
     rng = np.random.default_rng(5001)
     src, tgt = (np.sort(rng.normal(size=(27, 5001)), axis=1) for _ in range(2))
     # a first build imports what any build needs

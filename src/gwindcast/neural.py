@@ -1,50 +1,35 @@
 """Minimal reverse-mode tensor graph and the layers the wind models need.
 
-Everything is float64. A forward pass records a dynamic graph of ``Tensor``
-nodes over activations only, one per layer: ``Dense`` (matrix product, bias
-and optional tanh), ``MultiHeadAttention`` and ``BatchNorm`` each record one
-node whose parents are its inputs and whose backward is plain numpy, and the
-models join them with ``residual`` sums, ``reshape`` (the flatten before the
-readout) and ``mse_loss``. ``Tensor.backward()`` walks the graph in reverse
-topological order; each layer's backward adds its own parameter gradients
-into ``Param.grad`` in place and returns its input's.
+Everything is float64. Each layer (``Dense``, ``MultiHeadAttention``,
+``BatchNorm``) has two entry points over one set of arithmetic helpers:
 
-Each node records a backward function that maps the gradient ``g`` of its
-output to one gradient (or ``None``) per parent, in the order of the
+* ``infer(x)`` takes an ndarray and returns one. It is the inference path:
+  no ``Tensor``, no backward, no shape check, and it drops each array it is
+  done with (attention's query, key, weights and values) at once.
+* ``forward(x)`` takes a ``Tensor`` and records one graph node whose
+  parents are its inputs and whose backward is plain numpy. The models
+  join the nodes with ``residual`` sums, ``reshape`` (the flatten before
+  the readout) and ``mse_loss``; this is the training path.
+
+``Tensor.backward()`` walks the recorded graph in reverse topological order;
+each layer's backward adds its own parameter gradients into ``Param.grad``
+in place and returns its input's. A node's backward maps the gradient ``g``
+of its output to one gradient (or ``None``) per parent, in the order of the
 parents. It never refers to its own output, so a graph holds no reference
 cycle and is freed by reference counting as soon as the loss is dropped.
 The gradients it returns may be ``g`` itself or views of it;
 ``Tensor.backward()`` stores them and adds later ones out of place, so no
-returned gradient is ever written to. A forward does its elementwise steps
-(bias, tanh, softmax, batch-norm scale) in an array it made itself, never in
-one it was passed or one a backward reads. Inside :func:`no_graph` nothing
-is recorded: inference builds only the arrays it needs, a layer drops an
-array its backward alone would read (attention's query, key, weights and
-values) as soon as the forward is done with it, and a residual sum goes
-into the layer output's own array.
+returned gradient is ever written to. Both paths do their elementwise steps
+(bias, tanh, softmax, batch-norm scale) in an array they made themselves,
+never in one they were passed or one a backward reads, so they give the
+same bits.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import BatchTooSmall, GraphNotRecorded, OddWidth, ShapeMismatch
-
-_recording = True
-
-
-@contextmanager
-def no_graph():
-    """Inside this block every Tensor keeps no parents or backward function
-    and needs no gradient, so ops record no graph (inference only)."""
-    global _recording
-    outer, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = outer
 
 
 class Tensor:
@@ -56,8 +41,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad = None
-        if not _recording:
-            parents, backward, requires_grad = (), None, False
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad or backward is not None
@@ -116,12 +99,8 @@ class Param:
 
 
 def residual(x: Tensor, fx: Tensor) -> Tensor:
-    """x + fx for a layer output fx that nothing else holds; under
-    :func:`no_graph` the sum is written into fx's own array."""
-    if _recording:
-        return Tensor(x.data + fx.data, (x, fx), lambda g: (g, g))
-    np.add(x.data, fx.data, out=fx.data)
-    return fx
+    """x + fx, an add node."""
+    return Tensor(x.data + fx.data, (x, fx), lambda g: (g, g))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -180,13 +159,23 @@ class Dense:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x: Tensor) -> Tensor:
-        w, bias = self.w.value, self.b.value
-        x2 = x.data.reshape(-1, w.shape[0])
-        y = np.matmul(x2, w).reshape(x.shape[:-1] + bias.shape)
-        y += bias
+    def _affine(self, x2: np.ndarray) -> np.ndarray:
+        """x2 @ w + b, then tanh if any, for a (rows, n_in) matrix x2; the
+        bias and tanh work in the product's array."""
+        y = np.matmul(x2, self.w.value)
+        y += self.b.value
         if self.activation == "tanh":
             np.tanh(y, out=y)
+        return y
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        w = self.w.value
+        return self._affine(x.reshape(-1, w.shape[0])).reshape(x.shape[:-1] + w.shape[1:])
+
+    def forward(self, x: Tensor) -> Tensor:
+        w = self.w.value
+        x2 = x.data.reshape(-1, w.shape[0])
+        y = self._affine(x2).reshape(x.shape[:-1] + w.shape[1:])
 
         def _bw(g):
             if self.activation == "tanh":
@@ -208,9 +197,9 @@ class MultiHeadAttention:
     concatenated heads pass through an output projection with bias. The node
     lists its input once per projection, so the input receives the query, key
     and value gradients one after another. A recorded forward keeps the
-    per-head query and transposed key for the backward; under
-    :func:`no_graph` it drops them once the weights are made, and the
-    weights and values once the context is.
+    per-head query and transposed key for the backward; :meth:`infer` drops
+    them once the weights are made, and the weights and values once the
+    context is.
     """
 
     def __init__(self, name: str, width: int, heads: int, rng: np.random.Generator):
@@ -245,15 +234,36 @@ class MultiHeadAttention:
         is stabilized by a max-shift; every step works in the score array."""
         s = np.matmul(q, kt)
         s *= self._scale
-        # the row max column by column: s.max(axis=-1) takes several times
-        # as long on rows as short as a window
-        top = s[..., :1].copy()
-        for j in range(1, s.shape[-1]):
-            np.maximum(top, s[..., j : j + 1], out=top)
+        if len(s) < 4:
+            top = s.max(axis=-1, keepdims=True)
+        else:
+            # the row max column by column: s.max(axis=-1) takes several
+            # times as long on many rows as short as a window
+            top = s[..., :1].copy()
+            for j in range(1, s.shape[-1]):
+                np.maximum(top, s[..., j : j + 1], out=top)
         s -= top
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
         return s
+
+    def _context(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The heads' weighted values, written token-major as one
+        (batch * tokens, width) matrix."""
+        b, h, n, dh = v.shape
+        ctx = np.empty((b, n, h, dh))
+        np.matmul(a, v, out=ctx.swapaxes(1, 2))
+        return ctx.reshape(-1, h * dh)
+
+    def _output(self, ctx: np.ndarray, shape) -> np.ndarray:
+        """The output projection of the context, with its bias, in shape."""
+        y = np.matmul(ctx, self.wo.value).reshape(shape)
+        y += self.bo.value
+        return y
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        ctx = self._context(self._softmax(*self._query_key(x)), self._heads(x, self.wv.value))
+        return self._output(ctx, x.shape)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.width:
@@ -262,16 +272,9 @@ class MultiHeadAttention:
         wq, wk, wv, wo = self.wq.value, self.wk.value, self.wv.value, self.wo.value
         q, kt = self._query_key(x.data)
         a = self._softmax(q, kt)
-        if not _recording:
-            q = kt = None  # only the backward reads them
         v = self._heads(x.data, wv)
-        ctx = np.empty((b, n, self.heads, d // self.heads))
-        np.matmul(a, v, out=np.swapaxes(ctx, 1, 2))  # heads written token-major
-        ctx = ctx.reshape(-1, d)
-        if not _recording:
-            a = v = None
-        y = np.matmul(ctx, wo).reshape(x.shape)
-        y += self.bo.value
+        ctx = self._context(a, v)
+        y = self._output(ctx, x.shape)
 
         def _bw(g):
             g2 = g.reshape(-1, d)
@@ -339,30 +342,36 @@ class BatchNorm:
         self.running_mean = np.array(arrays[f"{self.name}.running_mean"], dtype=np.float64)
         self.running_var = np.array(arrays[f"{self.name}.running_var"], dtype=np.float64)
 
+    def _scale_shift(self, c: np.ndarray, inv: np.ndarray, out=None):
+        """(x_hat, gamma * x_hat + beta) for the centred input c; x_hat is
+        c * inv, computed in c's own array, and the output goes to out."""
+        x_hat = np.multiply(c, inv, out=c)
+        y = np.multiply(x_hat, self.gamma.value, out=out)
+        y += self.beta.value
+        return x_hat, y
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Normalize by the running statistics, in one new array."""
+        c = x - self.running_mean
+        return self._scale_shift(c, self._inv_std, out=c)[1]
+
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim < 2:
             raise ShapeMismatch(f"batch norm expects (..., features), got {x.shape}")
+        if not training:
+            return Tensor(self.infer(x.data))
         x2 = x.data.reshape(-1, x.shape[-1])
         m = x2.shape[0]
-        if not training:
-            mu, inv = self.running_mean, self._inv_std
-        elif m < 2:
+        if m < 2:
             raise BatchTooSmall("batch statistics need at least 2 rows")
-        else:
-            mu = x2.mean(axis=0)
+        mu = x2.mean(axis=0)
         c = x2 - mu
-        if training:
-            var = np.add.reduce(c * c, axis=0) / m  # np.var's own sequence, c computed once
-            self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mu
-            self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
-            inv = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = np.multiply(c, inv, out=c)  # c is needed no more
-        # the backward reads x_hat, so only inference scales it in place
-        y = np.multiply(x_hat, self.gamma.value, out=None if training else x_hat)
-        y += self.beta.value
+        var = np.add.reduce(c * c, axis=0) / m  # np.var's own sequence, c computed once
+        self.running_mean = self.MOMENTUM * self.running_mean + (1.0 - self.MOMENTUM) * mu
+        self.running_var = self.MOMENTUM * self.running_var + (1.0 - self.MOMENTUM) * var
+        inv = 1.0 / np.sqrt(var + self.EPS)
+        x_hat, y = self._scale_shift(c, inv)  # the backward reads x_hat
         y = y.reshape(x.shape)
-        if not training:
-            return Tensor(y)
 
         def _bw(g):
             g = g.reshape(x2.shape)

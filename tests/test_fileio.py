@@ -91,6 +91,13 @@ def sample_series(seed=2, n_t=5):
 # ---------------------------------------------------------------- CSV ------
 
 
+def raises_exactly(read, message):
+    """read() raises a DataError whose text is message, whole."""
+    with pytest.raises(DataError) as err:
+        read()
+    assert str(err.value) == message
+
+
 def test_station_csv_round_trip(tmp_path):
     table = stations(5)
     path = tmp_path / "stations.csv"
@@ -107,11 +114,18 @@ def test_station_csv_rejects_wrong_header(tmp_path):
     path.write_text("id,latitude,longitude\nA,1,2\n")
     with pytest.raises(DataError):
         read_station_csv(path)
-    # a missing field or a bad number names the file and line
-    for row in ("A,1", "A,north,2"):
-        path.write_text(f"station_id,lat,lon\nB,3,4\n{row}\n")
-        with pytest.raises(DataError, match=r"bad\.csv, line 3"):
-            read_station_csv(path)
+    # a missing or extra field, a bad number or a byte that is not UTF-8
+    # names the file and line, and the messages read exactly so
+    for row, message in (
+        (b"A,1", "line 3: malformed row (not enough values to unpack (expected 3, got 2))"),
+        (b"A,north,2", "line 3: malformed row (could not convert string to float: 'north')"),
+        (b"A,1,2,3", "line 3: malformed row (too many values to unpack (expected 3))"),
+        # the decoder's position counts bytes from the start of the file
+        (b"A\xff,1,2", "line 1: malformed row ('utf-8' codec can't decode byte 0xff in "
+                       "position 26: invalid start byte)"),
+    ):
+        path.write_bytes(b"station_id,lat,lon\nB,3,4\n" + row + b"\n")
+        raises_exactly(lambda: read_station_csv(path), f"{path}, {message}")
 
 
 def test_ztd_csv_round_trip_preserves_grid_and_gaps(tmp_path):
@@ -243,16 +257,25 @@ def test_ztd_csv_rejects_empty_and_bad_header(tmp_path):
     bad.write_text("time,id,val\n")
     with pytest.raises(DataError):
         read_ztd_csv(bad, stations(2))
-    # bad number, bad timestamp, wrong field count: file and line named
-    for row in ("2025-05-07T05:30:00Z,Z0001,abc", "2025-05-07T25:30:00Z,Z0001,2.4",
-                "2025-05-07T05:30:00Z,Z0001", "2025-05-07T05:30:00Z,Z0001,2.4,7"):
+    # bad number, bad timestamp, wrong field count: file and line named,
+    # and the messages read exactly so
+    for row, message in (
+        ("2025-05-07T05:30:00Z,Z0001,abc",
+         "line 3: malformed row (could not convert string to float: 'abc')"),
+        ("2025-05-07T25:30:00Z,Z0001,2.4", "line 3: malformed row (hour must be in 0..23)"),
+        ("2025-05-07T05:30:00Z,Z0001",
+         "line 3: malformed row (not enough values to unpack (expected 3, got 2))"),
+        ("2025-05-07T05:30:00Z,Z0001,2.4,7",
+         "line 3: malformed row (too many values to unpack (expected 3))"),
+    ):
         bad.write_text(f"timestamp,station_id,ztd_m\n\n{row}\n")
-        with pytest.raises(DataError, match=r"bad\.csv, line 3"):
-            read_ztd_csv(bad, stations(2))
-    # a byte that is not UTF-8
+        raises_exactly(lambda: read_ztd_csv(bad, stations(2)), f"{bad}, {message}")
+    # a byte that is not UTF-8, at a position counted from the start of
+    # the file
     bad.write_bytes(b"timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z\xff,2.4\n")
-    with pytest.raises(DataError, match=r"bad\.csv, line"):
-        read_ztd_csv(bad, stations(2))
+    raises_exactly(lambda: read_ztd_csv(bad, stations(2)),
+                   f"{bad}, line 1: malformed row ('utf-8' codec can't decode byte 0xff in "
+                   "position 49: invalid start byte)")
     # a timestamp off the grid the others set
     bad.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z0000,2.4\n"
                    "2025-05-07T05:35:00Z,Z0000,2.4\n2025-05-07T05:37:00Z,Z0000,2.4\n")
@@ -296,11 +319,25 @@ def test_wind_csv_rejects_bad_metadata(tmp_path):
     path.write_text("# level_kind=fathoms\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n")
     with pytest.raises(DataError):
         read_wind_csv(path, stations(1, "W"))
-    # a bad row is named by file and line, counting the metadata line
-    path.write_text("# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
-                    "2025-05-07T05:30:00Z,W0000,110.0,3.0,calm,0.1\n")
-    with pytest.raises(DataError, match=r"wind\.csv, line 3"):
-        read_wind_csv(path, stations(1, "W"))
+    # a bad row is named by file and line, counting the metadata line, and
+    # the messages read exactly so; a byte that is not UTF-8 is placed by
+    # its position from the start of the file
+    head = b"# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
+    for row, message in (
+        (b"2025-05-07T05:30:00Z,W0000,110.0,3.0,calm,0.1",
+         "line 3: malformed row (could not convert string to float: 'calm')"),
+        (b"2025-05-07T25:30:00Z,W0000,110.0,3.0,90.0,0.1",
+         "line 3: malformed row (hour must be in 0..23)"),
+        (b"2025-05-07T05:30:00Z,W0000,110.0,3.0,90.0",
+         "line 3: malformed row (not enough values to unpack (expected 6, got 5))"),
+        (b"2025-05-07T05:30:00Z,W0000,110.0,3.0,90.0,0.1,7",
+         "line 3: malformed row (too many values to unpack (expected 6))"),
+        (b"2025-05-07T05:30:00Z,W\xff000,110.0,3.0,90.0,0.1",
+         "line 1: malformed row ('utf-8' codec can't decode byte 0xff in position 103: "
+         "invalid start byte)"),
+    ):
+        path.write_bytes(head + row + b"\n")
+        raises_exactly(lambda: read_wind_csv(path, stations(1, "W")), f"{path}, {message}")
     # a second row for one timestamp, station and level
     path.write_text("# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
                     "2025-05-07T05:30:00Z,W000,110.0,3.0,90.0,0.1\n"

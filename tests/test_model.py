@@ -261,7 +261,9 @@ def test_predict_blocks_at_the_floor_keep_the_bits_of_whole_chunks(config, monke
 
 def test_predict_blocks_keep_the_bits_of_whole_chunks_on_two_blas_threads():
     # the same compare with BLAS threading its products, as it does by
-    # default on a multi-core host
+    # default on a multi-core host: the blocks of a batch predict, and the
+    # serving path's one- and two-window predicts, which return the array
+    # chain's own output
     here = os.path.dirname(os.path.abspath(__file__))
     code = ("import numpy as np\n"
             "from gwindcast.model import ModelConfig\n"
@@ -270,7 +272,9 @@ def test_predict_blocks_keep_the_bits_of_whole_chunks_on_two_blas_threads():
             "for config in (ModelConfig(), ModelConfig(arch='mlp')):\n"
             "    model = _trained_looking(config, seed=4)\n"
             "    x = np.random.default_rng(4).normal(size=(3995, 6, 60))\n"
-            "    assert model.predict(x).tobytes() == prior_predict(model, x).tobytes()\n")
+            "    for rows in (1, 2, 3995):\n"
+            "        got = model.predict(x[:rows]).tobytes()\n"
+            "        assert got == prior_predict(model, x[:rows]).tobytes(), (config.arch, rows)\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -1,9 +1,9 @@
-import contextlib
 import gc
 
 import numpy as np
 import pytest
 
+from gwindcast import model as model_module
 from gwindcast import neural, trainer
 from gwindcast.errors import BatchTooSmall, GraphNotRecorded, OddWidth, ShapeMismatch
 from gwindcast.model import ModelConfig, WindModel
@@ -153,7 +153,7 @@ def test_step_and_predict_leave_no_cyclic_garbage():
 
 
 def test_predict_records_no_graph(monkeypatch):
-    # inference keeps no parents, backward functions or gradient flags; the
+    # inference runs on plain arrays and builds no tensor at all; the
     # training forward of the same model still records its graph, over
     # activations only
     mdl = WindModel(ModelConfig(n_stations=10), seed=0)
@@ -167,12 +167,8 @@ def test_predict_records_no_graph(monkeypatch):
 
     monkeypatch.setattr(neural.Tensor, "__init__", recording)
     mdl.predict(x)
-    assert [t for t in built if t._parents or t._backward or t.requires_grad] == []
-    # one tensor per layer, 10 in all (per block attention, dense and two
-    # batch norms; then the flatten and the readout), and the input. The
-    # residual sums are written into the attention and dense outputs.
-    assert len(built) == 11
-    built.clear()
+    mdl.predict(x[:1])
+    assert built == []
     neural.mse_loss(mdl.forward_batch(x, training=True), np.zeros((4, mdl.config.output_dim)))
     # 15 nodes (the four residual sums and the loss included) and the input;
     # every parent is one of them, none a parameter
@@ -244,16 +240,16 @@ def test_attention_keeps_the_bits_of_a_backward_that_recomputes_query_and_key():
         assert len(got) == len(want) == 8
         for got_g, want_g in zip(got, want):
             assert got_g.tobytes() == want_g.tobytes()
-        with neural.no_graph():
-            assert mha.forward(Tensor(x)).data.tobytes() == want_y.tobytes()
+        assert mha.infer(x).tobytes() == want_y.tobytes()
 
 
 @pytest.mark.parametrize("recording", [True, False])
 @pytest.mark.parametrize("rows", ROWS)
 def test_forwards_keep_the_bits_of_the_prior_formulas(rows, recording):
     # each layer does its elementwise steps in an array it made itself; the
-    # outputs must equal the formulas that made a new array per step, and
-    # the input array must be left as it was
+    # outputs of the recorded forward and of the array inference must equal
+    # the formulas that made a new array per step, and the input array must
+    # be left as it was
     rng = np.random.default_rng(rows)
     ff = Dense("ff", 60, 60, rng, activation="tanh")
     head = Dense("head", 360, 27, rng)
@@ -264,17 +260,21 @@ def test_forwards_keep_the_bits_of_the_prior_formulas(rows, recording):
     bn.running_mean, bn.running_var = rng.normal(size=60), rng.uniform(0.5, 2.0, size=60)
     x = rng.normal(size=(rows, 6, 60))
     kept = x.copy()
-    with contextlib.nullcontext() if recording else neural.no_graph():
-        got = {"ff": ff.forward(Tensor(x)).data,
-               "head": head.forward(Tensor(x.reshape(rows, -1))).data,
-               "attention": mha.forward(Tensor(x)).data,
-               "bn": bn.forward(Tensor(x), training=False).data}
-        want = {"ff": prior_dense(x, ff.w.value, ff.b.value, "tanh"),
-                "head": prior_dense(x.reshape(rows, -1), head.w.value, head.b.value, None),
-                "attention": prior_attention_forward(
-                    x, *(p.value for p in mha.params()), 4)[0],
-                "bn": prior_batchnorm_inference(x, bn.running_mean, bn.running_var,
-                                                bn.gamma.value, bn.beta.value)}
+    if recording:
+        run = {"ff": lambda a: ff.forward(Tensor(a)).data,
+               "head": lambda a: head.forward(Tensor(a)).data,
+               "attention": lambda a: mha.forward(Tensor(a)).data,
+               "bn": lambda a: bn.forward(Tensor(a), training=False).data}
+    else:
+        run = {"ff": ff.infer, "head": head.infer, "attention": mha.infer, "bn": bn.infer}
+    got = {"ff": run["ff"](x), "head": run["head"](x.reshape(rows, -1)),
+           "attention": run["attention"](x), "bn": run["bn"](x)}
+    want = {"ff": prior_dense(x, ff.w.value, ff.b.value, "tanh"),
+            "head": prior_dense(x.reshape(rows, -1), head.w.value, head.b.value, None),
+            "attention": prior_attention_forward(x, *(p.value for p in mha.params()), 4)[0],
+            "bn": prior_batchnorm_inference(x, bn.running_mean, bn.running_var,
+                                            bn.gamma.value, bn.beta.value)}
+    if recording:
         bn.MOMENTUM = 0.0
         got["bn_train"] = bn.forward(Tensor(x), training=True).data
         want["bn_train"] = prior_batchnorm_train(
@@ -288,16 +288,21 @@ def test_forwards_keep_the_bits_of_the_prior_formulas(rows, recording):
 @pytest.mark.parametrize("recording", [True, False])
 def test_residual_sums_into_the_layer_output_only_without_a_graph(recording):
     rng = np.random.default_rng(7)
-    x, fx = Tensor(rng.normal(size=(5, 6, 8))), Tensor(rng.normal(size=(5, 6, 8)))
-    kept, want = x.data.copy(), x.data + fx.data
-    with contextlib.nullcontext() if recording else neural.no_graph():
-        out = neural.residual(x, fx)
-    assert out.data.tobytes() == want.tobytes()
-    assert x.data.tobytes() == kept.tobytes()
+    x, fx = rng.normal(size=(5, 6, 8)), rng.normal(size=(5, 6, 8))
+    kept, want = x.copy(), x + fx
+    if recording:
+        xt, fxt = Tensor(x), Tensor(fx)
+        out = neural.residual(xt, fxt)
+        assert out._parents == (xt, fxt)
+        got = out.data
+    else:
+        got = model_module._residual(x, fx)
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == kept.tobytes()
     # recording, the sum is an add node and the layer output, which its
-    # backward may read, stays as it was; without a graph it is the sum
-    assert (out is fx) is not recording
-    assert (out._parents == (x, fx)) is recording
+    # backward may read, stays as it was; the inference chain writes the
+    # sum into the layer output's own array
+    assert (got is fx) is not recording
 
 
 def test_attention_weights_are_row_stochastic():

@@ -309,14 +309,16 @@ def test_a_map_holds_read_only_arrays(tmp_path, mode):
     cdf = fit_cdf_map(_FixedModel(3), _samples(n=90, out_dim=3, seed=4), mode=mode, n_quantiles=11)
     write_cdf_map(tmp_path / "cdf_map.json", cdf)
     for m in (cdf, read_cdf_map(tmp_path / "cdf_map.json")):
-        stored = [m._gain, m._offset, m._positions, *(a for pair in m._nodes for a in pair),
+        stored = [m._gain, m._offset, m._positions, m._channel,
+                  *(a for pair in m._nodes for a in pair),
                   *(a for lookup in m._lookups for a in lookup)]
         stored += [getattr(m, name) for name in ("mu_src", "sigma_src", "mu_tgt", "sigma_tgt",
                                                  "src_quantiles", "tgt_quantiles")]
         stored = [a for a in stored if a is not None]
-        # an empirical map: the positions, each channel's nodes and their
-        # probabilities, two lookups' keys and tables, and the quantiles
-        assert len(stored) == (6 if mode == "gaussian_affine" else 1 + 2 * 3 + 2 * 2 + 2)
+        # an empirical map: the positions, the channel index, each channel's
+        # nodes and their probabilities, two lookups' keys and tables, and
+        # the quantiles
+        assert len(stored) == (6 if mode == "gaussian_affine" else 2 + 2 * 3 + 2 * 2 + 2)
         for a in stored:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0

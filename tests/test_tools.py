@@ -88,3 +88,18 @@ def test_summary_lines_print_raw_beside_scaled():
         "  train_samples_per_s: scaled 100 -> 80 (change better in 0); "
         "raw 200 -> 160 (change better in 0)",
     ]
+
+
+def test_src_line_change_sums_numstat_and_prints_first():
+    # a renamed file counts its edits; a binary file counts no lines
+    numstat = ("12\t30\tsrc/gwindcast/model.py\n"
+               "3\t1\tsrc/gwindcast/{old.py => new.py}\n"
+               "-\t-\tsrc/gwindcast/blob.bin\n")
+    change = bench_pairs.src_line_change(numstat)
+    assert change == {"added": 15, "deleted": 31, "net": -16}
+    assert bench_pairs.src_line_change("") == {"added": 0, "deleted": 0, "net": 0}
+    summary = bench_pairs.summarize([{"base": ok_run(3.0, 1.0), "change": ok_run(2.0, 2.0)}],
+                                    {"wall_s": "lower"})
+    lines = bench_pairs.summary_lines({"sweep": summary}, change)
+    assert lines[:2] == ["src/ lines: net -16 (15 added, 31 deleted)",
+                         "sweep: 1 pairs, failed {'base': 0, 'change': 0}"]

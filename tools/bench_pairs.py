@@ -12,10 +12,12 @@ JSON file written holds both SHAs with the tree id of each side's ``src/``
 (which a rebase or squash keeps), and per workload and end-to-end metric the
 median and quartiles of each side (scaled and raw, as
 ``statistics.quantiles(values, n=4)`` gives them), the number of pairs HEAD
-won, every run's figures and the BLAS each side ran with. A run that exits
-non-zero, prints no result or fails its checks counts as failed: it is
-listed with its error and its pair is left out of the wins. It ends by
-printing each metric's medians and wins, scaled and raw side by side.
+won, every run's figures and the BLAS each side ran with, and the lines
+added and deleted under ``src/`` from BASE_REF to HEAD with their net change
+(``git diff --numstat``). A run that exits non-zero, prints no result or
+fails its checks counts as failed: it is listed with its error and its pair
+is left out of the wins. It ends by printing the net ``src/`` line change,
+then each metric's medians and wins, scaled and raw side by side.
 
 Run from anywhere inside the repository; needs git on PATH and uses only
 the standard library.
@@ -88,12 +90,27 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
-def summary_lines(workloads: dict) -> list:
-    """The closing summary: per workload its pair and failure counts, then
-    per metric each side's median and the change's wins, scaled and then
-    raw. Raw stands beside scaled because the benchmark's scaling can
-    reverse a direction the raw clock shows."""
+def src_line_change(numstat: str) -> dict:
+    """Lines added and deleted, and the net change, from ``git diff
+    --numstat`` output; a binary file, counted as "-", adds no lines."""
+    added = deleted = 0
+    for line in numstat.splitlines():
+        a, d, _ = line.split("\t", 2)
+        if a != "-":
+            added, deleted = added + int(a), deleted + int(d)
+    return {"added": added, "deleted": deleted, "net": added - deleted}
+
+
+def summary_lines(workloads: dict, src_lines=None) -> list:
+    """The closing summary: the net src/ line change when given, then per
+    workload its pair and failure counts, then per metric each side's
+    median and the change's wins, scaled and then raw. Raw stands beside
+    scaled because the benchmark's scaling can reverse a direction the raw
+    clock shows."""
     lines = []
+    if src_lines is not None:
+        lines.append(f"src/ lines: net {src_lines['net']:+d} "
+                     f"({src_lines['added']} added, {src_lines['deleted']} deleted)")
     for workload, summary in workloads.items():
         lines.append(f"{workload}: {summary['pairs']} pairs, failed {summary['failed']}")
         for name, entry in summary["metrics"].items():
@@ -132,6 +149,8 @@ def main(argv=None) -> int:
             sys.exit(f"error: {ref} is not a commit")
         report[side] = {"ref": ref, "sha": sha,
                         "src_tree": git("rev-parse", f"{sha}:src").stdout.strip()}
+    report["src_lines"] = src_line_change(git(
+        "diff", "--numstat", report["base"]["sha"], report["change"]["sha"], "--", "src/").stdout)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -160,7 +179,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
-    print("\n".join(summary_lines(report["workloads"])))
+    print("\n".join(summary_lines(report["workloads"], report["src_lines"])))
     return 0
 
 

@@ -147,25 +147,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _print_runs(reports: dict, label, what: str, out) -> None:
+    """Each run's pooled scores, labelled by ``label(key)``, in key order."""
+    for key in sorted(reports):
+        row = reports[key].row("all", "all")
+        print(f"{label(key)}: rmse={row.rmse:.6g} rmspe={row.rmspe:.6g} r={row.r:.6g}")
+    print(f"wrote {what} artifacts to {out}")
+
+
 def cmd_run_lead_sweep(args) -> int:
-    cfg = _load_config(args)
-    reports = harness.run_lead_sweep(cfg, args.out)
-    for lead in sorted(reports):
-        row = reports[lead].row("all", "all")
-        print(f"lead {format(lead, 'g'):>3} min: rmse={row.rmse:.6g} "
-              f"rmspe={row.rmspe:.6g} r={row.r:.6g}")
-    print(f"wrote sweep artifacts to {args.out}")
+    reports = harness.run_lead_sweep(_load_config(args), args.out)
+    _print_runs(reports, lambda lead: f"lead {format(lead, 'g'):>3} min", "sweep", args.out)
     return 0
 
 
 def cmd_run_station_ablation(args) -> int:
-    cfg = _load_config(args)
-    reports = harness.run_station_ablation(cfg, args.out)
-    for k in sorted(reports):
-        row = reports[k].row("all", "all")
-        print(f"k={k:>3} stations: rmse={row.rmse:.6g} "
-              f"rmspe={row.rmspe:.6g} r={row.r:.6g}")
-    print(f"wrote ablation artifacts to {args.out}")
+    reports = harness.run_station_ablation(_load_config(args), args.out)
+    _print_runs(reports, lambda k: f"k={k:>3} stations", "ablation", args.out)
     return 0
 
 

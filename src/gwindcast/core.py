@@ -191,10 +191,6 @@ class TimeAxis:
         if self.count <= 0:
             raise ValueError("TimeAxis.count must be positive")
 
-    @property
-    def end(self) -> int:
-        return self.start + (self.count - 1) * self.step
-
     def timestamps(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count, dtype=np.int64)
 
@@ -350,7 +346,10 @@ class SampleSet(_FrozenArrays):
     inputs   -- (n_samples, window_steps, n_input_stations), unnormalized
     targets  -- (n_samples, output_dim), unnormalized; output_dim flattens
                 (level, station, component) row-major
+    target_times -- epoch seconds of each sample's target
     split_labels -- per-sample code: 0 train, 1 val, 2 test
+    levels, target_stations -- the layout :meth:`series` unfolds rows into
+    norm_stats -- statistics of the train split; None when it is empty
     """
 
     _ARRAYS = {"inputs": np.float64, "targets": np.float64,
@@ -358,14 +357,10 @@ class SampleSet(_FrozenArrays):
 
     inputs: np.ndarray
     targets: np.ndarray
-    window_steps: int
-    lead_steps: int
-    step_seconds: int
     target_times: np.ndarray
     split_labels: np.ndarray
     levels: LevelSpec
     target_stations: StationTable
-    input_stations: StationTable
     norm_stats: NormStats | None
 
     @property

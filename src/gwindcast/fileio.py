@@ -134,7 +134,7 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
     rows = []
     kind = level_kind
     with open(path, "r", encoding="utf-8") as f:
-        lineno = 1  # text decodes in chunks, so even the first line can fail
+        lineno = 1
         try:
             line = f.readline().strip()
             if level_kind is not None and line.startswith("#"):
@@ -148,6 +148,15 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
                 line = line.strip()
                 if line:
                     rows.append(parse(line.split(",")))
+        except UnicodeDecodeError as e:  # e places the byte in a decoded chunk, not a line
+            with open(path, "rb") as raw:  # bytes break lines where text mode does
+                for lineno, line in enumerate(raw.read().splitlines(), 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as in_line:
+                        e = in_line
+                        break
+            raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
         except ValueError as e:
             raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
     if not rows:

@@ -30,9 +30,10 @@ from .core import (
     format_iso8601,
     parse_iso8601,
 )
-from .errors import ConfigError, DataError, KTooLarge, Misaligned, NoTemporalOverlap
+from .errors import (ConfigError, DataError, EmptySplit, KTooLarge, Misaligned, NoTemporalOverlap,
+                     NumericError)
 from .metrics import MetricReport, _fmt, evaluate_series, write_mosaic_tables, write_report
-from .model import ModelConfig, WindModel, predict_denormalized, save_model
+from .model import ModelConfig, WindModel, forecast, save_model
 from .postprocess import apply_cdf_map, check_cdf_options, fit_cdf_map, write_cdf_map
 from .preprocess import SplitConfig, build_samples, check_window_fits, fill_gaps
 from .synthgen import SynthConfig, generate
@@ -318,10 +319,15 @@ def predict_stage(model, samples, split, cdf, out_dir):
     write predictions.gwcs and truth.gwcs, rows in ascending target time.
 
     Returns (prediction WindSeries, truth WindSeries)."""
-    pred = predict_denormalized(model, samples, split)
     idx = samples.time_ordered(split)
+    if len(idx) == 0:
+        raise EmptySplit(f"split {split!r} has no samples")
+    rows = forecast(model, samples.norm_stats, samples.inputs[idx])
     if cdf is not None:
-        pred = samples.series(idx, apply_cdf_map(cdf, pred.values.reshape(len(idx), -1)))
+        if not np.isfinite(rows).all():  # an empirical map clamps an infinite forecast
+            raise NumericError("predicted series is not finite before calibration")
+        rows = apply_cdf_map(cdf, rows)
+    pred = samples.series(idx, rows)
     truth = samples.series(idx, samples.targets[idx])
     os.makedirs(out_dir, exist_ok=True)
     fileio.write_series(os.path.join(out_dir, "predictions.gwcs"), pred)

@@ -9,6 +9,9 @@ position codes are added, then N encoder blocks of
 
 run before a flatten and a linear readout. The mlp baseline flattens the
 window and applies two tanh layers of the same width, then a linear readout.
+
+Raw delay windows become forecasts in physical units through :func:`forecast`
+(normalize, predict, denormalize), which calibration and prediction both call.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fileio, neural
-from .core import WindSeries
-from .errors import ConfigError, DataError, EmptySplit, ShapeMismatch, UnnormalizedInput
+from .errors import ConfigError, DataError, ShapeMismatch, UnnormalizedInput
 
 ARCHITECTURES = ("transformer", "mlp")
 # rows per inference forward; WindModel.predict gives the reasons
@@ -262,20 +264,13 @@ def _block_rule(config: ModelConfig) -> tuple:
     return block, SMALL_GEMM_MNK // (row * min(inner, config.output_dim)) + 1
 
 
-def predict_denormalized(model: WindModel, samples, split) -> WindSeries:
-    """Run the model over one split and unfold outputs to physical units.
-
-    Rows are ordered by ascending target time; output channels are unfolded
-    to (time, level, station, component) using the sample set's layout.
-    """
-    idx = samples.time_ordered(split)
-    if len(idx) == 0:
-        raise EmptySplit(f"split {split!r} has no samples")
-    if samples.norm_stats is None:
-        raise UnnormalizedInput("sample set carries no normalization statistics")
-    stats = samples.norm_stats
-    x = stats.normalize_inputs(samples.inputs[idx])
-    return samples.series(idx, stats.denormalize_targets(model.predict(x)))
+def forecast(model: WindModel, stats, windows) -> np.ndarray:
+    """Forecasts in physical units for raw delay windows (batch, window_steps,
+    n_stations), normalized with the NormStats ``stats``, predicted and
+    denormalized; a row's channels flatten (level, station, component)."""
+    if stats is None:
+        raise UnnormalizedInput("no normalization statistics to forecast with")
+    return stats.denormalize_targets(model.predict(stats.normalize_inputs(windows)))
 
 
 def save_model(path, model: WindModel) -> None:

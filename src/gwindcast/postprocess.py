@@ -35,6 +35,7 @@ import numpy as np
 from . import fileio
 from .core import frozen_copy
 from .errors import ChannelMismatch, ConfigError, EmptyTrain, NumericError
+from .model import forecast
 
 MODES = ("gaussian_affine", "empirical_quantile")
 _FORMAT_VERSION = 1
@@ -199,8 +200,7 @@ def fit_cdf_map(model, samples, mode: str = "gaussian_affine", n_quantiles: int 
     tr = samples.indices("train")
     if len(tr) == 0:
         raise EmptyTrain("calibration requires a non-empty train split")
-    stats = samples.norm_stats
-    preds = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.inputs[tr])))
+    preds = forecast(model, samples.norm_stats, samples.inputs[tr])
     targets = samples.targets[tr]
     if mode == "gaussian_affine":
         arrays = dict(mu_src=preds.mean(axis=0), sigma_src=preds.std(axis=0),

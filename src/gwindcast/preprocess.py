@@ -213,14 +213,10 @@ def build_samples(
     return SampleSet(
         inputs=inputs,
         targets=targets,
-        window_steps=window_steps,
-        lead_steps=lead_steps,
-        step_seconds=step,
         target_times=times,
         split_labels=labels,
         levels=wind.levels,
         target_stations=wind.stations,
-        input_stations=ztd.stations,
         norm_stats=stats,
     )
 

@@ -481,4 +481,4 @@ def oracle_linear_fit(
         raise SingularDesign(f"normal equations unsolvable even with ridge: {exc}") from exc
     pred = samples.series(te, x[te] @ coef)
     truth = samples.series(te, samples.targets[te])
-    return evaluate_series(pred, truth, lead_steps * samples.step_seconds / 60.0)
+    return evaluate_series(pred, truth, lead_steps * ztd.axis.step / 60.0)

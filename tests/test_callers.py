@@ -1,5 +1,6 @@
 """Every top-level function and class of the package has a caller outside the
-tests: in the package itself, the benchmark or the tools."""
+tests, in the package itself, the benchmark or the tools, and every method
+and property of a package class is read there."""
 
 import ast
 import pathlib
@@ -87,3 +88,32 @@ def test_every_package_function_and_class_has_a_caller_outside_the_tests():
     assert not missing, "only the tests call " + ", ".join(missing)
     stale = sorted(EXEMPT - set(uncalled))
     assert not stale, "exempt, but called outside the tests: " + ", ".join(stale)
+
+
+def _unread_members():
+    """Methods and properties of package classes, dunder methods aside, that
+    no file in src/, bench/ or tools/ reads as an attribute outside their
+    own definition. A read is matched by name, whatever object it is on."""
+    reads = {}
+    for d in ("src", "bench", "tools"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = []
+    for module in sorted((ROOT / "src" / "gwindcast").glob("*.py")):
+        for cls in ast.parse(module.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
+                    continue
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(path == module and line in own for path, line in reads.get(node.name, ())):
+                    unread.append(f"{module.name}: {cls.name}.{node.name}")
+    return unread
+
+
+def test_every_method_and_property_of_a_package_class_is_read_outside_the_tests():
+    unread = _unread_members()
+    assert not unread, "only the tests read " + ", ".join(unread)

@@ -37,7 +37,6 @@ def test_iso8601_round_trip():
 def test_time_axis_basic():
     ax = TimeAxis(start=1000, step=300, count=4)
     assert list(ax.timestamps()) == [1000, 1300, 1600, 1900]
-    assert ax.end == 1900
     assert ax.time_at(2) == 1600
     with pytest.raises(ValueError):
         TimeAxis(start=0, step=0, count=3)

@@ -120,12 +120,18 @@ def test_station_csv_rejects_wrong_header(tmp_path):
         (b"A,1", "line 3: malformed row (not enough values to unpack (expected 3, got 2))"),
         (b"A,north,2", "line 3: malformed row (could not convert string to float: 'north')"),
         (b"A,1,2,3", "line 3: malformed row (too many values to unpack (expected 3))"),
-        # the decoder's position counts bytes from the start of the file
-        (b"A\xff,1,2", "line 1: malformed row ('utf-8' codec can't decode byte 0xff in "
-                       "position 26: invalid start byte)"),
+        # the position counts bytes from the start of the line
+        (b"A\xff,1,2", "line 3: malformed row ('utf-8' codec can't decode byte 0xff in "
+                       "position 1: invalid start byte)"),
     ):
         path.write_bytes(b"station_id,lat,lon\nB,3,4\n" + row + b"\n")
         raises_exactly(lambda: read_station_csv(path), f"{path}, {message}")
+    # past the decoder's first chunk, lines ending in CRLF
+    rows = b"".join(b"S%d,1,2\r\n" % i for i in range(2000))
+    path.write_bytes(b"station_id,lat,lon\r\n" + rows + b"S\xff,1,2\r\n")
+    raises_exactly(lambda: read_station_csv(path),
+                   f"{path}, line 2002: malformed row ('utf-8' codec can't decode byte 0xff in "
+                   "position 1: invalid start byte)")
 
 
 def test_ztd_csv_round_trip_preserves_grid_and_gaps(tmp_path):
@@ -270,12 +276,11 @@ def test_ztd_csv_rejects_empty_and_bad_header(tmp_path):
     ):
         bad.write_text(f"timestamp,station_id,ztd_m\n\n{row}\n")
         raises_exactly(lambda: read_ztd_csv(bad, stations(2)), f"{bad}, {message}")
-    # a byte that is not UTF-8, at a position counted from the start of
-    # the file
+    # a byte that is not UTF-8, at its line and its position in that line
     bad.write_bytes(b"timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z\xff,2.4\n")
     raises_exactly(lambda: read_ztd_csv(bad, stations(2)),
-                   f"{bad}, line 1: malformed row ('utf-8' codec can't decode byte 0xff in "
-                   "position 49: invalid start byte)")
+                   f"{bad}, line 2: malformed row ('utf-8' codec can't decode byte 0xff in "
+                   "position 22: invalid start byte)")
     # a timestamp off the grid the others set
     bad.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:30:00Z,Z0000,2.4\n"
                    "2025-05-07T05:35:00Z,Z0000,2.4\n2025-05-07T05:37:00Z,Z0000,2.4\n")
@@ -321,7 +326,7 @@ def test_wind_csv_rejects_bad_metadata(tmp_path):
         read_wind_csv(path, stations(1, "W"))
     # a bad row is named by file and line, counting the metadata line, and
     # the messages read exactly so; a byte that is not UTF-8 is placed by
-    # its position from the start of the file
+    # its position in its line
     head = b"# level_kind=height_m\ntimestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms\n"
     for row, message in (
         (b"2025-05-07T05:30:00Z,W0000,110.0,3.0,calm,0.1",
@@ -333,7 +338,7 @@ def test_wind_csv_rejects_bad_metadata(tmp_path):
         (b"2025-05-07T05:30:00Z,W0000,110.0,3.0,90.0,0.1,7",
          "line 3: malformed row (too many values to unpack (expected 6))"),
         (b"2025-05-07T05:30:00Z,W\xff000,110.0,3.0,90.0,0.1",
-         "line 1: malformed row ('utf-8' codec can't decode byte 0xff in position 103: "
+         "line 3: malformed row ('utf-8' codec can't decode byte 0xff in position 22: "
          "invalid start byte)"),
     ):
         path.write_bytes(head + row + b"\n")

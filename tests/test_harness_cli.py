@@ -814,7 +814,9 @@ def test_cli_non_finite_model_output_exits_4(tmp_path, capsys):
                  ["preprocess", "--config", cfg_path, "--data", path("raw"), "--out", path("prep")],
                  ["train", *lead, "--out", path("trained")],
                  ["calibrate", *lead, "--model", path("trained", "checkpoint.gwc"),
-                  "--out", path("cdf.json")]):
+                  "--out", path("cdf.json")],
+                 ["calibrate", *lead, "--model", path("trained", "checkpoint.gwc"),
+                  "--set", "postprocess.mode=empirical_quantile", "--out", path("emp.json")]):
         assert cli.main(argv) == 0
     arrays, extra = fileio.read_named_arrays(path("trained", "checkpoint.gwc"))
     fileio.write_named_arrays(path("nan.gwc"), {**arrays, "head.b": arrays["head.b"] * np.nan},
@@ -832,6 +834,9 @@ def test_cli_non_finite_model_output_exits_4(tmp_path, capsys):
              "predicted series is not finite"),
             (["predict", *lead, "--model", path("huge.gwc"), "--out", path("p2")],
              "predicted series is not finite"),
+            # an empirical map would clamp the infinite forecast to a finite one
+            (["predict", *lead, "--model", path("huge.gwc"), "--cdf", path("emp.json"),
+              "--out", path("p4")], "predicted series is not finite"),
             (["predict", *lead, "--model", path("trained", "checkpoint.gwc"),
               "--cdf", path("tiny.json"), "--out", path("p3")], "predicted series is not finite"),
             (["calibrate", *lead, "--model", path("nan.gwc"), "--out", path("c.json")],

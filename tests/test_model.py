@@ -12,8 +12,8 @@ from gwindcast.errors import ConfigError, DataError, EmptySplit, ShapeMismatch, 
 from gwindcast.model import (
     ModelConfig,
     WindModel,
+    forecast,
     load_model,
-    predict_denormalized,
     save_model,
 )
 from reference_impls import expected_param_count, prior_predict
@@ -345,35 +345,40 @@ def test_load_model_checks_kind(tmp_path):
         load_model(other)
 
 
-def test_predict_denormalized_orders_and_unfolds():
+def test_forecast_is_a_manual_pass_and_rejects_unnormalized_input():
     import test_trainer
 
     rng = np.random.default_rng(8)
-    n = 30
-    inputs = rng.normal(size=(n, 4, 5))
-    targets = rng.normal(size=(n, 3))  # 1 level x 1 station x 3 components
-    split = np.zeros(n, dtype=np.uint8)
-    split[20:25] = 1
-    split[25:] = 2
+    inputs = rng.normal(size=(30, 4, 5))
+    targets = rng.normal(size=(30, 3))
+    split = np.zeros(30, dtype=np.uint8)
+    split[20:] = 2
     samples = test_trainer._pack_samples(inputs, targets, split)
     model = WindModel(cfg(output_dim=3), seed=0)
-    series = predict_denormalized(model, samples, "test")
-    assert series.values.shape == (5, 1, 1, 3)
-    assert np.all(np.diff(series.times) > 0)
-    np.testing.assert_array_equal(series.times, samples.target_times[25:])
-    assert series.mask.all()
-    # denormalization applied: matches a manual pass
     stats = samples.norm_stats
-    manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(inputs[25:])))
-    np.testing.assert_array_equal(series.values.reshape(5, 3), manual)
+    # denormalized, bit for bit, for many windows and for one
+    for windows in (inputs[20:], inputs[29:]):
+        manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(windows)))
+        np.testing.assert_array_equal(forecast(model, stats, windows), manual)
+    bare = test_trainer._pack_samples(inputs, targets, split, with_stats=False)
+    with pytest.raises(UnnormalizedInput):
+        forecast(model, bare.norm_stats, inputs)
+
+
+def test_predict_stage_orders_unfolds_and_rejects_an_empty_split(tmp_path):
+    import test_trainer
+
+    from gwindcast.core import LevelSpec, StationTable
+    from gwindcast.harness import predict_stage
 
     # test-split target times out of order, two levels x two stations: rows
     # follow ascending target time, channels unfold as (level, station, uvw)
-    from dataclasses import replace
-
-    from gwindcast.core import LevelSpec, StationTable
-
+    rng = np.random.default_rng(8)
+    n = 30
+    inputs = rng.normal(size=(n, 4, 5))
     targets = rng.normal(size=(n, 12))
+    split = np.zeros(n, dtype=np.uint8)
+    split[25:] = 2
     times = rng.permutation(n).astype(np.int64) * 300
     assert not np.all(np.diff(times[25:]) > 0)
     mixed = replace(
@@ -383,29 +388,15 @@ def test_predict_denormalized_orders_and_unfolds():
         target_stations=StationTable(ids=("W0", "W1"), lats=[29.0, 29.1], lons=[120.0, 120.1]),
     )
     model = WindModel(cfg(output_dim=12), seed=0)
-    pred = predict_denormalized(model, mixed, "test")
-    idx = mixed.time_ordered("test")
-    np.testing.assert_array_equal(idx, 25 + np.argsort(times[25:]))
-    truth = mixed.series(idx, mixed.targets[idx])
-    np.testing.assert_array_equal(pred.times, truth.times)
+    pred, truth = predict_stage(model, mixed, "test", None, tmp_path / "p")
+    idx = 25 + np.argsort(times[25:])
+    np.testing.assert_array_equal(mixed.time_ordered("test"), idx)
     np.testing.assert_array_equal(pred.times, np.sort(times[25:]))
+    np.testing.assert_array_equal(truth.times, pred.times)
+    assert pred.mask.all() and truth.mask.all()
     np.testing.assert_array_equal(truth.values, targets[idx].reshape(5, 2, 2, 3))
-    stats = mixed.norm_stats
-    manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(inputs[idx])))
+    manual = forecast(model, mixed.norm_stats, inputs[idx])
     np.testing.assert_array_equal(pred.values, manual.reshape(5, 2, 2, 3))
-
-
-def test_predict_denormalized_rejects_empty_or_unnormalized():
-    import test_trainer
-
-    rng = np.random.default_rng(1)
-    inputs = rng.normal(size=(10, 4, 5))
-    targets = rng.normal(size=(10, 3))
-    split = np.zeros(10, dtype=np.uint8)
-    samples = test_trainer._pack_samples(inputs, targets, split)
-    model = WindModel(cfg(output_dim=3), seed=0)
     with pytest.raises(EmptySplit):
-        predict_denormalized(model, samples, "val")
-    bare = test_trainer._pack_samples(inputs, targets, split, with_stats=False)
-    with pytest.raises(UnnormalizedInput):
-        predict_denormalized(model, bare, "train")
+        predict_stage(model, mixed, "val", None, tmp_path / "empty")
+    assert not (tmp_path / "empty").exists()

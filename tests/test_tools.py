@@ -103,3 +103,27 @@ def test_src_line_change_sums_numstat_and_prints_first():
     lines = bench_pairs.summary_lines({"sweep": summary}, change)
     assert lines[:2] == ["src/ lines: net -16 (15 added, 31 deleted)",
                          "sweep: 1 pairs, failed {'base': 0, 'change': 0}"]
+
+
+def test_summary_splits_a_metric_whose_runs_gap_wider_than_its_bound():
+    # wall_s in two modes: the base runs all low, the change's mostly high;
+    # the rate's widest gap (10) is below 0.1 times its median (100)
+    base = [(117.0, 95.0), (118.0, 100.0), (116.0, 105.0), (117.5, 100.0)]
+    change = [(143.0, 100.0), (144.0, 95.0), (117.0, 105.0), (143.5, 100.0)]
+    pairs = [{"base": ok_run(*b), "change": ok_run(*c)} for b, c in zip(base, change)]
+    out = bench_pairs.summarize(pairs, BETTER, {"wall_s": 0.1, "train_samples_per_s": 0.1})
+    wall = out["metrics"]["wall_s"]
+    assert wall["scaled"]["modes"] == {"gap": [118.0, 143.0],
+                                       "base": {"below": 4, "above": 0},
+                                       "change": {"below": 1, "above": 3}}
+    assert wall["raw"]["modes"]["gap"] == [236.0, 286.0]
+    assert "modes" not in out["metrics"]["train_samples_per_s"]["scaled"]
+    # without a bound no metric is split
+    assert "modes" not in bench_pairs.summarize(pairs, BETTER)["metrics"]["wall_s"]["scaled"]
+    lines = bench_pairs.summary_lines({"sweep": out})
+    assert lines[1:4] == [
+        "  wall_s: scaled 117.25 -> 143.25 (change better in 0); "
+        "raw 234.5 -> 286.5 (change better in 0)",
+        "    scaled modes 118 | 143: base 4 below, 0 above; change 1 below, 3 above",
+        "    raw modes 236 | 286: base 4 below, 0 above; change 1 below, 3 above",
+    ]

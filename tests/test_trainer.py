@@ -214,7 +214,7 @@ def test_early_stopper_snapshots_are_deep_copies():
 def _pack_samples(inputs, targets, split, with_stats=True):
     from gwindcast.core import LevelSpec, NormStats, StationTable
 
-    n, window, n_stations = inputs.shape
+    n = len(inputs)
     out_dim = targets.shape[1]
     train = split == 0
     stats = None
@@ -229,19 +229,11 @@ def _pack_samples(inputs, targets, split, with_stats=True):
     return SampleSet(
         inputs=inputs,
         targets=targets,
-        window_steps=window,
-        lead_steps=1,
-        step_seconds=300,
         target_times=np.arange(n, dtype=np.int64) * 300,
         split_labels=split,
         levels=LevelSpec("height_m", tuple(100.0 * (i + 1) for i in range(max(n_wind // 1, 1)))[:1]),
         target_stations=StationTable(
             ids=("W0",), lats=np.array([29.0]), lons=np.array([120.0])
-        ),
-        input_stations=StationTable(
-            ids=tuple(f"Z{i}" for i in range(n_stations)),
-            lats=29.0 + 0.01 * np.arange(n_stations),
-            lons=120.0 + 0.01 * np.arange(n_stations),
         ),
         norm_stats=stats,
     )

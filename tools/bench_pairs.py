@@ -14,10 +14,15 @@ median and quartiles of each side (scaled and raw, as
 ``statistics.quantiles(values, n=4)`` gives them), the number of pairs HEAD
 won, every run's figures and the BLAS each side ran with, and the lines
 added and deleted under ``src/`` from BASE_REF to HEAD with their net change
-(``git diff --numstat``). A run that exits non-zero, prints no result or
-fails its checks counts as failed: it is listed with its error and its pair
-is left out of the wins. It ends by printing the net ``src/`` line change,
-then each metric's medians and wins, scaled and raw side by side.
+(``git diff --numstat``). Where a metric's runs of both sides, pooled and
+sorted, have a gap wider than its ``bound`` in BENCHMARK.json times their
+median, it also records that gap and how many runs of each side fall below
+and above it, so a metric with two modes (sweep ``peak_rss_mib``) shows
+which mode each side's runs took. A run that exits non-zero, prints no
+result or fails its checks counts as failed: it is listed with its error
+and its pair is left out of the wins. It ends by printing the net ``src/``
+line change, then each metric's medians and wins, scaled and raw side by
+side, and the mode counts where there are any.
 
 Run from anywhere inside the repository; needs git on PATH and uses only
 the standard library.
@@ -66,10 +71,27 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def modes(values: dict, bound: float):
+    """Where both sides' runs, pooled and sorted, have a gap wider than
+    ``bound`` times their median, the widest such gap as [below, above]
+    and, per side, how many runs fall below and above it; else None.
+    values holds each side's list of run values."""
+    pooled = sorted(values["base"] + values["change"])
+    width, i = max((hi - lo, i) for i, (lo, hi) in enumerate(zip(pooled, pooled[1:])))
+    if width <= bound * statistics.median(pooled):
+        return None
+    lo, hi = pooled[i], pooled[i + 1]
+    return {"gap": [lo, hi], **{side: {"below": sum(v <= lo for v in values[side]),
+                                       "above": sum(v >= hi for v in values[side])}
+                                for side in SIDES}}
+
+
+def summarize(pairs: list, better: dict, bounds=None) -> dict:
     """Per metric and kind (scaled, raw): each side's median and quartiles
     over its successful runs, and in how many of the complete pairs the
-    change was strictly better. pairs holds {"base": run, "change": run}."""
+    change was strictly better. A metric with a bound in ``bounds`` (name
+    to bound) also records its two modes when :func:`modes` finds them.
+    pairs holds {"base": run, "change": run}."""
     complete = [p for p in pairs if p["base"]["ok"] and p["change"]["ok"]]
     out = {"pairs": len(complete),
            "failed": {side: sum(not p[side]["ok"] for p in pairs) for side in SIDES},
@@ -85,6 +107,8 @@ def summarize(pairs: list, better: dict) -> dict:
             sign = 1 if direction == "higher" else -1
             stats["change_wins"] = sum(
                 sign * (p["change"][kind][name] - p["base"][kind][name]) > 0 for p in complete)
+            if name in (bounds or {}) and (found := modes(values, bounds[name])):
+                stats["modes"] = found
             entry[kind] = stats
         out["metrics"][name] = entry
     return out
@@ -104,7 +128,8 @@ def src_line_change(numstat: str) -> dict:
 def summary_lines(workloads: dict, src_lines=None) -> list:
     """The closing summary: the net src/ line change when given, then per
     workload its pair and failure counts, then per metric each side's
-    median and the change's wins, scaled and then raw. Raw stands beside
+    median and the change's wins, scaled and then raw, and below it the
+    runs of each side on either side of a modes gap. Raw stands beside
     scaled because the benchmark's scaling can reverse a direction the raw
     clock shows."""
     lines = []
@@ -119,6 +144,12 @@ def summary_lines(workloads: dict, src_lines=None) -> list:
                      for kind in ("scaled", "raw") if (s := entry.get(kind))]
             if parts:
                 lines.append(f"  {name}: " + "; ".join(parts))
+            for kind in ("scaled", "raw"):
+                if m := entry.get(kind, {}).get("modes"):
+                    counts = "; ".join(f"{side} {m[side]['below']} below, "
+                                       f"{m[side]['above']} above" for side in SIDES)
+                    lines.append(f"    {kind} modes {m['gap'][0]:.6g} | {m['gap'][1]:.6g}: "
+                                 + counts)
     return lines
 
 
@@ -154,6 +185,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     seeds = list(range(1, args.pairs + 1))
     report.update(command=f"python3 bench/run.py --workload W --seed S --seconds {seconds!r} "
@@ -171,7 +203,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{'ok' if pair[side]['ok'] else pair[side]['error']}", flush=True)
                 pairs.append(pair)
-            summary = summarize(pairs, better)
+            summary = summarize(pairs, better, bounds)
             summary["env"] = {side: next((p[side]["env"] for p in pairs if p[side]["ok"]), None)
                               for side in SIDES}
             summary["runs"] = pairs

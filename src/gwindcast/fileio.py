@@ -36,8 +36,6 @@ import json
 import math
 import struct
 from functools import partial
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -120,7 +118,10 @@ def read_json(path, what: str, build):
 # ------------------------------------------------------------------ CSV ----
 
 
-def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
+CSV_BLOCK_ROWS = 4096  # rows a CSV read parses before it packs them into records
+
+
+def read_csv_rows(path, what: str, header: str, parse, level_kind=None, dtype=None):
     """Read a CSV file in one pass; returns (level kind, parsed rows).
 
     When ``level_kind`` gives a default kind, an optional first line
@@ -130,8 +131,14 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
     is a ValueError like a bad number or timestamp. Any ValueError (a byte
     that is not UTF-8 included) is a DataError naming the file and line, and
     so is a file with no data rows.
+
+    The parsed rows are a list of tuples or, given a structured ``dtype``,
+    a dict of one contiguous array per field: every ``CSV_BLOCK_ROWS``
+    tuples are packed into records and dropped, so a large file holds a few
+    bytes per row, not a Python tuple and its objects.
     """
-    rows = []
+    rows, blocks = [], []
+    block = CSV_BLOCK_ROWS if dtype is not None else -1
     kind = level_kind
     with open(path, "r", encoding="utf-8") as f:
         lineno = 1
@@ -148,6 +155,9 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
                 line = line.strip()
                 if line:
                     rows.append(parse(line.split(",")))
+                    if len(rows) == block:
+                        blocks.append(np.array(rows, dtype))
+                        rows.clear()
         except UnicodeDecodeError as e:  # e places the byte in a decoded chunk, not a line
             with open(path, "rb") as raw:  # bytes break lines where text mode does
                 for lineno, line in enumerate(raw.read().splitlines(), 1):
@@ -159,21 +169,24 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None):
             raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
         except ValueError as e:
             raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
-    if not rows:
+    if not rows and not blocks:
         raise DataError(f"{path}: {what} file contains no data rows")
+    if dtype is not None:
+        blocks.append(np.array(rows, dtype))
+        rows = {name: np.concatenate([b[name] for b in blocks]) for name in dtype.names}
     return kind, rows
 
 
-def check_no_repeats(path, what: str, rows, n_set: int, n_key: int) -> None:
-    """After the per-row loop: if the rows set fewer than ``len(rows)`` cells,
-    a later row overwrote an earlier one, and the DataError names the first
-    repeated key, the row's timestamp and next ``n_key - 1`` fields. The
-    readers build their container first, so a bad value is reported as such."""
-    if n_set == len(rows):
+def check_no_repeats(path, what: str, n_rows: int, n_set: int, keys) -> None:
+    """After the per-row loop: if the rows set fewer than ``n_rows`` cells, a
+    later row overwrote an earlier one, and the DataError names the first
+    repeated key in ``keys``, an iterator over each row's key (its timestamp
+    and the fields that place it) in file order, read only then. The readers
+    build their container first, so a bad value is reported as such."""
+    if n_set == n_rows:
         return
     seen = set()
-    for row in rows:
-        key = row[:n_key]
+    for key in keys:
         if key in seen:
             shown = ",".join([format_iso8601(key[0]), *map(str, key[1:])])
             raise DataError(f"{path}: repeated {what} row for {shown}")
@@ -214,28 +227,23 @@ def _row_axis(path, times) -> TimeAxis:
     return TimeAxis(times[0], step, count)
 
 
-def _column(rows, i: int, dtype=np.float64) -> np.ndarray:
-    """Field i of every row, as an array."""
-    return np.fromiter(map(itemgetter(i), rows), dtype, len(rows))
-
-
-def _grid_rows(path, what: str, stations: StationTable, rows, when: Timestamps, upto=None):
+def _grid_rows(path, what: str, stations: StationTable, when: Timestamps, cols, ids, upto=None):
     """The grid through the timestamps the read parsed into ``when``, and
-    each row's grid row and station column; a row starts (timestamp, station).
+    each row's grid row and station column; ``cols`` holds each row's
+    timestamp ``t`` and the index ``sid`` of its station id in ``ids``.
 
     A row among the first ``upto`` (all by default) that names a station not
     in ``stations`` is a DataError naming the first such station."""
     axis = _row_axis(path, when.values())
     col = {sid: i for i, sid in enumerate(stations.ids)}
-    sids = list(map(itemgetter(1), rows))
-    cols = np.fromiter(map(col.get, sids, repeat(-1)), np.int64, len(rows))
-    unknown = np.flatnonzero(cols[:upto] < 0)
+    s = np.array([col.get(sid, -1) for sid in ids], np.int64)[cols["sid"]]
+    unknown = np.flatnonzero(s[:upto] < 0)
     if unknown.size:
-        raise DataError(f"{path}: unknown station id in {what} file: {sids[unknown[0]]!r}")
-    k = _column(rows, 0, np.int64)
-    k -= axis.start
+        raise DataError(f"{path}: unknown station id in {what} file: "
+                        f"{ids[cols['sid'][unknown[0]]]!r}")
+    k = cols["t"] - axis.start
     k //= axis.step
-    return axis, k, cols
+    return axis, k, s
 
 
 def write_station_csv(path, table: StationTable) -> None:
@@ -264,9 +272,13 @@ def write_ztd_csv(path, panel: ZtdPanel) -> None:
     write_text(path, "".join(lines))
 
 
-def _ztd_row(when: Timestamps, fields):
+# a packed row holds its station id as the id's index in first-seen order
+_ZTD_ROW = np.dtype([("t", np.int64), ("sid", np.int64), ("ztd", np.float64)])
+
+
+def _ztd_row(when: Timestamps, sids: dict, fields):
     ts, sid, val = fields
-    return when[ts], sid, float(val)
+    return when[ts], sids.setdefault(sid, len(sids)), float(val)
 
 
 def read_ztd_csv(path, stations: StationTable) -> ZtdPanel:
@@ -277,15 +289,18 @@ def read_ztd_csv(path, stations: StationTable) -> ZtdPanel:
     timestamp must sit on that grid. Stations not in ``stations`` are
     rejected.
     """
-    when = Timestamps()
-    _, rows = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m", partial(_ztd_row, when))
-    axis, k, s = _grid_rows(path, "delay", stations, rows, when)
+    when, sids = Timestamps(), {}
+    _, cols = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m",
+                            partial(_ztd_row, when, sids), dtype=_ZTD_ROW)
+    ids = list(sids)
+    axis, k, s = _grid_rows(path, "delay", stations, when, cols, ids)
     values = np.full((axis.count, len(stations)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
-    values[k, s] = _column(rows, 2)
+    values[k, s] = cols["ztd"]
     mask[k, s] = True
     panel = _build(path, ZtdPanel, axis, stations, values, mask)
-    check_no_repeats(path, "delay", rows, int(mask.sum()), 2)
+    check_no_repeats(path, "delay", len(k), int(mask.sum()),
+                     zip(map(int, cols["t"]), map(ids.__getitem__, cols["sid"])))
     return panel
 
 
@@ -306,9 +321,13 @@ def write_wind_csv(path, cube: WindCube) -> None:
     write_text(path, "".join(lines))
 
 
-def _wind_row(when: Timestamps, fields):
+_WIND_ROW = np.dtype([("t", np.int64), ("sid", np.int64), ("level", np.float64),
+                      ("speed", np.float64), ("dir", np.float64), ("w", np.float64)])
+
+
+def _wind_row(when: Timestamps, sids: dict, fields):
     ts, sid, lev, spd, drc, w = fields
-    return when[ts], sid, float(lev), float(spd), float(drc), float(w)
+    return when[ts], sids.setdefault(sid, len(sids)), float(lev), float(spd), float(drc), float(w)
 
 
 def read_wind_csv(path, stations: StationTable) -> WindCube:
@@ -316,30 +335,35 @@ def read_wind_csv(path, stations: StationTable) -> WindCube:
     :func:`read_ztd_csv` does; levels ascend for heights and descend for
     pressures. An unknown station or a negative speed is a DataError naming
     the first row, in file order, that has either."""
-    when = Timestamps()
-    kind, rows = read_csv_rows(
+    when, sids = Timestamps(), {}
+    kind, cols = read_csv_rows(
         path, "wind", "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms",
-        partial(_wind_row, when), level_kind=HEIGHT_M,
+        partial(_wind_row, when, sids), level_kind=HEIGHT_M, dtype=_WIND_ROW,
     )
-    speed = _column(rows, 3)
+    ids = list(sids)
+    level, speed = cols["level"], cols["speed"]
     negative = np.flatnonzero(speed < 0)
-    axis, k, s = _grid_rows(path, "wind", stations, rows, when,
+    axis, k, s = _grid_rows(path, "wind", stations, when, cols, ids,
                             upto=negative[0] if negative.size else None)
     if negative.size:
-        ts, sid, lev, spd = rows[negative[0]][:4]
+        ts, sid, lev, spd = (cols[name][negative[0]].item() for name in _WIND_ROW.names[:4])
         raise NegativeSpeed(f"{path}: negative wind speed {spd!r} at "
-                            f"{format_iso8601(ts)}, station {sid}, level {lev!r}")
-    levs = list(map(itemgetter(2), rows))
-    levels = _build(path, LevelSpec, kind, tuple(sorted(set(levs), reverse=(kind != HEIGHT_M))))
-    lev_idx = {v: i for i, v in enumerate(levels.values)}
-    l = np.fromiter(map(lev_idx.__getitem__, levs), np.int64, len(rows))
+                            f"{format_iso8601(ts)}, station {ids[sid]}, level {lev!r}")
+    # a level keeps its first row's value (0.0 or -0.0), as a set would
+    unique, first, l = np.unique(level, return_index=True, return_inverse=True)
+    descending = kind != HEIGHT_M
+    levels = _build(path, LevelSpec, kind, level[first[::-1] if descending else first])
+    if descending:
+        l = len(unique) - 1 - l
     values = np.full((axis.count, len(levels), len(stations), 3), np.nan)
     mask = np.zeros(values.shape, dtype=bool)
-    u, v = decompose_wind(speed, _column(rows, 4))
-    values[k, l, s] = np.stack((u, v, _column(rows, 5)), axis=-1)
+    u, v = decompose_wind(speed, cols["dir"])
+    values[k, l, s] = np.stack((u, v, cols["w"]), axis=-1)
     mask[k, l, s] = True
     cube = _build(path, WindCube, axis, levels, stations, values, mask)
-    check_no_repeats(path, "wind", rows, int(mask[..., 0].sum()), 3)
+    check_no_repeats(path, "wind", len(k), int(mask[..., 0].sum()),
+                     zip(map(int, cols["t"]), map(ids.__getitem__, cols["sid"]),
+                         map(float, level)))
     return cube
 
 
@@ -368,7 +392,7 @@ def read_baseline_csv(path) -> GriddedBaseline:
         cell = t_i[ts], le_i[lev], la_i[la], lo_i[lo]
         values[cell] = (u, v, w)
         filled[cell] = True
-    check_no_repeats(path, "baseline", rows, int(filled.sum()), 4)
+    check_no_repeats(path, "baseline", len(rows), int(filled.sum()), (r[:4] for r in rows))
     if len(rows) != filled.size:
         raise DataError(f"{path}: baseline grid incomplete: {len(rows)} rows for shape {shape}")
     return _build(path, GriddedBaseline, np.array(times, dtype=np.int64), levels,

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,50 @@ def test_csv_rows_in_any_order_read_to_the_same_arrays(tmp_path, order):
         want, got = read(time_major, obj.stations), read(reordered, obj.stations)
         assert got.axis == want.axis
         assert to_bytes(got) == to_bytes(want)
+
+
+def test_csv_reads_across_row_blocks(tmp_path, monkeypatch):
+    """Files read in blocks of 4 rows read as in one block, and a bad row, a
+    repeat or an unknown station in a later block is reported as in one."""
+    panel, cube = sample_panel(n_t=9), sample_cube(n_t=9)
+    ztd, wind = tmp_path / "ztd.csv", tmp_path / "wind.csv"
+    write_ztd_csv(ztd, panel)
+    write_wind_csv(wind, cube)
+    whole = (panel_to_bytes(read_ztd_csv(ztd, panel.stations)),
+             cube_to_bytes(read_wind_csv(wind, cube.stations)))
+    monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", 4)
+    assert (panel_to_bytes(read_ztd_csv(ztd, panel.stations)),
+            cube_to_bytes(read_wind_csv(wind, cube.stations))) == whole
+    lines = ztd.read_text().splitlines(keepends=True)  # the header and 25 rows
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines[:12] + ["2025-05-07T05:30:00Z,Z000,abc\n"] + lines[12:]))
+    raises_exactly(lambda: read_ztd_csv(bad, panel.stations),
+                   f"{bad}, line 13: malformed row (could not convert string to float: 'abc')")
+    bad.write_text("".join(lines + [lines[3]]))
+    raises_exactly(lambda: read_ztd_csv(bad, panel.stations),
+                   f"{bad}: repeated delay row for {','.join(lines[3].split(',')[:2])}")
+    bad.write_text("".join(lines[:20] + [lines[20].replace(",Z00", ",NOPE")] + lines[21:]))
+    raises_exactly(lambda: read_ztd_csv(bad, panel.stations),
+                   f"{bad}: unknown station id in delay file: 'NOPE{lines[20].split(',')[1][3:]}'")
+
+
+def test_delay_csv_read_holds_a_few_bytes_per_row(tmp_path):
+    """A delay read packs its parsed rows into 24-byte records every
+    ``CSV_BLOCK_ROWS`` rows; keeping one tuple per row, with its float and
+    station string, peaked at about 190 bytes per row."""
+    n_t, n_s = 500, 40
+    rng = np.random.default_rng(0)
+    panel = ZtdPanel(TimeAxis(1746595800, 300, n_t), stations(n_s),
+                     2.4 + 0.01 * rng.normal(size=(n_t, n_s)), np.ones((n_t, n_s), bool))
+    path = tmp_path / "ztd.csv"
+    write_ztd_csv(path, panel)
+    tracemalloc.start()
+    try:
+        read_ztd_csv(path, panel.stations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n_t * n_s
 
 
 def test_one_instant_in_two_spellings_lands_on_one_grid_row(tmp_path):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -111,15 +111,22 @@ class _OnAxis(_StationValues):
         return replace(self, axis=axis, values=self.values[i0:i1], mask=self.mask[i0:i1])
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def parse_iso8601(text: str) -> int:
-    """ISO-8601 UTC timestamp -> epoch seconds."""
-    text = text.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
+    """ISO-8601 UTC timestamp -> epoch seconds. A time that is not a whole
+    second is a ValueError; ``.000`` is a whole second."""
+    iso = text.strip()
+    if iso.endswith("Z"):
+        iso = iso[:-1] + "+00:00"
+    dt = datetime.fromisoformat(iso)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    seconds, rest = divmod(dt - _EPOCH, timedelta(seconds=1))
+    if rest:
+        raise ValueError(f"timestamp {text!r} is not a whole second")
+    return seconds
 
 
 def format_iso8601(epoch_s: int) -> str:

@@ -35,7 +35,7 @@ import io
 import json
 import math
 import struct
-from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -118,32 +118,32 @@ def read_json(path, what: str, build):
 # ------------------------------------------------------------------ CSV ----
 
 
-CSV_BLOCK_ROWS = 4096  # rows a CSV read parses before it packs them into records
+CSV_BLOCK_ROWS = 1024  # lines a CSV read splits and converts at a time
 
 
-def read_csv_rows(path, what: str, header: str, parse, level_kind=None, dtype=None):
-    """Read a CSV file in one pass; returns (level kind, parsed rows).
+def read_csv_rows(path, what: str, header: str, columns, level_kind=None):
+    """Read a CSV file by columns in one pass; returns (level kind, columns).
 
     When ``level_kind`` gives a default kind, an optional first line
     ``# level_kind=...`` may override it; otherwise the kind is None. The
-    next line must equal ``header``. Each non-blank row after it becomes
-    ``parse(fields)``, which unpacks its own fields, so a wrong field count
-    is a ValueError like a bad number or timestamp. Any ValueError (a byte
-    that is not UTF-8 included) is a DataError naming the file and line, and
-    so is a file with no data rows.
+    next line must equal ``header``. Each non-blank line after it, stripped,
+    is a row with one field per ``(convert, dtype)`` pair in ``columns``:
+    the field's column holds ``convert(text)`` of every row, in an ndarray
+    of that dtype, or in a list when the dtype is None.
 
-    The parsed rows are a list of tuples or, given a structured ``dtype``,
-    a dict of one contiguous array per field: every ``CSV_BLOCK_ROWS``
-    tuples are packed into records and dropped, so a large file holds a few
-    bytes per row, not a Python tuple and its objects.
+    The file is read ``CSV_BLOCK_ROWS`` lines at a time, so a read holds its
+    columns and one block of text. A block's rows are split in one
+    ``str.split`` and each column is converted with one ``map``. A row with
+    the wrong field count or a field whose ``convert`` raises ValueError is
+    a DataError naming the file and line: the failed block is parsed again
+    row by row, each row's fields in order, to find the first bad one. A byte
+    that is not UTF-8 is one too, and so is a file with no data rows.
     """
-    rows, blocks = [], []
-    block = CSV_BLOCK_ROWS if dtype is not None else -1
+    cols = [[] for _ in columns]
     kind = level_kind
     with open(path, "r", encoding="utf-8") as f:
-        lineno = 1
         try:
-            line = f.readline().strip()
+            line, lineno = f.readline().strip(), 1
             if level_kind is not None and line.startswith("#"):
                 key, _, kind = (s.strip() for s in line.lstrip("# ").partition("="))
                 if key != "level_kind" or kind not in LEVEL_KINDS:
@@ -151,13 +151,13 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None, dtype=No
                 line, lineno = f.readline().strip(), 2
             if line != header:
                 raise DataError(f"{path}: unexpected {what} file header: {line!r}")
-            for lineno, line in enumerate(f, lineno + 1):
-                line = line.strip()
-                if line:
-                    rows.append(parse(line.split(",")))
-                    if len(rows) == block:
-                        blocks.append(np.array(rows, dtype))
-                        rows.clear()
+            while lines := list(map(str.strip, islice(f, CSV_BLOCK_ROWS))):
+                try:
+                    _extend_columns(cols, columns, list(filter(None, lines)))
+                except ValueError:
+                    _raise_at_first_bad_row(path, lines, lineno + 1, columns)
+                    raise
+                lineno += len(lines)
         except UnicodeDecodeError as e:  # e places the byte in a decoded chunk, not a line
             with open(path, "rb") as raw:  # bytes break lines where text mode does
                 for lineno, line in enumerate(raw.read().splitlines(), 1):
@@ -167,14 +167,50 @@ def read_csv_rows(path, what: str, header: str, parse, level_kind=None, dtype=No
                         e = in_line
                         break
             raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
+    if not cols[0]:
+        raise DataError(f"{path}: {what} file contains no data rows")
+    return kind, [col if dtype is None else np.concatenate(col)
+                  for col, (_, dtype) in zip(cols, columns)]
+
+
+def _extend_columns(cols, columns, rows) -> None:
+    """Append the fields of the stripped, non-blank ``rows`` to their
+    columns: a list extended, or one ndarray per block appended. A ValueError
+    when a row has the wrong field count or a field does not convert, with
+    the columns left part-extended."""
+    n, m = len(cols), len(rows)
+    if not m:
+        return
+    # a line holds no line break, so a "\n" field marks each row's end, and
+    # every row has n fields when each of them sits n + 1 after the last
+    fields = ",\n,".join(rows).split(",")
+    if len(fields) != (n + 1) * m - 1 or fields[n::n + 1].count("\n") != m - 1:
+        raise ValueError("wrong field count")
+    for j, (col, (conv, dtype)) in enumerate(zip(cols, columns)):
+        if dtype is not None:
+            col.append(np.fromiter(map(conv, fields[j::n + 1]), dtype, m))
+        else:
+            col.extend(map(conv, fields[j::n + 1]))
+
+
+def _raise_at_first_bad_row(path, lines, lineno: int, columns) -> None:
+    """Convert the stripped ``lines``, numbered from ``lineno``, one by one,
+    each row's fields in order; the first row that fails is a DataError
+    naming its line, with the message unpacking or converting gives."""
+    n = len(columns)
+    for lineno, line in enumerate(lines, lineno):
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) < n:
+                raise ValueError(f"not enough values to unpack (expected {n}, got {len(fields)})")
+            if len(fields) > n:
+                raise ValueError(f"too many values to unpack (expected {n})")
+            for (conv, _), text in zip(columns, fields):
+                conv(text)
         except ValueError as e:
             raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
-    if not rows and not blocks:
-        raise DataError(f"{path}: {what} file contains no data rows")
-    if dtype is not None:
-        blocks.append(np.array(rows, dtype))
-        rows = {name: np.concatenate([b[name] for b in blocks]) for name in dtype.names}
-    return kind, rows
 
 
 def check_no_repeats(path, what: str, n_rows: int, n_set: int, keys) -> None:
@@ -204,6 +240,16 @@ class Timestamps(dict):
         return when
 
 
+class Codes(dict):
+    """``memo[text]`` is the index of text among the distinct texts looked
+    up so far, in first-seen order; ``list(memo)`` gives the texts back. A
+    reader codes station ids with one, so its rows hold integers."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = code = len(self)
+        return code
+
+
 # the grid step, in seconds, of a CSV file with a single timestamp
 SINGLE_TIME_STEP_S = 300
 # the most grid times a CSV read allocates: about 9.5 years at a 300 s step,
@@ -227,21 +273,20 @@ def _row_axis(path, times) -> TimeAxis:
     return TimeAxis(times[0], step, count)
 
 
-def _grid_rows(path, what: str, stations: StationTable, when: Timestamps, cols, ids, upto=None):
+def _grid_rows(path, what: str, stations: StationTable, when: Timestamps, t, sid, ids, upto=None):
     """The grid through the timestamps the read parsed into ``when``, and
-    each row's grid row and station column; ``cols`` holds each row's
-    timestamp ``t`` and the index ``sid`` of its station id in ``ids``.
+    each row's grid row and station column, from each row's timestamp ``t``
+    and the index ``sid`` of its station id in ``ids``.
 
     A row among the first ``upto`` (all by default) that names a station not
     in ``stations`` is a DataError naming the first such station."""
     axis = _row_axis(path, when.values())
-    col = {sid: i for i, sid in enumerate(stations.ids)}
-    s = np.array([col.get(sid, -1) for sid in ids], np.int64)[cols["sid"]]
+    col = {name: i for i, name in enumerate(stations.ids)}
+    s = np.array([col.get(name, -1) for name in ids], np.int64)[sid]
     unknown = np.flatnonzero(s[:upto] < 0)
     if unknown.size:
-        raise DataError(f"{path}: unknown station id in {what} file: "
-                        f"{ids[cols['sid'][unknown[0]]]!r}")
-    k = cols["t"] - axis.start
+        raise DataError(f"{path}: unknown station id in {what} file: {ids[sid[unknown[0]]]!r}")
+    k = t - axis.start
     k //= axis.step
     return axis, k, s
 
@@ -251,14 +296,10 @@ def write_station_csv(path, table: StationTable) -> None:
                + "".join(f"{sid},{_fmt(la)},{_fmt(lo)}\n" for sid, la, lo in table.entries))
 
 
-def _station_row(fields):
-    sid, la, lo = fields
-    return sid, float(la), float(lo)
-
-
 def read_station_csv(path) -> StationTable:
-    _, entries = read_csv_rows(path, "station", "station_id,lat,lon", _station_row)
-    return _build(path, StationTable.from_entries, entries)
+    _, cols = read_csv_rows(path, "station", "station_id,lat,lon",
+                            ((str, None), (float, np.float64), (float, np.float64)))
+    return _build(path, StationTable, *cols)
 
 
 def write_ztd_csv(path, panel: ZtdPanel) -> None:
@@ -272,15 +313,6 @@ def write_ztd_csv(path, panel: ZtdPanel) -> None:
     write_text(path, "".join(lines))
 
 
-# a packed row holds its station id as the id's index in first-seen order
-_ZTD_ROW = np.dtype([("t", np.int64), ("sid", np.int64), ("ztd", np.float64)])
-
-
-def _ztd_row(when: Timestamps, sids: dict, fields):
-    ts, sid, val = fields
-    return when[ts], sids.setdefault(sid, len(sids)), float(val)
-
-
 def read_ztd_csv(path, stations: StationTable) -> ZtdPanel:
     """Read delay rows onto the grid implied by the timestamps present.
 
@@ -289,18 +321,20 @@ def read_ztd_csv(path, stations: StationTable) -> ZtdPanel:
     timestamp must sit on that grid. Stations not in ``stations`` are
     rejected.
     """
-    when, sids = Timestamps(), {}
-    _, cols = read_csv_rows(path, "delay", "timestamp,station_id,ztd_m",
-                            partial(_ztd_row, when, sids), dtype=_ZTD_ROW)
+    when, sids = Timestamps(), Codes()
+    _, (t, sid, ztd) = read_csv_rows(
+        path, "delay", "timestamp,station_id,ztd_m",
+        ((when.__getitem__, np.int64), (sids.__getitem__, np.int64), (float, np.float64)),
+    )
     ids = list(sids)
-    axis, k, s = _grid_rows(path, "delay", stations, when, cols, ids)
+    axis, k, s = _grid_rows(path, "delay", stations, when, t, sid, ids)
     values = np.full((axis.count, len(stations)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
-    values[k, s] = cols["ztd"]
+    values[k, s] = ztd
     mask[k, s] = True
     panel = _build(path, ZtdPanel, axis, stations, values, mask)
     check_no_repeats(path, "delay", len(k), int(mask.sum()),
-                     zip(map(int, cols["t"]), map(ids.__getitem__, cols["sid"])))
+                     zip(map(int, t), map(ids.__getitem__, sid)))
     return panel
 
 
@@ -321,34 +355,25 @@ def write_wind_csv(path, cube: WindCube) -> None:
     write_text(path, "".join(lines))
 
 
-_WIND_ROW = np.dtype([("t", np.int64), ("sid", np.int64), ("level", np.float64),
-                      ("speed", np.float64), ("dir", np.float64), ("w", np.float64)])
-
-
-def _wind_row(when: Timestamps, sids: dict, fields):
-    ts, sid, lev, spd, drc, w = fields
-    return when[ts], sids.setdefault(sid, len(sids)), float(lev), float(spd), float(drc), float(w)
-
-
 def read_wind_csv(path, stations: StationTable) -> WindCube:
     """Read wind rows onto the grid implied by their timestamps, as
     :func:`read_ztd_csv` does; levels ascend for heights and descend for
     pressures. An unknown station or a negative speed is a DataError naming
     the first row, in file order, that has either."""
-    when, sids = Timestamps(), {}
-    kind, cols = read_csv_rows(
+    when, sids = Timestamps(), Codes()
+    kind, (t, sid, level, speed, direction, w) = read_csv_rows(
         path, "wind", "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms",
-        partial(_wind_row, when, sids), level_kind=HEIGHT_M, dtype=_WIND_ROW,
+        ((when.__getitem__, np.int64), (sids.__getitem__, np.int64), *[(float, np.float64)] * 4),
+        level_kind=HEIGHT_M,
     )
     ids = list(sids)
-    level, speed = cols["level"], cols["speed"]
     negative = np.flatnonzero(speed < 0)
-    axis, k, s = _grid_rows(path, "wind", stations, when, cols, ids,
+    axis, k, s = _grid_rows(path, "wind", stations, when, t, sid, ids,
                             upto=negative[0] if negative.size else None)
     if negative.size:
-        ts, sid, lev, spd = (cols[name][negative[0]].item() for name in _WIND_ROW.names[:4])
+        ts, i, lev, spd = (col[negative[0]].item() for col in (t, sid, level, speed))
         raise NegativeSpeed(f"{path}: negative wind speed {spd!r} at "
-                            f"{format_iso8601(ts)}, station {ids[sid]}, level {lev!r}")
+                            f"{format_iso8601(ts)}, station {ids[i]}, level {lev!r}")
     # a level keeps its first row's value (0.0 or -0.0), as a set would
     unique, first, l = np.unique(level, return_index=True, return_inverse=True)
     descending = kind != HEIGHT_M
@@ -357,29 +382,22 @@ def read_wind_csv(path, stations: StationTable) -> WindCube:
         l = len(unique) - 1 - l
     values = np.full((axis.count, len(levels), len(stations), 3), np.nan)
     mask = np.zeros(values.shape, dtype=bool)
-    u, v = decompose_wind(speed, cols["dir"])
-    values[k, l, s] = np.stack((u, v, cols["w"]), axis=-1)
+    u, v = decompose_wind(speed, direction)
+    values[k, l, s] = np.stack((u, v, w), axis=-1)
     mask[k, l, s] = True
     cube = _build(path, WindCube, axis, levels, stations, values, mask)
     check_no_repeats(path, "wind", len(k), int(mask[..., 0].sum()),
-                     zip(map(int, cols["t"]), map(ids.__getitem__, cols["sid"]),
-                         map(float, level)))
+                     zip(map(int, t), map(ids.__getitem__, sid), map(float, level)))
     return cube
-
-
-def _baseline_row(when: Timestamps, fields):
-    ts, la, lo, lev, u, v, w = fields
-    return when[ts], float(la), float(lo), float(lev), float(u), float(v), float(w)
 
 
 def read_baseline_csv(path) -> GriddedBaseline:
     """Read a gridded baseline; every grid combination must appear."""
-    kind, rows = read_csv_rows(path, "baseline", "timestamp,lat,lon,level,u_ms,v_ms,w_ms",
-                               partial(_baseline_row, Timestamps()), level_kind=PRESSURE_HPA)
-    times = sorted({r[0] for r in rows})
-    lats = sorted({r[1] for r in rows})
-    lons = sorted({r[2] for r in rows})
-    levs = sorted({r[3] for r in rows}, reverse=(kind == PRESSURE_HPA))
+    kind, cols = read_csv_rows(path, "baseline", "timestamp,lat,lon,level,u_ms,v_ms,w_ms",
+                               ((Timestamps().__getitem__, None), *[(float, None)] * 6),
+                               level_kind=PRESSURE_HPA)
+    times, lats, lons = (sorted(set(col)) for col in cols[:3])
+    levs = sorted(set(cols[3]), reverse=(kind == PRESSURE_HPA))
     levels = _build(path, LevelSpec, kind, tuple(levs))
     shape = (len(times), len(levs), len(lats), len(lons))
     t_i = {t: i for i, t in enumerate(times)}
@@ -388,13 +406,14 @@ def read_baseline_csv(path) -> GriddedBaseline:
     le_i = {v: i for i, v in enumerate(levs)}
     values = np.empty(shape + (3,))
     filled = np.zeros(shape, dtype=bool)
-    for ts, la, lo, lev, u, v, w in rows:
+    for ts, la, lo, lev, u, v, w in zip(*cols):
         cell = t_i[ts], le_i[lev], la_i[la], lo_i[lo]
         values[cell] = (u, v, w)
         filled[cell] = True
-    check_no_repeats(path, "baseline", len(rows), int(filled.sum()), (r[:4] for r in rows))
-    if len(rows) != filled.size:
-        raise DataError(f"{path}: baseline grid incomplete: {len(rows)} rows for shape {shape}")
+    n_rows = len(cols[0])
+    check_no_repeats(path, "baseline", n_rows, int(filled.sum()), zip(*cols[:4]))
+    if n_rows != filled.size:
+        raise DataError(f"{path}: baseline grid incomplete: {n_rows} rows for shape {shape}")
     return _build(path, GriddedBaseline, np.array(times, dtype=np.int64), levels,
                   np.array(lats), np.array(lons), values)
 

@@ -199,10 +199,7 @@ def write_history(path, history) -> None:
         f"{epoch},{train_mse:.17g},{val_mse:.17g}\n" for epoch, train_mse, val_mse in history))
 
 
-def _history_row(fields):
-    epoch, train_mse, val_mse = fields
-    return int(epoch), float(train_mse), float(val_mse)
-
-
 def read_history(path) -> list:
-    return fileio.read_csv_rows(path, "history", "epoch,train_mse,val_mse", _history_row)[1]
+    _, cols = fileio.read_csv_rows(path, "history", "epoch,train_mse,val_mse",
+                                   ((int, None), (float, None), (float, None)))
+    return list(zip(*cols))

@@ -5,19 +5,23 @@ avoiding the vectorized formulations in the package, so that agreement
 between the two is meaningful evidence of correctness. The exceptions are at
 the end: the vectorized formulas the package computed before a rewrite that
 must keep every bit (the tests compare the two with ``tobytes()``), the
-closed-form parameter count of a model config, and the OLS oracle, a
-linear-readout ceiling the synthetic-scene tests measure learned models and
-scene difficulty against.
+closed-form parameter count of a model config, the row-by-row CSV reader the
+column reader must match byte for byte and message for message, and the OLS
+oracle, a linear-readout ceiling the synthetic-scene tests measure learned
+models and scene difficulty against.
 """
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
-from gwindcast.errors import NumericError
+from gwindcast import fileio
+from gwindcast.core import HEIGHT_M, LEVEL_KINDS, LevelSpec, WindCube, ZtdPanel, format_iso8601
+from gwindcast.errors import DataError, NegativeSpeed, NumericError
 from gwindcast.metrics import evaluate_series
-from gwindcast.preprocess import SplitConfig, build_samples
+from gwindcast.preprocess import SplitConfig, build_samples, decompose_wind
 
 
 # ------------------------------------------------------------- metrics ----
@@ -440,6 +444,125 @@ def expected_param_count(config):
         return config.n_encoder_blocks * per_block + head
     f = config.window_steps * config.n_stations
     return 2 * (f * f + f) + f * config.output_dim + config.output_dim
+
+
+# ------------------------------------------------ row-by-row CSV reader ----
+# fileio's delay and wind readers as they were before they read by columns:
+# each non-blank line is unpacked and converted field by field into a tuple.
+
+
+def prior_read_csv_rows(path, what, header, parse, level_kind=None):
+    """(level kind, [parse(fields) of each non-blank row]), malformed rows a
+    DataError naming the file and line."""
+    rows = []
+    kind = level_kind
+    with open(path, "r", encoding="utf-8") as f:
+        lineno = 1
+        try:
+            line = f.readline().strip()
+            if level_kind is not None and line.startswith("#"):
+                key, _, kind = (s.strip() for s in line.lstrip("# ").partition("="))
+                if key != "level_kind" or kind not in LEVEL_KINDS:
+                    raise DataError(f"{path}: unexpected {what} metadata line: {line!r}")
+                line, lineno = f.readline().strip(), 2
+            if line != header:
+                raise DataError(f"{path}: unexpected {what} file header: {line!r}")
+            for lineno, line in enumerate(f, lineno + 1):
+                line = line.strip()
+                if line:
+                    rows.append(parse(line.split(",")))
+        except UnicodeDecodeError as e:
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw.read().splitlines(), 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as in_line:
+                        e = in_line
+                        break
+            raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
+        except ValueError as e:
+            raise DataError(f"{path}, line {lineno}: malformed row ({e})") from e
+    if not rows:
+        raise DataError(f"{path}: {what} file contains no data rows")
+    return kind, rows
+
+
+_PRIOR_ZTD_ROW = np.dtype([("t", np.int64), ("sid", np.int64), ("ztd", np.float64)])
+_PRIOR_WIND_ROW = np.dtype([("t", np.int64), ("sid", np.int64), ("level", np.float64),
+                            ("speed", np.float64), ("dir", np.float64), ("w", np.float64)])
+
+
+def _prior_ztd_row(when, sids, fields):
+    ts, sid, val = fields
+    return when[ts], sids.setdefault(sid, len(sids)), float(val)
+
+
+def _prior_wind_row(when, sids, fields):
+    ts, sid, lev, spd, drc, w = fields
+    return when[ts], sids.setdefault(sid, len(sids)), float(lev), float(spd), float(drc), float(w)
+
+
+def _prior_grid_rows(path, what, stations, when, cols, ids, upto=None):
+    axis = fileio._row_axis(path, when.values())
+    col = {sid: i for i, sid in enumerate(stations.ids)}
+    s = np.array([col.get(sid, -1) for sid in ids], np.int64)[cols["sid"]]
+    unknown = np.flatnonzero(s[:upto] < 0)
+    if unknown.size:
+        raise DataError(f"{path}: unknown station id in {what} file: "
+                        f"{ids[cols['sid'][unknown[0]]]!r}")
+    k = cols["t"] - axis.start
+    k //= axis.step
+    return axis, k, s
+
+
+def prior_read_ztd_csv(path, stations):
+    when, sids = fileio.Timestamps(), {}
+    _, rows = prior_read_csv_rows(path, "delay", "timestamp,station_id,ztd_m",
+                                  partial(_prior_ztd_row, when, sids))
+    cols = np.array(rows, _PRIOR_ZTD_ROW)
+    ids = list(sids)
+    axis, k, s = _prior_grid_rows(path, "delay", stations, when, cols, ids)
+    values = np.full((axis.count, len(stations)), np.nan)
+    mask = np.zeros_like(values, dtype=bool)
+    values[k, s] = cols["ztd"]
+    mask[k, s] = True
+    panel = fileio._build(path, ZtdPanel, axis, stations, values, mask)
+    fileio.check_no_repeats(path, "delay", len(k), int(mask.sum()),
+                            zip(map(int, cols["t"]), map(ids.__getitem__, cols["sid"])))
+    return panel
+
+
+def prior_read_wind_csv(path, stations):
+    when, sids = fileio.Timestamps(), {}
+    kind, rows = prior_read_csv_rows(
+        path, "wind", "timestamp,station_id,level,wind_speed_ms,wind_dir_deg,w_ms",
+        partial(_prior_wind_row, when, sids), level_kind=HEIGHT_M,
+    )
+    cols = np.array(rows, _PRIOR_WIND_ROW)
+    ids = list(sids)
+    level, speed = cols["level"], cols["speed"]
+    negative = np.flatnonzero(speed < 0)
+    axis, k, s = _prior_grid_rows(path, "wind", stations, when, cols, ids,
+                                  upto=negative[0] if negative.size else None)
+    if negative.size:
+        ts, sid, lev, spd = (cols[name][negative[0]].item() for name in _PRIOR_WIND_ROW.names[:4])
+        raise NegativeSpeed(f"{path}: negative wind speed {spd!r} at "
+                            f"{format_iso8601(ts)}, station {ids[sid]}, level {lev!r}")
+    unique, first, l = np.unique(level, return_index=True, return_inverse=True)
+    descending = kind != HEIGHT_M
+    levels = fileio._build(path, LevelSpec, kind, level[first[::-1] if descending else first])
+    if descending:
+        l = len(unique) - 1 - l
+    values = np.full((axis.count, len(levels), len(stations), 3), np.nan)
+    mask = np.zeros(values.shape, dtype=bool)
+    u, v = decompose_wind(speed, cols["dir"])
+    values[k, l, s] = np.stack((u, v, cols["w"]), axis=-1)
+    mask[k, l, s] = True
+    cube = fileio._build(path, WindCube, axis, levels, stations, values, mask)
+    fileio.check_no_repeats(path, "wind", len(k), int(mask[..., 0].sum()),
+                            zip(map(int, cols["t"]), map(ids.__getitem__, cols["sid"]),
+                                map(float, level)))
+    return cube
 
 
 # ---------------------------------------------------------- OLS oracle ----

@@ -34,6 +34,19 @@ def test_iso8601_round_trip():
         assert parse_iso8601(format_iso8601(t)) == t
 
 
+def test_iso8601_refuses_a_time_that_is_not_a_whole_second():
+    # once truncated: .9 landed on the second before, and 23:59:59.5 before
+    # the epoch rounded forward onto it
+    assert parse_iso8601("2025-05-07T05:30:00.000Z") == 1746595800
+    for text in ("2025-05-07T05:30:00.900Z", "1969-12-31T23:59:59.500Z",
+                 "2025-05-07T05:30:00.000001+00:00"):
+        with pytest.raises(ValueError) as err:
+            parse_iso8601(text)
+        assert str(err.value) == f"timestamp {text!r} is not a whole second"
+    with pytest.raises(ValueError):  # Python 3.10 cannot parse one fraction digit at all
+        parse_iso8601("2025-05-07T05:30:00.9Z")
+
+
 def test_time_axis_basic():
     ax = TimeAxis(start=1000, step=300, count=4)
     assert list(ax.timestamps()) == [1000, 1300, 1600, 1900]

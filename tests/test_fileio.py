@@ -18,6 +18,7 @@ from gwindcast.core import (
     parse_iso8601,
 )
 from gwindcast.errors import DataError, NegativeSpeed
+from reference_impls import prior_read_wind_csv, prior_read_ztd_csv
 from gwindcast.fileio import (
     canonical_json,
     cube_from_bytes,
@@ -133,6 +134,15 @@ def test_station_csv_rejects_wrong_header(tmp_path):
     raises_exactly(lambda: read_station_csv(path),
                    f"{path}, line 2002: malformed row ('utf-8' codec can't decode byte 0xff in "
                    "position 1: invalid start byte)")
+
+
+def test_station_csv_checks_each_rows_field_count(tmp_path):
+    """A short row and a long one hold as many fields as two good rows, and
+    their fields would all convert; the short row is reported."""
+    path = tmp_path / "stations.csv"
+    path.write_text("station_id,lat,lon\n1,1,2,3\n2,2\n")
+    raises_exactly(lambda: read_station_csv(path),
+                   f"{path}, line 2: malformed row (too many values to unpack (expected 3))")
 
 
 def test_ztd_csv_round_trip_preserves_grid_and_gaps(tmp_path):
@@ -286,6 +296,118 @@ def test_delay_csv_read_holds_a_few_bytes_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 100 * n_t * n_s
+
+
+def _field(row: str, j: int, text: str) -> str:
+    """row with its field j replaced by text."""
+    fields = row.split(",")
+    fields[j] = text
+    return ",".join(fields)
+
+
+def _levels_signed_zero(rows):
+    """The first level's rows at 0.0, its first row at -0.0."""
+    first = rows[0].split(",")[2]
+    out = [_field(r, 2, "0.0") if r.split(",")[2] == first else r for r in rows]
+    return [_field(out[0], 2, "-0.0"), *out[1:]]
+
+
+# name: (what the data rows become, readers ("z" delay, "w" wind), lines per
+# read block or None for the default, whether the read fails); a delay file
+# has 25 data rows below one header line, a wind file 36 below two
+_ORACLE_CASES = {
+    "crlf": (lambda h, r: _text(h + r, "\r\n"), "zw", None, False),
+    "lone cr": (lambda h, r: _text(h + r, "\r"), "zw", None, False),
+    "blank and whitespace-only lines": (
+        lambda h, r: _text(h + ["", *r[:5], " \t", "", *r[5:], "  "]), "zw", None, False),
+    "blank lines across blocks": (
+        lambda h, r: _text(h + ["", "", *r[:3], "", "\t", "", "", *r[3:]], "\r\n"), "zw", 4, False),
+    "spaces around a row": (lambda h, r: _text(h + [f"  {x}\t " for x in r]), "zw", None, False),
+    "underscores and full-width digits": (
+        lambda h, r: _text(h + [_field(r[0], -1, "2_4"), _field(r[1], -1, "\uff12.\uff14"), *r[2:]]),
+        "zw", None, False),
+    "too few fields": (lambda h, r: _text(h + r[:6] + [r[6].rsplit(",", 1)[0]] + r[7:]),
+                       "zw", None, True),
+    "too many fields": (lambda h, r: _text(h + r[:6] + [r[6] + ",7"] + r[7:]), "zw", None, True),
+    "one row short, a later one long": (
+        lambda h, r: _text(h + r[:2] + [r[2].rsplit(",", 1)[0], r[3] + ",7"] + r[4:]),
+        "zw", None, True),
+    "bad number and bad timestamp in one row": (
+        lambda h, r: _text(h + r[:6] + [_field(_field(r[6], 0, "2025-05-07T25:30:00Z"), -1, "abc")]
+                           + r[7:]), "zw", None, True),
+    "bad number after blank lines": (
+        lambda h, r: _text(h + ["", "", *r[:6], _field(r[6], -1, "abc"), *r[7:]]), "zw", None, True),
+    "not utf-8": (lambda h, r: _text(h + r[:8]) + b"\xff" + _text(r[8:]), "zw", None, True),
+    "sub-second timestamp": (lambda h, r: _text(h + [_field(r[0], 0, r[0][:19] + ".900Z"), *r[1:]]),
+                             "zw", None, True),
+    "bad row first in a block": (lambda h, r: _text(h + r[:4] + [_field(r[4], -1, "abc")] + r[5:]),
+                                 "zw", 4, True),
+    "bad row last in a block": (lambda h, r: _text(h + r[:3] + [_field(r[3], -1, "abc")] + r[4:]),
+                                "zw", 4, True),
+    "bad row in a later block": (lambda h, r: _text(h + ["", *r[:2], " ", *r[2:9], r[9] + ",7",
+                                                         *r[10:]]), "zw", 4, True),
+    "repeated row": (lambda h, r: _text(h + r + [r[3]]), "zw", 4, True),
+    "unknown station": (lambda h, r: _text(h + r[:5] + [_field(r[5], 1, "NOPE")] + r[6:]),
+                        "zw", 4, True),
+    "negative speed before an unknown station": (
+        lambda h, r: _text(h + [_field(r[0], 3, "-0.5"), *r[1:5], _field(r[5], 1, "NOPE"), *r[6:]]),
+        "w", None, True),
+    "negative speed after an unknown station": (
+        lambda h, r: _text(h + [_field(r[0], 1, "NOPE"), *r[1:5], _field(r[5], 3, "-0.5"), *r[6:]]),
+        "w", None, True),
+    "nan level": (lambda h, r: _text(h + [_field(r[0], 2, "nan"), *r[1:]]), "w", None, True),
+    "signed-zero levels": (lambda h, r: _text(h + _levels_signed_zero(r)), "w", None, False),
+    "pressure levels": (lambda h, r: _text(["# level_kind=pressure_hPa", *h[1:], *r]),
+                        "w", None, False),
+    "header only": (lambda h, r: _text(h), "zw", None, True),
+    "empty file": (lambda h, r: b"", "zw", None, True),
+}
+
+
+def _text(lines, end="\n") -> bytes:
+    return "".join(line + end for line in lines).encode("utf-8")
+
+
+def _outcome(read, path, table):
+    """The bytes of what read gives, or its error's type and text."""
+    try:
+        obj = read(path, table)
+    except DataError as e:
+        return type(e).__name__, str(e)
+    return "read", (panel_to_bytes if isinstance(obj, ZtdPanel) else cube_to_bytes)(obj)
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_column_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, case):
+    """The delay and wind readers give the bytes, or the exact error, of
+    the row loop they replaced, for every edit of a well-formed file."""
+    edit, readers, block, fails = _ORACLE_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", block)
+    panel, cube = sample_panel(n_t=9), sample_cube(n_t=9)
+    for name, write, read, prior, obj in (("z", write_ztd_csv, read_ztd_csv, prior_read_ztd_csv, panel),
+                                          ("w", write_wind_csv, read_wind_csv, prior_read_wind_csv, cube)):
+        if name not in readers:
+            continue
+        path = tmp_path / f"{name}.csv"
+        write(path, obj)
+        lines = path.read_text().splitlines()
+        head = 2 if lines[0].startswith("#") else 1
+        path.write_bytes(edit(lines[:head], lines[head:]))
+        got = _outcome(read, path, obj.stations)
+        assert got == _outcome(prior, path, obj.stations)
+        assert (got[0] != "read") == fails, got
+
+
+def test_csv_row_with_a_sub_second_timestamp_is_malformed(tmp_path):
+    """Two rows 0.7 s apart were once one repeated row at a time neither
+    named; the first is now a malformed row at its line."""
+    path = tmp_path / "ztd.csv"
+    path.write_text("timestamp,station_id,ztd_m\n2025-05-07T05:25:00Z,Z000,2.4\n"
+                    "2025-05-07T05:30:00.100Z,Z000,2.4\n2025-05-07T05:30:00.800Z,Z000,2.5\n")
+    raises_exactly(lambda: read_ztd_csv(path, stations(1)),
+                   f"{path}, line 3: malformed row "
+                   "(timestamp '2025-05-07T05:30:00.100Z' is not a whole second)")
 
 
 def test_one_instant_in_two_spellings_lands_on_one_grid_row(tmp_path):

@@ -648,6 +648,12 @@ def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
                      "--out", out]) == 2
     assert "station_counts must not be empty" in capsys.readouterr().err
     assert not os.path.exists(out)
+    # a time bound that is not a whole second
+    assert cli.main(["run-lead-sweep", "--config", cfg_path,
+                     "--set", 'time_start="2025-05-07T00:00:00.500Z"', "--out", out]) == 2
+    assert "time_start must be null or an ISO-8601 timestamp, got '2025-05-07T00:00:00.500Z'" \
+        in capsys.readouterr().err
+    assert not os.path.exists(out)
     # a time window that ends before it starts (one that misses the data is exit 3)
     assert cli.main(["run-lead-sweep", "--config", cfg_path,
                      "--set", 'time_start="2025-05-08T00:00:00Z"',

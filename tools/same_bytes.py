@@ -43,9 +43,16 @@ SMALL = {
 
 _STAGED = ["--config", "small.json", "--set", 'postprocess.mode="empirical_quantile"',
            "--set", "leads_minutes=[5,10]"]
+
+
+def _files_scene(top: str) -> str:
+    """A data.kind="files" scene of the four CSV files under top."""
+    return json.dumps({"kind": "files", **{name: f"{top}/{name}.csv" for name in
+                                           ("ztd_stations", "ztd", "wind_stations", "wind")}})
+
+
 # the staged synth's CSV files as a data.kind="files" scene
-_CSV_SCENE = json.dumps({"kind": "files", **{name: f"staged/raw/{name}.csv" for name in
-                                             ("ztd_stations", "ztd", "wind_stations", "wind")}})
+_CSV_SCENE = _files_scene("staged/raw")
 
 # a 3-time x 2-lat x 2-lon x 3-level height grid over the small scene
 BASELINE = "# level_kind=height_m\ntimestamp,lat,lon,level,u_ms,v_ms,w_ms\n" + "".join(
@@ -71,8 +78,23 @@ SCENE_FILES = {
         f"{3.0 + 0.5 * k + lev / 1000},{(37 * k + 90 * j) % 360},{0.01 * k}\n"
         for j in range(2) for lev in (100.0, 1500.0) for k in range(12) if (3 * j + k) % 7),
 }
-_REORDERED_SCENE = json.dumps({"kind": "files", **{name: f"reordered/{name}.csv" for name in
-                                                   ("ztd_stations", "ztd", "wind_stations", "wind")}})
+
+
+def _crlf(text: str) -> str:
+    """text with CRLF line ends and, after its third line, a blank line and
+    a whitespace-only one."""
+    lines = text.splitlines()
+    return "\r\n".join([*lines[:3], "", " \t", *lines[3:]]) + "\r\n"
+
+
+# the reordered scene once more, its files with CRLF line ends and blank lines
+SCENE_FILES.update({name.replace("reordered/", "reordered_crlf/"): _crlf(text)
+                    for name, text in SCENE_FILES.items()})
+_REORDERED_SCENE = _files_scene("reordered")
+# a synth scene of 60 delay stations x 600 steps: its ztd.csv holds about
+# 35 000 rows, many of fileio.CSV_BLOCK_ROWS lines, read back by preprocess
+_MANY_BLOCKS = ["--config", "small.json", "--set", "synth.n_ztd_stations=60",
+                "--set", "synth.n_steps=600"]
 # the reordered scene trained and calibrated in empirical_quantile mode: its
 # calibrated test (1 row) and train (3 rows) predictions are short enough for
 # postprocess's one pass over every channel (postprocess.ONE_PASS_MAX_ROWS)
@@ -132,6 +154,11 @@ COMMANDS = [
                         "--out", "staged/prep_csv"]),
     ("preprocess_reordered", ["preprocess", "--config", "small.json", "--set",
                               "data=" + _REORDERED_SCENE, "--out", "reordered/prep"]),
+    ("preprocess_crlf", ["preprocess", "--config", "small.json", "--set",
+                         "data=" + _files_scene("reordered_crlf"), "--out", "reordered_crlf/prep"]),
+    ("synth_many_blocks", ["synth", *_MANY_BLOCKS, "--out", "many/raw"]),
+    ("preprocess_many_blocks", ["preprocess", *_MANY_BLOCKS, "--set",
+                                "data=" + _files_scene("many/raw"), "--out", "many/prep"]),
     ("short_train", ["train", *_SHORT, "--out", "reordered/run"]),
     ("short_calibrate", ["calibrate", *_SHORT, "--model", "reordered/run/checkpoint.gwc",
                          "--out", "reordered/run/cdf_map.json"]),
@@ -178,7 +205,7 @@ def run_side(src: str, cwd: str) -> dict:
         json.dump(SMALL, f)
     for name, text in {"baseline.csv": BASELINE, **SCENE_FILES}.items():
         os.makedirs(os.path.join(cwd, os.path.dirname(name)), exist_ok=True)
-        with open(os.path.join(cwd, name), "w", encoding="utf-8") as f:
+        with open(os.path.join(cwd, name), "w", encoding="utf-8", newline="") as f:
             f.write(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     printed = {}

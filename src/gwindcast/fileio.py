@@ -137,7 +137,8 @@ def read_csv_rows(path, what: str, header: str, columns, level_kind=None):
     the wrong field count or a field whose ``convert`` raises ValueError is
     a DataError naming the file and line: the failed block is parsed again
     row by row, each row's fields in order, to find the first bad one. A byte
-    that is not UTF-8 is one too, and so is a file with no data rows.
+    that is not UTF-8 is one too, named after any bad row the text decoder
+    returned before it, and so is a file with no data rows.
     """
     cols = [[] for _ in columns]
     kind = level_kind
@@ -151,12 +152,16 @@ def read_csv_rows(path, what: str, header: str, columns, level_kind=None):
                 line, lineno = f.readline().strip(), 2
             if line != header:
                 raise DataError(f"{path}: unexpected {what} file header: {line!r}")
-            while lines := list(map(str.strip, islice(f, CSV_BLOCK_ROWS))):
-                try:
+            while True:
+                lines = []
+                try:  # a byte that is not UTF-8 keeps the lines decoded before it
+                    lines.extend(map(str.strip, islice(f, CSV_BLOCK_ROWS)))
                     _extend_columns(cols, columns, list(filter(None, lines)))
                 except ValueError:
                     _raise_at_first_bad_row(path, lines, lineno + 1, columns)
                     raise
+                if not lines:
+                    break
                 lineno += len(lines)
         except UnicodeDecodeError as e:  # e places the byte in a decoded chunk, not a line
             with open(path, "rb") as raw:  # bytes break lines where text mode does
@@ -214,7 +219,7 @@ def _raise_at_first_bad_row(path, lines, lineno: int, columns) -> None:
 
 
 def check_no_repeats(path, what: str, n_rows: int, n_set: int, keys) -> None:
-    """After the per-row loop: if the rows set fewer than ``n_rows`` cells, a
+    """After the rows are placed: if they set fewer than ``n_rows`` cells, a
     later row overwrote an earlier one, and the DataError names the first
     repeated key in ``keys``, an iterator over each row's key (its timestamp
     and the fields that place it) in file order, read only then. The readers

@@ -338,6 +338,14 @@ _ORACLE_CASES = {
     "bad number after blank lines": (
         lambda h, r: _text(h + ["", "", *r[:6], _field(r[6], -1, "abc"), *r[7:]]), "zw", None, True),
     "not utf-8": (lambda h, r: _text(h + r[:8]) + b"\xff" + _text(r[8:]), "zw", None, True),
+    # the text decoder works in chunks of 8 KiB: a bad row in the chunk of a
+    # byte that is not UTF-8 never decodes, one in an earlier chunk does
+    "bad number and a non-utf-8 byte in one chunk": (
+        lambda h, r: _text(h + [r[0], _field(r[1], -1, "abc"), *r[2:8]]) + b"\xff" + _text(r[8:]),
+        "zw", None, True),
+    "bad number a chunk before a non-utf-8 byte": (
+        lambda h, r: _text(h + [r[0], _field(r[1], -1, "abc"), " " * 9000, *r[2:8]]) + b"\xff"
+        + _text(r[8:]), "zw", None, True),
     "sub-second timestamp": (lambda h, r: _text(h + [_field(r[0], 0, r[0][:19] + ".900Z"), *r[1:]]),
                              "zw", None, True),
     "bad row first in a block": (lambda h, r: _text(h + r[:4] + [_field(r[4], -1, "abc")] + r[5:]),

@@ -18,7 +18,6 @@ from gwindcast.core import (
     parse_iso8601,
 )
 from gwindcast.errors import DataError, NegativeSpeed
-from reference_impls import prior_read_wind_csv, prior_read_ztd_csv
 from gwindcast.fileio import (
     canonical_json,
     cube_from_bytes,
@@ -44,6 +43,7 @@ from gwindcast.fileio import (
     write_wind_csv,
     write_ztd_csv,
 )
+from reference_impls import prior_read_wind_csv, prior_read_ztd_csv
 
 
 def stations(n=3, prefix="Z"):
@@ -298,6 +298,10 @@ def test_delay_csv_read_holds_a_few_bytes_per_row(tmp_path):
     assert peak < 100 * n_t * n_s
 
 
+def _text(lines, end="\n") -> bytes:
+    return "".join(line + end for line in lines).encode("utf-8")
+
+
 def _field(row: str, j: int, text: str) -> str:
     """row with its field j replaced by text."""
     fields = row.split(",")
@@ -372,10 +376,6 @@ _ORACLE_CASES = {
 }
 
 
-def _text(lines, end="\n") -> bytes:
-    return "".join(line + end for line in lines).encode("utf-8")
-
-
 def _outcome(read, path, table):
     """The bytes of what read gives, or its error's type and text."""
     try:
@@ -393,8 +393,9 @@ def test_column_reader_matches_the_row_by_row_reader(tmp_path, monkeypatch, case
     if block is not None:
         monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", block)
     panel, cube = sample_panel(n_t=9), sample_cube(n_t=9)
-    for name, write, read, prior, obj in (("z", write_ztd_csv, read_ztd_csv, prior_read_ztd_csv, panel),
-                                          ("w", write_wind_csv, read_wind_csv, prior_read_wind_csv, cube)):
+    for name, write, read, prior, obj in (
+            ("z", write_ztd_csv, read_ztd_csv, prior_read_ztd_csv, panel),
+            ("w", write_wind_csv, read_wind_csv, prior_read_wind_csv, cube)):
         if name not in readers:
             continue
         path = tmp_path / f"{name}.csv"

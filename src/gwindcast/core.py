@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError
 
@@ -112,11 +113,15 @@ class _OnAxis(_StationValues):
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# the epoch seconds format_iso8601 can print: UTC years 1 to 9999
+_FIRST_S = (datetime(1, 1, 1, tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
+_LAST_S = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
 
 
 def parse_iso8601(text: str) -> int:
     """ISO-8601 UTC timestamp -> epoch seconds. A time that is not a whole
-    second is a ValueError; ``.000`` is a whole second."""
+    second, or whose UTC year lies outside 1-9999, is a ValueError; ``.000``
+    is a whole second."""
     iso = text.strip()
     if iso.endswith("Z"):
         iso = iso[:-1] + "+00:00"
@@ -126,13 +131,15 @@ def parse_iso8601(text: str) -> int:
     seconds, rest = divmod(dt - _EPOCH, timedelta(seconds=1))
     if rest:
         raise ValueError(f"timestamp {text!r} is not a whole second")
+    if not _FIRST_S <= seconds <= _LAST_S:
+        raise ValueError(f"timestamp {text!r} lies outside UTC years 1-9999")
     return seconds
 
 
 def format_iso8601(epoch_s: int) -> str:
-    return datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    """Epoch seconds -> ``YYYY-MM-DDTHH:MM:SSZ``, the year in four digits."""
+    return datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).isoformat().replace(
+        "+00:00", "Z")
 
 
 @dataclass(frozen=True)
@@ -346,29 +353,67 @@ class NormStats(_FrozenArrays):
         return out
 
 
+def gather_windows(delays, window_steps: int, starts) -> np.ndarray:
+    """The windows of ``window_steps`` rows of ``delays`` that start at rows
+    ``starts``: a new C-ordered (len(starts), window_steps, n_stations) array."""
+    return sliding_window_view(delays, window_steps, axis=0).transpose(0, 2, 1)[starts]
+
+
 @dataclass(frozen=True)
 class SampleSet(_FrozenArrays):
-    """Windowed (input, target) pairs ready for model training.
+    """Windowed (input, target) pairs ready for model training. The inputs
+    are held once, as delay rows, and each sample as the row its window
+    starts at; :meth:`windows` gathers the windows a caller asks for.
 
-    inputs   -- (n_samples, window_steps, n_input_stations), unnormalized
+    delays   -- (n_times, n_input_stations) delay rows, unnormalized
+    starts   -- per-sample row of ``delays`` its window starts at
+    window_steps -- rows in each window
     targets  -- (n_samples, output_dim), unnormalized; output_dim flattens
                 (level, station, component) row-major
     target_times -- epoch seconds of each sample's target
     split_labels -- per-sample code: 0 train, 1 val, 2 test
     levels, target_stations -- the layout :meth:`series` unfolds rows into
     norm_stats -- statistics of the train split; None when it is empty
+
+    The per-sample fields have one entry per sample, ``window_steps`` is at
+    least 1, ``delays`` is (time, station) and every window lies inside it.
     """
 
-    _ARRAYS = {"inputs": np.float64, "targets": np.float64,
+    _ARRAYS = {"delays": np.float64, "starts": np.int64, "targets": np.float64,
                "target_times": np.int64, "split_labels": np.uint8}
 
-    inputs: np.ndarray
+    delays: np.ndarray
+    starts: np.ndarray
+    window_steps: int
     targets: np.ndarray
     target_times: np.ndarray
     split_labels: np.ndarray
     levels: LevelSpec
     target_stations: StationTable
     norm_stats: NormStats | None
+
+    def __post_init__(self):
+        super().__post_init__()
+        lengths = [len(getattr(self, k)) for k in ("starts", "targets", "target_times",
+                                                   "split_labels")]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"starts, targets, target_times and split_labels differ in "
+                             f"length: {lengths}")
+        if self.window_steps < 1:
+            raise ValueError(f"window_steps must be at least 1, got {self.window_steps}")
+        if self.delays.ndim != 2:
+            raise ValueError(f"delays must be (time, station), got shape {self.delays.shape}")
+        last = len(self.delays) - self.window_steps
+        bad = np.flatnonzero((self.starts < 0) | (self.starts > last))
+        if bad.size:
+            raise ValueError(f"the window of sample {bad[0]} (start {self.starts[bad[0]]}, "
+                             f"{self.window_steps} steps) leaves the {len(self.delays)} "
+                             f"delay rows")
+
+    def windows(self, idx) -> np.ndarray:
+        """The unnormalized input windows of samples ``idx``: a new C-ordered
+        (len(idx), window_steps, n_input_stations) array."""
+        return gather_windows(self.delays, self.window_steps, self.starts[idx])
 
     @property
     def output_dim(self) -> int:

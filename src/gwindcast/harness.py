@@ -196,6 +196,11 @@ class ExperimentConfig:
         for key in ("leads_minutes", "station_counts"):
             if not d[key]:
                 raise ConfigError(f"{key} must not be empty")
+        leads = d["leads_minutes"]
+        for i, lead in enumerate(leads):
+            if lead in leads[:i]:  # 5 and 5.0 are one lead, trained into one directory
+                raise ConfigError(f"leads_minutes repeats the lead of {format(lead, 'g')} min, "
+                                  f"got {leads}")
         return cfg
 
     @property
@@ -296,7 +301,7 @@ def build_run_samples(panel: ZtdPanel, cube: WindCube, cfg: ExperimentConfig, le
 
 def train_stage(samples, cfg: ExperimentConfig, lead_steps: int, out_dir):
     """Train one lead's model; write checkpoint.gwc and history.csv."""
-    mcfg = replace(cfg.model, n_stations=samples.inputs.shape[2], output_dim=samples.output_dim)
+    mcfg = replace(cfg.model, n_stations=samples.delays.shape[1], output_dim=samples.output_dim)
     model = WindModel(mcfg, seed=derive_seed(cfg.seed, lead_steps, _SEED_INIT))
     tcfg = replace(cfg.train, seed=derive_seed(cfg.seed, lead_steps, _SEED_TRAIN))
     result = train(model, samples, tcfg)
@@ -322,7 +327,7 @@ def predict_stage(model, samples, split, cdf, out_dir):
     idx = samples.time_ordered(split)
     if len(idx) == 0:
         raise EmptySplit(f"split {split!r} has no samples")
-    rows = forecast(model, samples.norm_stats, samples.inputs[idx])
+    rows = forecast(model, samples.norm_stats, samples.windows(idx))
     if cdf is not None:
         if not np.isfinite(rows).all():  # an empirical map clamps an infinite forecast
             raise NumericError("predicted series is not finite before calibration")

@@ -200,7 +200,7 @@ def fit_cdf_map(model, samples, mode: str = "gaussian_affine", n_quantiles: int 
     tr = samples.indices("train")
     if len(tr) == 0:
         raise EmptyTrain("calibration requires a non-empty train split")
-    preds = forecast(model, samples.norm_stats, samples.inputs[tr])
+    preds = forecast(model, samples.norm_stats, samples.windows(tr))
     targets = samples.targets[tr]
     if mode == "gaussian_affine":
         arrays = dict(mu_src=preds.mean(axis=0), sigma_src=preds.std(axis=0),

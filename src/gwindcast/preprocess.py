@@ -17,6 +17,7 @@ from .core import (
     SampleSet,
     WindCube,
     ZtdPanel,
+    gather_windows,
 )
 from .errors import (
     AllMissing,
@@ -190,16 +191,13 @@ def build_samples(
     if not n:
         raise NoSamples("no (window, target) pair satisfies the alignment constraints")
 
-    # a view of every window as (start, lag, station); indexing copies the kept ones
-    windows = sliding_window_view(ztd.values, window_steps, axis=0).transpose(0, 2, 1)
-    inputs = windows[starts]
     targets = wind.values.reshape(wind.axis.count, -1)[rows]
     times = wind.axis.start + rows * step
 
     labels = _assign_splits(n, split)
     train = labels == 0
     if train.any():
-        tr_in = inputs[train]
+        tr_in = gather_windows(ztd.values, window_steps, starts[train])
         tr_tg = targets[train]
         stats = NormStats(
             input_mean=tr_in.mean(axis=(0, 1)),
@@ -211,7 +209,9 @@ def build_samples(
         stats = None
 
     return SampleSet(
-        inputs=inputs,
+        delays=ztd.values,
+        starts=starts,
+        window_steps=window_steps,
         targets=targets,
         target_times=times,
         split_labels=labels,

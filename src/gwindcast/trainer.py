@@ -146,9 +146,9 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     if len(va) == 0:
         raise EmptySplit("val split is empty")
     stats = samples.norm_stats
-    x_tr = stats.normalize_inputs(samples.inputs[tr])
+    x_tr = stats.normalize_inputs(samples.windows(tr))
     y_tr = stats.normalize_targets(samples.targets[tr])
-    x_va = stats.normalize_inputs(samples.inputs[va])
+    x_va = stats.normalize_inputs(samples.windows(va))
     y_va = stats.normalize_targets(samples.targets[va])
 
     params = model.params()

@@ -590,8 +590,9 @@ def oracle_linear_fit(
     samples = build_samples(ztd, wind, window_steps, lead_steps, split)
     tr = samples.indices("train")
     te = samples.time_ordered("test")
-    x = samples.inputs.reshape(len(samples.inputs), -1)
-    x = np.concatenate([x, np.ones((len(samples.inputs), 1))], axis=1)
+    n = len(samples.starts)
+    x = samples.windows(np.arange(n)).reshape(n, -1)
+    x = np.concatenate([x, np.ones((n, 1))], axis=1)
     gram = x[tr].T @ x[tr]
     rhs = x[tr].T @ samples.targets[tr]
     if np.linalg.matrix_rank(gram) < gram.shape[0]:

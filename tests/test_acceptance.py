@@ -358,7 +358,7 @@ def test_criterion_6_calibration_map_properties():
     cdf = fit_cdf_map(model, samples, mode="gaussian_affine")
     tr = samples.indices("train")
     stats = samples.norm_stats
-    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.inputs[tr])))
+    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.windows(tr))))
     calibrated = apply_cdf_map(cdf, raw)
     np.testing.assert_allclose(calibrated.mean(axis=0), samples.targets[tr].mean(axis=0), atol=1e-9)
     np.testing.assert_allclose(calibrated.std(axis=0), samples.targets[tr].std(axis=0), atol=1e-9)
@@ -378,7 +378,7 @@ def test_criterion_6_calibration_map_properties():
                 <= apply_cdf_map(m, hi)[0, channel] + 1e-12
             )
 
-    corrupted_inputs = np.array(samples.inputs)
+    corrupted_inputs = test_trainer._all_windows(samples)
     corrupted_targets = np.array(samples.targets)
     labels = np.array(samples.split_labels)
     corrupted_inputs[labels != 0] = 123.0

@@ -7,6 +7,7 @@ from gwindcast.core import (
     GriddedBaseline,
     LevelSpec,
     NormStats,
+    SampleSet,
     StationTable,
     TimeAxis,
     WindCube,
@@ -45,6 +46,19 @@ def test_iso8601_refuses_a_time_that_is_not_a_whole_second():
         assert str(err.value) == f"timestamp {text!r} is not a whole second"
     with pytest.raises(ValueError):  # Python 3.10 cannot parse one fraction digit at all
         parse_iso8601("2025-05-07T05:30:00.9Z")
+
+
+def test_iso8601_parses_only_the_times_it_can_print():
+    # the first and last second of UTC years 1-9999 round-trip, the year in
+    # four digits; a second either side of them, in any offset, is refused
+    for text in ("0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"):
+        assert format_iso8601(parse_iso8601(text)) == text
+    assert parse_iso8601("0001-01-01T01:00:00+01:00") == parse_iso8601("0001-01-01T00:00:00Z")
+    for text in ("0001-01-01T00:00:00+01:00", "0001-01-01T00:59:59+01:00",
+                 "9999-12-31T23:59:59-01:00", "9999-12-31T23:00:00-01:00"):
+        with pytest.raises(ValueError) as err:
+            parse_iso8601(text)
+        assert str(err.value) == f"timestamp {text!r} lies outside UTC years 1-9999"
 
 
 def test_time_axis_basic():
@@ -194,6 +208,32 @@ def test_containers_check_shape_coordinates_and_finiteness_at_construction():
     wind[1, 0, 1, 2] = np.inf
     with pytest.raises(ValueError, match=r"non-finite value under observed mask at \(1, 0, 1, 2\)"):
         WindSeries([0, 300], levels, st, wind, np.ones(wind.shape, bool))
+
+
+def test_sample_set_checks_lengths_and_that_every_window_fits():
+    # 3 samples of 2-step windows over 5 delay rows of 2 stations
+    delays = np.arange(10.0).reshape(5, 2)
+    good = dict(delays=delays, starts=[0, 1, 3], window_steps=2, targets=np.zeros((3, 3)),
+                target_times=[0, 300, 600], split_labels=[0, 1, 2],
+                levels=LevelSpec("height_m", (100.0,)), target_stations=make_stations(1),
+                norm_stats=None)
+    ss = SampleSet(**good)
+    assert ss.windows([2, 0]).tobytes() == np.stack([delays[3:5], delays[0:2]]).tobytes()
+    for change, message in (
+            (dict(split_labels=[0, 1]), r"starts, targets, target_times and split_labels "
+                                        r"differ in length: \[3, 3, 3, 2\]"),
+            (dict(targets=np.zeros((4, 3))), r"differ in length: \[3, 4, 3, 3\]"),
+            (dict(window_steps=0), "window_steps must be at least 1, got 0"),
+            (dict(delays=np.arange(5.0)), r"delays must be \(time, station\), got shape \(5,\)"),
+            (dict(starts=[0, 4, 1]), r"the window of sample 1 \(start 4, 2 steps\) leaves "
+                                     "the 5 delay rows"),
+            (dict(starts=[0, -1, 1]), r"the window of sample 1 \(start -1, 2 steps\)"),
+            (dict(window_steps=6, starts=[0, 0, 0]), r"the window of sample 0 \(start 0, "
+                                                     r"6 steps\)")):
+        with pytest.raises(ValueError, match=message):
+            SampleSet(**{**good, **change})
+    with pytest.raises(ValueError, match="differ in length"):
+        replace(ss, starts=[0, 1])
 
 
 def test_derived_containers_are_checked_too():

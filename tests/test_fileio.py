@@ -419,6 +419,17 @@ def test_csv_row_with_a_sub_second_timestamp_is_malformed(tmp_path):
                    "(timestamp '2025-05-07T05:30:00.100Z' is not a whole second)")
 
 
+def test_csv_row_with_a_time_outside_utc_years_1_to_9999_is_malformed(tmp_path):
+    """The year-10000 row, once repeated, ended in a traceback from the
+    repeat's message, which could not print it."""
+    path = tmp_path / "ztd.csv"
+    path.write_text("timestamp,station_id,ztd_m\n9999-12-31T23:59:59-01:00,Z000,2.4\n"
+                    "9999-12-31T23:59:59-01:00,Z000,2.4\n")
+    raises_exactly(lambda: read_ztd_csv(path, stations(1)),
+                   f"{path}, line 2: malformed row "
+                   "(timestamp '9999-12-31T23:59:59-01:00' lies outside UTC years 1-9999)")
+
+
 def test_one_instant_in_two_spellings_lands_on_one_grid_row(tmp_path):
     path = tmp_path / "ztd.csv"
     path.write_text("timestamp,station_id,ztd_m\n"

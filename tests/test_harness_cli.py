@@ -648,11 +648,20 @@ def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
                      "--out", out]) == 2
     assert "station_counts must not be empty" in capsys.readouterr().err
     assert not os.path.exists(out)
-    # a time bound that is not a whole second
-    assert cli.main(["run-lead-sweep", "--config", cfg_path,
-                     "--set", 'time_start="2025-05-07T00:00:00.500Z"', "--out", out]) == 2
-    assert "time_start must be null or an ISO-8601 timestamp, got '2025-05-07T00:00:00.500Z'" \
-        in capsys.readouterr().err
+    # a time bound that is not a whole second, or whose UTC year is 0 or 10000
+    for key, when in (("time_start", "2025-05-07T00:00:00.500Z"),
+                      ("time_start", "0001-01-01T00:00:00+01:00"),
+                      ("time_end", "9999-12-31T23:59:59-01:00")):
+        assert cli.main(["run-lead-sweep", "--config", cfg_path,
+                         "--set", f'{key}="{when}"', "--out", out]) == 2
+        assert f"{key} must be null or an ISO-8601 timestamp, got '{when}'" \
+            in capsys.readouterr().err
+        assert not os.path.exists(out)
+    # a lead listed twice, once as an int and once as a float, was trained twice
+    # into one directory
+    assert cli.main(["run-lead-sweep", "--config", cfg_path, "--set", "leads_minutes=[5,10,5.0]",
+                     "--out", out]) == 2
+    assert "leads_minutes repeats the lead of 5 min, got [5, 10, 5.0]" in capsys.readouterr().err
     assert not os.path.exists(out)
     # a time window that ends before it starts (one that misses the data is exit 3)
     assert cli.main(["run-lead-sweep", "--config", cfg_path,

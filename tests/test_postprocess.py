@@ -51,7 +51,7 @@ def test_affine_fit_matches_train_target_moments():
     cdf = fit_cdf_map(model, samples, mode="gaussian_affine")
     tr = samples.indices("train")
     stats = samples.norm_stats
-    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.inputs[tr])))
+    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.windows(tr))))
     calibrated = apply_cdf_map(cdf, raw)
     want_mean = samples.targets[tr].mean(axis=0)
     want_std = samples.targets[tr].std(axis=0)
@@ -81,7 +81,7 @@ def test_quantile_mode_matches_loop_oracle_on_train():
     cdf = fit_cdf_map(model, samples, mode="empirical_quantile", n_quantiles=n_q)
     tr = samples.indices("train")
     stats = samples.norm_stats
-    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.inputs[tr])))
+    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.windows(tr))))
     for c in range(3):
         want_src = loop_quantiles(raw[:, c], n_q)
         want_tgt = loop_quantiles(samples.targets[tr][:, c], n_q)
@@ -226,7 +226,7 @@ def test_fit_never_reads_val_or_test_rows():
     import test_trainer
 
     # corrupt every val/test row; the fitted map must not change
-    inputs = np.array(base.inputs)
+    inputs = test_trainer._all_windows(base)
     targets = np.array(base.targets)
     labels = np.array(base.split_labels)
     inputs[labels != 0] = 1e6
@@ -255,9 +255,9 @@ def test_fit_rejects_bad_mode_and_empty_train():
     import test_trainer
 
     no_train = test_trainer._pack_samples(
-        np.array(samples.inputs),
+        test_trainer._all_windows(samples),
         np.array(samples.targets),
-        np.full(len(samples.inputs), 2, dtype=np.uint8),
+        np.full(len(samples.starts), 2, dtype=np.uint8),
         with_stats=False,
     )
     with pytest.raises(EmptyTrain):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,11 +205,11 @@ def test_build_samples_shapes_and_alignment():
     assert isinstance(ss, SampleSet)
     # windows end at index >= window-1; target at end + lead
     n_expect = 40 - (6 - 1) - 2
-    assert len(ss.inputs) == n_expect
-    assert ss.inputs.shape == (n_expect, 6, 5)
+    windows = ss.windows(np.arange(n_expect))
+    assert windows.shape == (n_expect, 6, 5)
     assert ss.targets.shape == (n_expect, 2 * 2 * 3)
     # first sample: window rows 0..5, target row 7
-    assert np.array_equal(ss.inputs[0], panel.values[0:6])
+    assert np.array_equal(windows[0], panel.values[0:6])
     assert np.array_equal(ss.targets[0], cube.values[7].reshape(-1))
     assert ss.target_times[0] == cube.axis.time_at(7)
 
@@ -233,8 +235,12 @@ def test_build_samples_matches_loop_oracle_on_a_scene_with_gaps(wind_offset):
     for window, lead in ((1, 1), (4, 2), (6, 5)):
         got = build_samples(panel, cube, window, lead, split)
         want = loop_build_samples(panel, cube, window, lead, split)
-        assert 0 < len(got.inputs) < 40
-        for a, b in zip((got.inputs, got.targets, got.target_times, got.split_labels), want):
+        n = len(got.starts)
+        assert 0 < n < 40
+        assert (np.diff(got.starts) > 1).any()  # the gaps drop windows between kept ones
+        windows = got.windows(np.arange(n))
+        assert windows.flags.c_contiguous
+        for a, b in zip((windows, got.targets, got.target_times, got.split_labels), want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
@@ -256,10 +262,40 @@ def test_build_samples_skips_incomplete_windows_and_targets():
     assert got.isdisjoint(banned_times)
 
 
+def _array_bytes(ss):
+    return sum(getattr(ss, name).nbytes for name in SampleSet._ARRAYS)
+
+
+def test_sample_set_holds_its_delay_rows_once_whatever_the_window():
+    # a set once held a copy of every window, so its bytes grew with window_steps
+    panel, cube = make_aligned_scene(n_t=400, n_s=60)
+    short, long = (build_samples(panel, cube, w, 2, SplitConfig(seed=1)) for w in (6, 24))
+    assert short.delays.tobytes() == long.delays.tobytes() == panel.values.tobytes()
+    per_sample = sum(getattr(short, name)[:1].nbytes
+                     for name in ("starts", "targets", "target_times", "split_labels"))
+    assert len(short.starts) - len(long.starts) == 24 - 6
+    assert _array_bytes(short) - _array_bytes(long) == (24 - 6) * per_sample
+
+
+def test_build_samples_peak_memory_is_bounded():
+    # 1000 steps x 60 stations at window 24: 683 train windows of 7.50 MiB,
+    # gathered once for the norm stats, plus std's deviations of the same size.
+    # tracemalloc peak measured at 15.25 MiB; 29.21 MiB when the set held a
+    # copy of all 975 windows (10.71 MiB) and gathered the train ones from it
+    panel, cube = make_aligned_scene(n_t=1000, n_s=60)
+    tracemalloc.start()
+    try:
+        build_samples(panel, cube, 24, 2, SplitConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
+
+
 def test_build_samples_split_sizes_largest_remainder():
     panel, cube = make_aligned_scene(n_t=40)
     ss = build_samples(panel, cube, 6, 2, SplitConfig(ratios=(0.7, 0.15, 0.15), seed=9))
-    n = len(ss.inputs)
+    n = len(ss.starts)
     tr = len(ss.indices("train"))
     va = len(ss.indices("val"))
     te = len(ss.indices("test"))
@@ -274,8 +310,10 @@ def test_build_samples_norm_stats_come_from_train_only():
     panel, cube = make_aligned_scene(seed=5)
     ss = build_samples(panel, cube, 4, 1, SplitConfig(seed=2))
     tr = ss.indices("train")
-    want_mean = ss.inputs[tr].mean(axis=(0, 1))
-    assert np.allclose(ss.norm_stats.input_mean, want_mean)
+    # the same C-ordered gather of the train windows: the same bits
+    tr_in = ss.windows(tr)
+    assert ss.norm_stats.input_mean.tobytes() == tr_in.mean(axis=(0, 1)).tobytes()
+    assert ss.norm_stats.input_std.tobytes() == tr_in.std(axis=(0, 1)).tobytes()
     want_tmean = ss.targets[tr].mean(axis=0)
     assert np.allclose(ss.norm_stats.target_mean, want_tmean)
     # deliberately not the pooled mean

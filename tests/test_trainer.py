@@ -212,9 +212,11 @@ def test_early_stopper_snapshots_are_deep_copies():
 
 
 def _pack_samples(inputs, targets, split, with_stats=True):
+    """A SampleSet whose windows are ``inputs``, packed end to end as its
+    delay rows."""
     from gwindcast.core import LevelSpec, NormStats, StationTable
 
-    n = len(inputs)
+    n, steps, n_stations = inputs.shape
     out_dim = targets.shape[1]
     train = split == 0
     stats = None
@@ -227,7 +229,9 @@ def _pack_samples(inputs, targets, split, with_stats=True):
         )
     n_wind = max(out_dim // 3, 1)
     return SampleSet(
-        inputs=inputs,
+        delays=inputs.reshape(n * steps, n_stations),
+        starts=np.arange(n) * steps,
+        window_steps=steps,
         targets=targets,
         target_times=np.arange(n, dtype=np.int64) * 300,
         split_labels=split,
@@ -237,6 +241,11 @@ def _pack_samples(inputs, targets, split, with_stats=True):
         ),
         norm_stats=stats,
     )
+
+
+def _all_windows(samples):
+    """Every window of a SampleSet, as a new writable array."""
+    return samples.windows(np.arange(len(samples.starts)))
 
 
 def _toy_samples(n=60, window=4, n_stations=5, out_dim=6, seed=0):
@@ -256,8 +265,8 @@ def _toy_samples(n=60, window=4, n_stations=5, out_dim=6, seed=0):
 def _toy_model(samples, arch="mlp", seed=3):
     cfg = ModelConfig(
         arch=arch,
-        window_steps=samples.inputs.shape[1],
-        n_stations=samples.inputs.shape[2],
+        window_steps=samples.window_steps,
+        n_stations=samples.delays.shape[1],
         output_dim=samples.targets.shape[1],
         n_encoder_blocks=1,
         heads=2,
@@ -280,7 +289,7 @@ def test_train_learns_and_reports_history():
     )
     # model is left holding the best state: its validation loss is the best
     stats, va = samples.norm_stats, samples.indices("val")
-    val_pred = model.predict(stats.normalize_inputs(samples.inputs[va]))
+    val_pred = model.predict(stats.normalize_inputs(samples.windows(va)))
     val_mse = float(np.mean((val_pred - stats.normalize_targets(samples.targets[va])) ** 2))
     assert val_mse == result.best_val
 
@@ -318,7 +327,7 @@ def test_train_seed_changes_batch_order():
 def test_train_requires_norm_stats_and_splits():
     samples = _toy_samples()
     bare = _pack_samples(
-        np.array(samples.inputs),
+        _all_windows(samples),
         np.array(samples.targets),
         np.array(samples.split_labels),
         with_stats=False,
@@ -327,9 +336,9 @@ def test_train_requires_norm_stats_and_splits():
         train(_toy_model(samples), bare, TrainConfig(max_epochs=1, patience=1))
 
     no_val = _pack_samples(
-        np.array(samples.inputs),
+        _all_windows(samples),
         np.array(samples.targets),
-        np.zeros(len(samples.inputs), dtype=np.uint8),
+        np.zeros(len(samples.starts), dtype=np.uint8),
     )
     with pytest.raises(EmptySplit):
         train(_toy_model(samples), no_val, TrainConfig(max_epochs=1, patience=1))
@@ -342,7 +351,7 @@ def test_transformer_skips_single_sample_leftover_batch():
     split = np.zeros(24, dtype=np.uint8)
     split[17:20] = 1
     split[20:] = 2
-    samples = _pack_samples(np.array(base.inputs), np.array(base.targets), split)
+    samples = _pack_samples(_all_windows(base), np.array(base.targets), split)
     model = _toy_model(samples, arch="transformer")
     cfg = TrainConfig(lr=1e-3, max_epochs=2, patience=2, batch_size=16, seed=0)
     result = train(model, samples, cfg)

@@ -111,6 +111,10 @@ _SHORT_5001 = [*_SHORT, "--set", "postprocess.n_quantiles=5001",
 _DEFAULT_SHAPE = ["--set", "train.max_epochs=1", "--set", "train.patience=1",
                   "--set", 'postprocess.mode="empirical_quantile"']
 _DEFAULT_RUN = ["--data", "default/prep", "--lead", "30"]
+# the same at 24-step windows, whose 3971 samples gather their windows from
+# the 1.8 MiB of delay rows on request (held as a copy they took 43.6 MiB)
+_WINDOW_24 = [*_DEFAULT_SHAPE, "--set", "window_steps=24"]
+_WINDOW_24_RUN = ["--data", "window24/prep", "--lead", "30"]
 
 # (output name, command line) in run order; later commands may read what
 # earlier ones wrote
@@ -183,6 +187,14 @@ COMMANDS = [
     ("default_predict_train", ["predict", *_DEFAULT_SHAPE, *_DEFAULT_RUN,
                                "--model", "default/run/checkpoint.gwc", "--split", "train",
                                "--out", "default/train"]),
+    ("window24_preprocess", ["preprocess", *_WINDOW_24, "--out", "window24/prep"]),
+    ("window24_train", ["train", *_WINDOW_24, *_WINDOW_24_RUN, "--out", "window24/run"]),
+    ("window24_calibrate", ["calibrate", *_WINDOW_24, *_WINDOW_24_RUN,
+                            "--model", "window24/run/checkpoint.gwc",
+                            "--out", "window24/run/cdf_map.json"]),
+    ("window24_predict", ["predict", *_WINDOW_24, *_WINDOW_24_RUN,
+                          "--model", "window24/run/checkpoint.gwc",
+                          "--cdf", "window24/run/cdf_map.json", "--out", "window24/run"]),
     ("compare_baseline", ["compare-baseline", "--baseline", "baseline.csv",
                           "--truth", "staged/raw/cube.gwcc", "--out", "staged/baseline.json"]),
 ]

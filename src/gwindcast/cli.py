@@ -6,6 +6,9 @@ subcommands (synth, preprocess, train, calibrate, predict, evaluate) compose
 into exactly the artifacts the integrated ``run-lead-sweep`` writes: each of
 train, calibrate, predict and evaluate makes one call to the harness stage
 function that ``run_single_lead`` also calls, with the same per-purpose seeds.
+``run-lead-sweep`` and ``run-station-ablation`` each build one list of
+(sub-panel, lead, directory) jobs, and one harness loop runs
+``run_single_lead`` for each.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 """

@@ -275,9 +275,11 @@ def finish_scene(panel: ZtdPanel, cube: WindCube, cfg: ExperimentConfig):
 
 
 def prepare_scene(cfg: ExperimentConfig):
-    """load_raw_scene followed by finish_scene."""
-    panel, cube = load_raw_scene(cfg)
-    return finish_scene(panel, cube, cfg)
+    """load_raw_scene followed by finish_scene; NoSamples unless a window
+    fits in the finished scene."""
+    panel, cube = finish_scene(*load_raw_scene(cfg), cfg)
+    check_window_fits(cfg.window_steps, panel.axis.count)
+    return panel, cube
 
 
 def _time_window_indices(axis: TimeAxis, t0, t1):
@@ -355,17 +357,6 @@ def calibrated_predictions(model, samples, cfg: ExperimentConfig, out_dir):
     return predict_stage(model, samples, "test", cdf, out_dir)
 
 
-def mean_predictor_report(samples, lead_minutes: float, eval_station: int | None = None) -> MetricReport:
-    """Score the constant per-channel train-mean prediction on the test split."""
-    te = samples.time_ordered("test")
-    mean = samples.targets[samples.indices("train")].mean(axis=0)
-    pred = samples.series(te, np.broadcast_to(mean, (len(te), samples.output_dim)))
-    truth = samples.series(te, samples.targets[te])
-    if eval_station is not None:
-        pred, truth = pred.select_stations([eval_station]), truth.select_stations([eval_station])
-    return evaluate_series(pred, truth, lead_minutes)
-
-
 def run_single_lead(
     panel: ZtdPanel,
     cube: WindCube,
@@ -375,38 +366,48 @@ def run_single_lead(
     eval_station: int | None = None,
 ):
     """Train, calibrate, predict and evaluate one lead, as the staged commands
-    do, and score the train-mean baseline; write the run artifacts."""
+    do, and score the constant per-channel train-mean prediction against the
+    same truth; write the run artifacts."""
     lead_steps = lead_steps_for(cfg, lead_minutes, panel.axis.step)
     samples = build_run_samples(panel, cube, cfg, lead_steps)
     model, _ = train_stage(samples, cfg, lead_steps, out_dir)
     pred, truth = calibrated_predictions(model, samples, cfg, out_dir)
+    mean = samples.targets[samples.indices("train")].mean(axis=0)
+    baseline = replace(truth, values=np.broadcast_to(mean.reshape(truth.values.shape[1:]),
+                                                     truth.values.shape))
     if eval_station is not None:
-        pred, truth = pred.select_stations([eval_station]), truth.select_stations([eval_station])
+        pred, truth, baseline = (series.select_stations([eval_station])
+                                 for series in (pred, truth, baseline))
     report = evaluate_stage(pred, truth, lead_minutes, os.path.join(out_dir, "report.json"))
     write_report(os.path.join(out_dir, "baseline_mean_report.json"),
-                 mean_predictor_report(samples, lead_minutes, eval_station))
+                 evaluate_series(baseline, truth, lead_minutes))
     return report
 
 
-def _lead_dir_name(lead_minutes: float) -> str:
-    return f"lead_{format(lead_minutes, 'g')}min"
+def _run_jobs(cfg: ExperimentConfig, out_dir, panel: ZtdPanel, cube: WindCube, jobs: dict) -> dict:
+    """Run each job, key -> (delay panel, lead minutes, directory name,
+    top-level report file, evaluation station), in list order under out_dir;
+    write each job's top-level report and the manifest. Returns the reports
+    by key."""
+    os.makedirs(out_dir, exist_ok=True)
+    reports = {}
+    for key, (sub, lead, name, _, station) in jobs.items():
+        reports[key] = run_single_lead(sub, cube, cfg, lead, os.path.join(out_dir, name), station)
+    for key, (_, _, _, report_file, _) in jobs.items():
+        write_report(os.path.join(out_dir, report_file), reports[key])
+    write_manifest(out_dir, cfg, panel, cube)
+    return reports
 
 
 def run_lead_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full sweep over ``leads_minutes``; writes per-lead artifacts, the
     (level x lead) mosaic tables, and the run manifest."""
     panel, cube = prepare_scene(cfg)
-    check_window_fits(cfg.window_steps, panel.axis.count)
-    os.makedirs(out_dir, exist_ok=True)
-    reports = {}
-    for lead in cfg.leads_minutes:
-        reports[lead] = run_single_lead(
-            panel, cube, cfg, lead, os.path.join(out_dir, _lead_dir_name(lead))
-        )
+    jobs = {lead: (panel, lead, f"lead_{format(lead, 'g')}min",
+                   f"report_lead_{format(lead, 'g')}min.json", None)
+            for lead in cfg.leads_minutes}
+    reports = _run_jobs(cfg, out_dir, panel, cube, jobs)
     write_mosaic_tables(out_dir, reports)
-    for lead, report in reports.items():
-        write_report(os.path.join(out_dir, f"report_{_lead_dir_name(lead)}.json"), report)
-    write_manifest(out_dir, cfg, panel, cube)
     return reports
 
 
@@ -419,25 +420,17 @@ def run_station_ablation(cfg: ExperimentConfig, out_dir) -> dict:
     """Retrain with the k nearest delay stations for each configured k and
     evaluate at the wind station nearest the reference point."""
     panel, cube = prepare_scene(cfg)
-    check_window_fits(cfg.window_steps, panel.axis.count)
     counts = cfg.station_counts
     if counts[-1] > len(panel.stations):
         raise KTooLarge(
             f"station count {counts[-1]} exceeds the {len(panel.stations)} stations available"
         )
-    os.makedirs(out_dir, exist_ok=True)
     ref_idx = reference_wind_station(cube, cfg)
-    reports = {}
-    for k in counts:
-        sub = panel.select_stations(range(k))
-        reports[k] = run_single_lead(
-            sub, cube, cfg, cfg.ablation_lead_minutes,
-            os.path.join(out_dir, f"k_{k}"), eval_station=ref_idx,
-        )
+    jobs = {k: (panel.select_stations(range(k)), cfg.ablation_lead_minutes, f"k_{k}",
+                f"report_k{k}.json", ref_idx)
+            for k in counts}
+    reports = _run_jobs(cfg, out_dir, panel, cube, jobs)
     _write_ablation_tables(out_dir, reports)
-    for k, report in reports.items():
-        write_report(os.path.join(out_dir, f"report_k{k}.json"), report)
-    write_manifest(out_dir, cfg, panel, cube)
     return reports
 
 

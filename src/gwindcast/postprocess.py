@@ -18,11 +18,11 @@ channel's tie-collapsed source nodes with their probabilities and the
 lookups that interpolate every channel at once, which grow as channels
 times quantiles. Applying a map then runs only the affine multiply-add,
 or, for the empirical map, one of two paths with the same bits as
-``np.interp``, chosen by the row count alone: up to ``ONE_PASS_MAX_ROWS``
-rows (a serving cycle's one window) one pass over every channel, longer
-inputs two ``np.interp`` calls per channel. A map no fit can produce (a
-non-finite entry, a decreasing quantile row or a negative sigma) is a
-ValueError.
+``np.interp``: up to ``ONE_PASS_MAX_ROWS`` rows (a serving cycle's one
+window) one pass over every channel, and for longer inputs, or a short one
+the pass gives a non-finite result, two ``np.interp`` calls per channel. A
+map no fit can produce (a non-finite entry, a decreasing quantile row or a
+negative sigma) is a ValueError.
 """
 
 from __future__ import annotations
@@ -223,16 +223,17 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
     Up to ``ONE_PASS_MAX_ROWS`` rows this runs once over every channel:
     one binary search of all values, each keyed by its channel, over every
     channel's source nodes and one over every channel's quantile positions,
-    each followed by one table gather and np.interp's formula. A result
-    that comes out non-finite (an infinite or NaN input, or an infinite
-    slope) is computed again by np.interp, which keeps its NaN and one-node
-    cases. Longer inputs run two np.interp calls per channel, whose search
-    starts from the last interval found and so costs less than the keyed
-    search there. Per call, in microseconds, for 27 channels of 101
-    quantiles (Python 3.11, numpy 2.4, one BLAS thread, shared 2-core host;
-    the lower of two runs, each the best of 5 x 200; building the map takes
-    630). The channel index is the map's own constant, which saves about
-    1 us per one-row call against building it each call:
+    each followed by one table gather and np.interp's formula. If any
+    result comes out non-finite (an infinite or NaN input, or an infinite
+    slope), the whole input takes the reference path instead, which keeps
+    np.interp's NaN and one-node cases: two np.interp calls per channel.
+    Longer inputs always take it, since its search starts from the last
+    interval found and so costs less than the keyed search there. Per
+    call, in microseconds, for 27 channels of 101 quantiles (Python 3.11,
+    numpy 2.4, one BLAS thread, shared 2-core host; the lower of two runs,
+    each the best of 5 x 200; building the map takes 630). The channel
+    index is the map's own constant, which saves about 1 us per one-row
+    call against building it each call:
 
     ========  ====  ====  ====  ====  =====  =====  =====
     rows         1     2     4     8     16     32     87
@@ -248,26 +249,21 @@ def apply_cdf_map(cdf: CdfMap, raw: np.ndarray) -> np.ndarray:
         out = raw * cdf._gain
         out += cdf._offset
         return out
-    if len(raw) > ONE_PASS_MAX_ROWS:
-        out = np.empty_like(raw)
-        for c, (values, probs) in enumerate(cdf._nodes):
-            u = np.interp(raw[:, c], values, probs)
-            out[:, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
-        return out
-    source, target = cdf._lookups
-    # each part assigned on its own: c + 1j * x gives an infinite x a NaN
-    # real part
-    key = np.empty(raw.shape, np.complex128)
-    key.real, key.imag = cdf._channel, raw
-    with np.errstate(all="ignore"):
-        key.imag = _interp_all(key, cdf._channel, source)
-        out = _interp_all(key, cdf._channel, target)
+    if len(raw) <= ONE_PASS_MAX_ROWS:
+        source, target = cdf._lookups
+        # each part assigned on its own: c + 1j * x gives an infinite x a NaN
+        # real part
+        key = np.empty(raw.shape, np.complex128)
+        key.real, key.imag = cdf._channel, raw
+        with np.errstate(all="ignore"):
+            key.imag = _interp_all(key, cdf._channel, source)
+            out = _interp_all(key, cdf._channel, target)
         if np.isfinite(out).all():  # a non-finite u always gives a non-finite result
             return out
-    for r, c in np.argwhere(~np.isfinite(out)):
-        values, probs = cdf._nodes[c]
-        u = np.interp(raw[r, c], values, probs)
-        out[r, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
+    out = np.empty_like(raw)
+    for c, (values, probs) in enumerate(cdf._nodes):
+        u = np.interp(raw[:, c], values, probs)
+        out[:, c] = np.interp(u, cdf._positions, cdf.tgt_quantiles[c])
     return out
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio, neural
+from .core import gather_windows
 from .errors import ConfigError, EmptySplit, NonFiniteGradient, NonFiniteLoss, UnnormalizedInput
 
 
@@ -131,6 +132,9 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     """Mini-batch Adam training with per-epoch validation early stopping.
 
     Inputs/targets are normalized with the sample set's train statistics.
+    The delay rows are normalized once and each batch gathers its windows
+    from them, so no copy of the train split's windows is held; being
+    elementwise, this gives the bits of normalizing each window.
     Training losses are batch-statistics forwards averaged per sample over
     the epoch; validation is one inference-mode pass over the val split.
     The model is left holding the best-epoch state.
@@ -146,9 +150,9 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     if len(va) == 0:
         raise EmptySplit("val split is empty")
     stats = samples.norm_stats
-    x_tr = stats.normalize_inputs(samples.windows(tr))
+    rows = stats.normalize_inputs(samples.delays)
     y_tr = stats.normalize_targets(samples.targets[tr])
-    x_va = stats.normalize_inputs(samples.windows(va))
+    x_va = gather_windows(rows, samples.window_steps, samples.starts[va])
     y_va = stats.normalize_targets(samples.targets[va])
 
     params = model.params()
@@ -166,7 +170,8 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
             bidx = perm[start : start + cfg.batch_size]
             if len(bidx) < 2 and model.config.arch == "transformer":
                 continue
-            loss = neural.mse_loss(model.forward_batch(x_tr[bidx], training=True), y_tr[bidx])
+            x = gather_windows(rows, samples.window_steps, samples.starts[tr[bidx]])
+            loss = neural.mse_loss(model.forward_batch(x, training=True), y_tr[bidx])
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"training loss became {value} at epoch {epoch}")

@@ -218,11 +218,12 @@ def test_sweep_writes_mosaics_reports_and_manifest(small_sweep):
 
 
 def test_mean_predictor_report_matches_manual(small_sweep):
+    # the run scores the constant train-mean prediction against its test truth
     cfg, out, _ = small_sweep
     panel, cube = prepare_scene(cfg)
     lead_steps = lead_steps_for(cfg, 5.0, panel.axis.step)
     samples = harness.build_run_samples(panel, cube, cfg, lead_steps)
-    report = harness.mean_predictor_report(samples, 5.0)
+    report = read_report(os.path.join(out, "lead_5min", "baseline_mean_report.json"))
     tr = samples.indices("train")
     te = samples.indices("test")
     mean = samples.targets[tr].mean(axis=0)
@@ -268,8 +269,14 @@ def test_ablation_layout_and_tables(tmp_path):
     row = reports[4].row("all", "u")
     assert float(first[2]) == pytest.approx(row.rmse / 10.0, rel=1e-7)
     assert float(first[5]) == pytest.approx(1.0 - row.r, rel=1e-7)
-    # ablation evaluates a single station
+    # ablation evaluates a single station, the model and the baseline alike
     assert reports[4].row("all", "all").n_samples == reports[12].row("all", "all").n_samples
+    for k in (4, 12):
+        truth = fileio.read_series(out / f"k_{k}" / "truth.gwcs")
+        baseline = read_report(out / f"k_{k}" / "baseline_mean_report.json")
+        n = read_report(out / f"k_{k}" / "report.json").row("all", "all").n_samples
+        assert n == truth.values.size // len(truth.stations) < truth.values.size
+        assert baseline.row("all", "all").n_samples == n
 
 
 def test_ablation_rejects_bad_counts(tmp_path):
@@ -678,6 +685,15 @@ def test_cli_window_longer_than_the_scene_exits_3_before_any_work(tmp_path, caps
         assert cli.main([command, "--config", cfg_path, "--set", "window_steps=400",
                          "--out", out]) == 3
         assert "400-step window is longer than the 320-step delay panel" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    # more stations than the scene holds is the ablation's next check, also
+    # before --out exists; a window too long is reported first
+    for extra in ([], ["--set", "window_steps=400"]):
+        assert cli.main(["run-station-ablation", "--config", cfg_path,
+                         "--set", "station_counts=[4,999]", *extra, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert ("400-step window is longer" in err) if extra else (
+            "station count 999 exceeds the 12 stations available" in err)
         assert not os.path.exists(out)
     # a one-instant time window is a valid config but too short a scene, and
     # one that misses the scene leaves no samples

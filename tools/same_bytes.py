@@ -7,8 +7,10 @@ of BASE_REF (exported with ``git archive``) and once on the working tree's
 ``src/``. Every command runs with one BLAS thread, because artifacts are
 byte-identical only at a fixed thread count. Each side runs in its own
 temporary directory under the same relative paths, so printed paths match.
-Then every file the commands wrote and every line they printed is compared;
-the ones that differ are listed, and the exit status is 1 if any differ.
+Then every file the commands wrote and every line they printed (stderr
+too) is compared; the ones that differ are listed. The exit status is 1 if
+any differ, or if a command exits at BASE_REF with a status other than the
+one it expects: 0, unless its entry names another, as an error path's does.
 
 Needs git on PATH; uses only the standard library.
 """
@@ -116,8 +118,8 @@ _DEFAULT_RUN = ["--data", "default/prep", "--lead", "30"]
 _WINDOW_24 = [*_DEFAULT_SHAPE, "--set", "window_steps=24"]
 _WINDOW_24_RUN = ["--data", "window24/prep", "--lead", "30"]
 
-# (output name, command line) in run order; later commands may read what
-# earlier ones wrote
+# (output name, command line[, expected exit status, 0 if left out]) in run
+# order; later commands may read what earlier ones wrote
 COMMANDS = [
     ("sweep_1block", ["run-lead-sweep", "--config", "small.json", "--out", "sweep_1block"]),
     ("sweep_3blocks", ["run-lead-sweep", "--config", "small.json",
@@ -133,6 +135,12 @@ COMMANDS = [
                            "--set", 'postprocess.mode="empirical_quantile"',
                            "--set", "postprocess.n_quantiles=51", "--out", "sweep_off_default"]),
     ("ablation", ["run-station-ablation", "--config", "small.json", "--out", "ablation"]),
+    # two error paths, each exit 3 before --out exists: more stations than
+    # the scene holds, and a window longer than the scene
+    ("ablation_k_too_large", ["run-station-ablation", "--config", "small.json",
+                              "--set", "station_counts=[4,999]", "--out", "k_too_large"], 3),
+    ("sweep_window_too_long", ["run-lead-sweep", "--config", "small.json",
+                               "--set", "window_steps=400", "--out", "window_too_long"], 3),
     # token widths 8 and 12, whose predicts run whole chunks, and 20 and 60,
     # whose predicts run in blocks (model.WindModel.predict)
     ("ablation_default", ["run-station-ablation", *_DEFAULT_SHAPE,
@@ -221,7 +229,7 @@ def run_side(src: str, cwd: str) -> dict:
             f.write(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     printed = {}
-    for name, argv in COMMANDS:
+    for name, argv, *_ in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "gwindcast.cli", *argv], cwd=cwd,
                               env=env, capture_output=True, text=True)
         printed[name] = [f"exit {proc.returncode}", *proc.stdout.splitlines(),
@@ -249,12 +257,14 @@ def main(argv=None) -> int:
         differ = sorted(n for n in names if not (
             os.path.isfile(os.path.join(base_dir, n)) and os.path.isfile(os.path.join(work_dir, n))
             and filecmp.cmp(os.path.join(base_dir, n), os.path.join(work_dir, n), shallow=False)))
-        differ += [f"printed output of {name}" for name, _ in COMMANDS
+        differ += [f"printed output of {name}" for name, *_ in COMMANDS
                    if base_out[name] != work_out[name]]
-    failed = [name for name, _ in COMMANDS if base_out[name][0] != "exit 0"]
+    expected = {name: expect[0] if expect else 0 for name, _, *expect in COMMANDS}
+    failed = [name for name, code in expected.items() if base_out[name][0] != f"exit {code}"]
     print(f"compared {len(names)} files and the printed output of {len(COMMANDS)} commands")
     for name in failed:
-        print(f"command failed at {args.base_ref}: {name} ({base_out[name][0]})")
+        print(f"command failed at {args.base_ref}: {name} ({base_out[name][0]}, "
+              f"expected exit {expected[name]})")
     for name in differ:
         print(f"differs: {name}")
     return 1 if differ or failed else 0

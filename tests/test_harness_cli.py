@@ -688,12 +688,11 @@ def test_cli_window_longer_than_the_scene_exits_3_before_any_work(tmp_path, caps
         assert not os.path.exists(out)
     # more stations than the scene holds is the ablation's next check, also
     # before --out exists; a window too long is reported first
-    for extra in ([], ["--set", "window_steps=400"]):
+    for extra, err in (([], "station count 999 exceeds the 12 stations available"),
+                       (["--set", "window_steps=400"], "400-step window is longer")):
         assert cli.main(["run-station-ablation", "--config", cfg_path,
                          "--set", "station_counts=[4,999]", *extra, "--out", out]) == 3
-        err = capsys.readouterr().err
-        assert ("400-step window is longer" in err) if extra else (
-            "station count 999 exceeds the 12 stations available" in err)
+        assert err in capsys.readouterr().err
         assert not os.path.exists(out)
     # a one-instant time window is a valid config but too short a scene, and
     # one that misses the scene leaves no samples

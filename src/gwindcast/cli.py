@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -139,6 +140,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not (math.isfinite(args.lead) and args.lead >= 0.0):
+        raise ConfigError(f"--lead must be a finite, non-negative number of minutes, "
+                          f"got {args.lead}")
     pred = fileio.read_series(args.pred)
     truth = fileio.read_series(args.truth)
     report = harness.evaluate_stage(pred, truth, args.lead, args.out)

@@ -27,8 +27,10 @@ from .errors import ConfigError, DataError, ShapeMismatch, UnnormalizedInput
 ARCHITECTURES = ("transformer", "mlp")
 # rows per inference forward; WindModel.predict gives the reasons
 PREDICT_CHUNK = 2048
-# activation bytes of one inference block: 256 rows of 6 tokens at width 60
-PREDICT_BLOCK_BYTES = 256 * 6 * 60 * 8
+# activation bytes of one inference block: 128 rows of 6 tokens at width 60,
+# still above the 103-row small-matrix floor; WindModel.predict gives the
+# timings
+PREDICT_BLOCK_BYTES = 128 * 6 * 60 * 8
 # OpenBLAS computes a product with M*N*K up to this on its small-matrix path,
 # whose bits differ from the blocked kernel's
 SMALL_GEMM_MNK = 100**3
@@ -190,7 +192,8 @@ class WindModel:
         returned as it is; otherwise each block's readout is copied into
         one output array. The chain is ``forward_batch``'s with
         ``training=False``, layer by layer through the same helpers, so it
-        gives the same bits; it builds no ``Tensor`` and no backward. A
+        gives the same bits; it builds no ``Tensor`` and no backward, and
+        its attention reads the heads as views of their projections. A
         one-window predict of the default model (60 stations, two 4-head
         blocks, 27 outputs) took 84-91 us on this path against 112-119 us
         through the recorded graph, and a six-lead serving cycle with a
@@ -200,7 +203,7 @@ class WindModel:
         shared 2-core host).
 
         A chunk is split into blocks of about ``PREDICT_BLOCK_BYTES`` of
-        activation (256 rows at width 60), run one after another. A row's
+        activation (128 rows at width 60), run one after another. A row's
         bits do not depend on the split as long as every row-scaling product
         of every block (the attention projections and the feed-forward at
         rows x tokens by width by width, the readout at rows by window x
@@ -218,13 +221,17 @@ class WindModel:
         though the blocks still depend on nothing but the row count and the
         model's shape. A batch re-forecast of 3995
         width-60 rows (normalize, predict, calibrate with a 27 x 101
-        empirical map) took 101-103 ms in blocks against 122-129 ms in whole
-        chunks (fastest of 15, in 5 alternating processes each; 2-core host,
-        one BLAS thread). Predicts alone, back to back, gain nothing
-        (116-166 against 114-124 ms): each block's freed memory is faulted
-        in again. One fused query-key-value product differs from three
-        separate ones at 1 row, and at width 20 with 87 rows, so it was left
-        out.
+        empirical map) took 101-103 ms in 256-row blocks against 122-129 ms
+        in whole chunks (fastest of 15, in 5 alternating processes each;
+        2-core host, one BLAS thread). Predicts alone, back to back (median
+        of 9, a fresh process each, same host), took 96-100 ms in 128-row
+        blocks against 120-124 ms in 256-row ones, with 0.5k against 14.1k
+        minor page faults per predict; blocks of 104-160 rows timed the
+        same. One fused query-key-value product differs from three separate
+        ones at 1 row, and at width 20 with 87 rows, so it was left out.
+        Shifting and dividing the softmax scores column by column, and batch
+        norm written into its input's array, kept the bits and gained
+        nothing.
         """
         x = self._checked(x)
         n = x.shape[0]

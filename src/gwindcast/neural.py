@@ -196,10 +196,17 @@ class MultiHeadAttention:
     width/heads each; per head, softmax(q kT / sqrt(width/heads)) v; the
     concatenated heads pass through an output projection with bias. The node
     lists its input once per projection, so the input receives the query, key
-    and value gradients one after another. A recorded forward keeps the
-    per-head query and transposed key for the backward; :meth:`infer` drops
-    them once the weights are made, and the weights and values once the
-    context is.
+    and value gradients one after another.
+
+    The per-head query, transposed key and values are views of their
+    projections. :meth:`infer` passes them straight to the products, so it
+    drops the query and key projections once the weights are made, and the
+    weights and values once the context is. A recorded forward keeps
+    contiguous copies of the three for its backward, which multiplies them
+    again with their last two axes swapped: on views a training step
+    (batch 128, default shapes, one BLAS thread) took 16.2-17.1 against
+    15.3-16.7 ms, with the same bits. Both paths sum the softmax rows with
+    :func:`_row_sum`.
     """
 
     def __init__(self, name: str, width: int, heads: int, rng: np.random.Generator):
@@ -218,15 +225,15 @@ class MultiHeadAttention:
         return [self.wq, self.wk, self.wv, self.wo, self.bo]
 
     def _heads(self, x: np.ndarray, w: np.ndarray, axes=(0, 2, 1, 3)) -> np.ndarray:
-        """x @ w split into heads, (batch, tokens, heads, width/heads), copied
-        contiguous in the order ``axes``: by default (batch, heads, tokens,
+        """x @ w split into heads, (batch, tokens, heads, width/heads), as a
+        view in the order ``axes``: by default (batch, heads, tokens,
         width/heads)."""
         b, n, d = x.shape
         y = np.matmul(x.reshape(-1, d), w).reshape(b, n, self.heads, d // self.heads)
-        return np.ascontiguousarray(y.transpose(axes))
+        return y.transpose(axes)
 
     def _query_key(self, x: np.ndarray):
-        """Per-head queries and transposed keys, both contiguous."""
+        """Per-head query and transposed key views."""
         return self._heads(x, self.wq.value), self._heads(x, self.wk.value, (0, 2, 3, 1))
 
     def _softmax(self, q: np.ndarray, kt: np.ndarray) -> np.ndarray:
@@ -244,7 +251,7 @@ class MultiHeadAttention:
                 np.maximum(top, s[..., j : j + 1], out=top)
         s -= top
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
+        s /= _row_sum(s)
         return s
 
     def _context(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -270,9 +277,9 @@ class MultiHeadAttention:
             raise ShapeMismatch(f"expected (batch, tokens, {self.width}), got {x.shape}")
         b, n, d = x.shape
         wq, wk, wv, wo = self.wq.value, self.wk.value, self.wv.value, self.wo.value
-        q, kt = self._query_key(x.data)
+        q, kt = (np.ascontiguousarray(h) for h in self._query_key(x.data))
         a = self._softmax(q, kt)
-        v = self._heads(x.data, wv)
+        v = np.ascontiguousarray(self._heads(x.data, wv))
         ctx = self._context(a, v)
         y = self._output(ctx, x.shape)
 
@@ -281,7 +288,7 @@ class MultiHeadAttention:
             gc = np.swapaxes(np.matmul(g2, wo.T).reshape(b, n, self.heads, -1), 1, 2)
             ga = np.matmul(gc, np.swapaxes(v, -1, -2))
             gv = np.matmul(np.swapaxes(a, -1, -2), gc)
-            gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * self._scale
+            gs = a * (ga - _row_sum(ga * a)) * self._scale
             gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
             gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
             g_qkv = [np.swapaxes(gh, 1, 2).reshape(-1, d) for gh in (gq, gk, gv)]
@@ -294,6 +301,19 @@ class MultiHeadAttention:
                          for gh, w in zip(g_qkv, (wq, wk, wv)))
 
         return Tensor(y, (x, x, x), _bw)
+
+
+def _row_sum(s: np.ndarray) -> np.ndarray:
+    """s.sum(axis=-1, keepdims=True) with its bits. numpy adds a row of fewer
+    than 8 entries in order, starting from +0.0, so on 4 or more rows such
+    rows are summed column by column, which takes a fraction of the time;
+    from 8 entries on numpy sums pairwise, and its own sum is called."""
+    if s.shape[-1] >= 8 or len(s) < 4:
+        return s.sum(axis=-1, keepdims=True)
+    tot = s[..., :1] + 0.0  # as numpy's, a row of -0.0 sums to +0.0
+    for j in range(1, s.shape[-1]):
+        tot += s[..., j : j + 1]
+    return tot
 
 
 class BatchNorm:

@@ -634,6 +634,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"{name}.csv: " in err and problem in err
 
 
+@pytest.mark.parametrize("lead", ["nan", "inf", "-inf", "-5"])
+def test_cli_evaluate_lead_must_be_finite_and_non_negative(tmp_path, capsys, lead):
+    # a configuration error before any file is read: the prediction and
+    # truth paths do not exist, which would exit 3, and no report is written
+    out = os.path.join(tmp_path, "report.json")
+    assert cli.main(["evaluate", "--pred", os.path.join(tmp_path, "missing.gwcs"),
+                     "--truth", os.path.join(tmp_path, "missing2.gwcs"),
+                     f"--lead={lead}", "--out", out]) == 2
+    assert "--lead must be a finite, non-negative number" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_bad_config_exits_2_before_any_work(tmp_path, capsys):
     # the whole config is checked at load, so a bad calibration mode stops the
     # sweep before its first lead trains

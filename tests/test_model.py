@@ -191,6 +191,17 @@ def test_predict_keeps_the_bits_of_the_prior_formulas(rows, n_stations):
     assert x.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("window_steps", [7, 8, 9])
+def test_predict_keeps_the_bits_of_the_prior_formulas_around_numpy_pairwise_sum(window_steps):
+    # a softmax row of fewer than 8 tokens is summed column by column, one of
+    # 8 or more by numpy's pairwise sum: the serving window, two windows and
+    # a block-split batch keep the bits of the prior formulas either side
+    model = _trained_looking(ModelConfig(window_steps=window_steps), seed=window_steps)
+    x = np.random.default_rng(window_steps).normal(size=(300, window_steps, 60))
+    for rows in (1, 2, 300):
+        assert model.predict(x[:rows]).tobytes() == prior_predict(model, x[:rows]).tobytes(), rows
+
+
 def test_every_running_variance_writer_refreshes_the_inverse_std():
     # inference reads the inverse std that each assignment of running_var
     # computes: after a direct assignment, load_buffers, a training step's
@@ -283,14 +294,14 @@ def test_predict_blocks_keep_the_bits_of_whole_chunks_on_two_blas_threads():
 
 
 def test_predict_peak_memory_is_bounded_by_four_block_activations():
-    # a 2048-row default-width predict runs 256-row blocks one after another
-    # and holds at most a block's input, query heads, key projection and its
-    # transposed copy at once, beside the output: 4.0 block activations of
-    # 0.7 MiB each (3.2 MiB in all), down from 4.07 activations of the whole
-    # 2048 rows (22.9 MiB)
+    # a 2048-row default-width predict runs 128-row blocks one after another
+    # and holds at most a block's input, its query and key projections (the
+    # heads are views of them) and the attention scores at once, beside the
+    # output: 3.4 block activations of 0.35 MiB each, 3.7 with the softmax's
+    # row max and numpy's buffer for the broadcast shift and divide
     model = _trained_looking(ModelConfig(), seed=0)
     x = np.random.default_rng(0).normal(size=(2048, 6, 60))
-    assert model._blocks(0, 2048) == [slice(i, i + 256) for i in range(0, 2048, 256)]
+    assert model._blocks(0, 2048) == [slice(i, i + 128) for i in range(0, 2048, 128)]
     model.predict(x[:1])
     tracemalloc.start()
     try:

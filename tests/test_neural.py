@@ -224,7 +224,8 @@ def test_attention_keeps_the_bits_of_a_backward_that_recomputes_query_and_key():
     # the recorded forward keeps q and kT for the backward; every output and
     # gradient must equal, bit for bit, the formulas that recomputed them
     rng = np.random.default_rng(34)
-    for b, n, width, heads in ((2, 3, 6, 2), (128, 6, 60, 4)):
+    # 7 and 8 tokens sit either side of numpy's pairwise row sum
+    for b, n, width, heads in ((2, 3, 6, 2), (128, 6, 60, 4), (128, 7, 60, 4), (128, 8, 60, 4)):
         mha = MultiHeadAttention("a", width, heads, rng)
         mha.bo.value[...] = rng.normal(size=width)
         x = rng.normal(size=(b, n, width))
@@ -303,6 +304,19 @@ def test_residual_sums_into_the_layer_output_only_without_a_graph(recording):
     # backward may read, stays as it was; the inference chain writes the
     # sum into the layer output's own array
     assert (got is fx) is not recording
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 128])
+@pytest.mark.parametrize("tokens", range(1, 13))
+def test_row_sum_keeps_the_bits_of_numpy_sum(tokens, rows):
+    # below 8 entries a row is summed column by column, from 8 on by numpy;
+    # rows of mixed signs and magnitudes, and rows of signed zeros
+    rng = np.random.default_rng(100 * tokens + rows)
+    shape = (rows, 4, tokens, tokens)
+    s = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    zeros = rng.choice([-0.0, 0.0], size=shape)
+    for a in (s, np.exp(s / 1e8), zeros):
+        assert neural._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
 
 
 def test_attention_weights_are_row_stochastic():

@@ -134,6 +134,10 @@ COMMANDS = [
                            "--set", "synth.tanh_gain=0.5", "--set", "synth.noise_std=0.1",
                            "--set", 'postprocess.mode="empirical_quantile"',
                            "--set", "postprocess.n_quantiles=51", "--out", "sweep_off_default"]),
+    # 8-step windows: the shortest softmax rows that neural._row_sum leaves
+    # to numpy's pairwise sum
+    ("sweep_window_8", ["run-lead-sweep", "--config", "small.json", "--set", "window_steps=8",
+                        "--out", "sweep_window_8"]),
     ("ablation", ["run-station-ablation", "--config", "small.json", "--out", "ablation"]),
     # two error paths, each exit 3 before --out exists: more stations than
     # the scene holds, and a window longer than the scene

@@ -360,10 +360,31 @@ def gather_windows(delays, window_steps: int, starts) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Windows:
+    """The windows of ``window_steps`` rows of ``delays`` that start at rows
+    ``starts``, gathered on request: ``w[idx]`` is ``gather_windows(delays,
+    window_steps, starts[idx])``. Its ``shape`` is that of the whole
+    gathered array, so ``WindModel.predict`` checks and blocks it as it
+    does an array while holding one block's windows only."""
+
+    delays: np.ndarray
+    window_steps: int
+    starts: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.starts), self.window_steps, self.delays.shape[1])
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return gather_windows(self.delays, self.window_steps, self.starts[idx])
+
+
+@dataclass(frozen=True)
 class SampleSet(_FrozenArrays):
     """Windowed (input, target) pairs ready for model training. The inputs
     are held once, as delay rows, and each sample as the row its window
-    starts at; :meth:`windows` gathers the windows a caller asks for.
+    starts at; :func:`gather_windows` and :class:`Windows` gather windows
+    from them.
 
     delays   -- (n_times, n_input_stations) delay rows, unnormalized
     starts   -- per-sample row of ``delays`` its window starts at
@@ -409,11 +430,6 @@ class SampleSet(_FrozenArrays):
             raise ValueError(f"the window of sample {bad[0]} (start {self.starts[bad[0]]}, "
                              f"{self.window_steps} steps) leaves the {len(self.delays)} "
                              f"delay rows")
-
-    def windows(self, idx) -> np.ndarray:
-        """The unnormalized input windows of samples ``idx``: a new C-ordered
-        (len(idx), window_steps, n_input_stations) array."""
-        return gather_windows(self.delays, self.window_steps, self.starts[idx])
 
     @property
     def output_dim(self) -> int:

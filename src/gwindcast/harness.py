@@ -329,7 +329,8 @@ def predict_stage(model, samples, split, cdf, out_dir):
     idx = samples.time_ordered(split)
     if len(idx) == 0:
         raise EmptySplit(f"split {split!r} has no samples")
-    rows = forecast(model, samples.norm_stats, samples.windows(idx))
+    rows = forecast(model, samples.norm_stats, samples.delays, samples.window_steps,
+                    samples.starts[idx])
     if cdf is not None:
         if not np.isfinite(rows).all():  # an empirical map clamps an infinite forecast
             raise NumericError("predicted series is not finite before calibration")

@@ -10,8 +10,9 @@ position codes are added, then N encoder blocks of
 run before a flatten and a linear readout. The mlp baseline flattens the
 window and applies two tanh layers of the same width, then a linear readout.
 
-Raw delay windows become forecasts in physical units through :func:`forecast`
-(normalize, predict, denormalize), which calibration and prediction both call.
+Raw delay rows become forecasts in physical units through :func:`forecast`
+(normalize the rows, predict their windows block by block, denormalize),
+which calibration and prediction both call.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fileio, neural
+from .core import Windows
 from .errors import ConfigError, DataError, ShapeMismatch, UnnormalizedInput
 
 ARCHITECTURES = ("transformer", "mlp")
@@ -136,14 +138,20 @@ class WindModel:
 
     # ---------------------------------------------------------- forward --
 
-    def _checked(self, x) -> np.ndarray:
-        """x as float64, if its shape is (batch, window_steps, n_stations)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1:] != (self.config.window_steps, self.config.n_stations):
-            raise ShapeMismatch(
-                f"expected (batch, {self.config.window_steps}, {self.config.n_stations}), got {x.shape}"
-            )
-        return x
+    def _checked(self, x):
+        """x, a Windows source or an array as float64, if its shape is
+        (batch, window_steps, n_stations); otherwise ShapeMismatch, naming
+        the first of the two fields that differs."""
+        if not isinstance(x, Windows):
+            x = np.asarray(x, dtype=np.float64)
+        want = (self.config.window_steps, self.config.n_stations)
+        if len(x.shape) == 3 and x.shape[1:] == want:
+            return x
+        if len(x.shape) != 3:
+            raise ShapeMismatch(f"expected (batch, {want[0]}, {want[1]}), got {x.shape}")
+        i = 0 if x.shape[1] != want[0] else 1
+        raise ShapeMismatch(f"{('window_steps', 'n_stations')[i]}: the model takes {want[i]}, "
+                            f"the input has {x.shape[1 + i]}")
 
     def _tokens(self, x: np.ndarray) -> np.ndarray:
         """The windows as zero-padded tokens plus position codes, in a new
@@ -185,9 +193,12 @@ class WindModel:
             h = bn2.infer(_residual(h, ff.infer(h)))
         return self.head.infer(h.reshape(b, self.config.window_steps * self.config.token_width))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
         """Inference forward over normalized inputs on plain arrays, with no
-        graph, in chunks of ``PREDICT_CHUNK`` rows for memory. When one
+        graph, in chunks of ``PREDICT_CHUNK`` rows for memory. x is an array
+        of windows or a :class:`~gwindcast.core.Windows` source, which
+        gathers each block's windows from delay rows as the block runs, so
+        no more than one block's windows exist at once. When one
         block holds every row (a serving cycle's one window) its output is
         returned as it is; otherwise each block's readout is copied into
         one output array. The chain is ``forward_batch``'s with
@@ -236,7 +247,7 @@ class WindModel:
         x = self._checked(x)
         n = x.shape[0]
         if n <= PREDICT_CHUNK and len(self._blocks(0, n)) == 1:
-            return self._infer(x)
+            return self._infer(x[:n])
         out = np.empty((n, self.config.output_dim))
         for i in range(0, n, PREDICT_CHUNK):
             for rows in self._blocks(i, min(n, i + PREDICT_CHUNK)):
@@ -271,13 +282,23 @@ def _block_rule(config: ModelConfig) -> tuple:
     return block, SMALL_GEMM_MNK // (row * min(inner, config.output_dim)) + 1
 
 
-def forecast(model: WindModel, stats, windows) -> np.ndarray:
-    """Forecasts in physical units for raw delay windows (batch, window_steps,
-    n_stations), normalized with the NormStats ``stats``, predicted and
-    denormalized; a row's channels flatten (level, station, component)."""
+def forecast(model: WindModel, stats, delays, window_steps: int, starts) -> np.ndarray:
+    """Forecasts in physical units for the windows of ``window_steps`` raw
+    delay rows that start at rows ``starts`` of ``delays`` (time, station);
+    a row's channels flatten (level, station, component).
+
+    The rows are normalized once with the NormStats ``stats``, which, being
+    elementwise, gives each window the bits of normalizing it alone. The
+    predict then checks the model's ``window_steps`` and ``n_stations``
+    against the windows before any is gathered, and each of its blocks
+    gathers its own windows, so every row keeps the bits of predicting the
+    gathered windows whole. Beside the output, the forecast holds one
+    normalized copy of the rows and one block's windows and activations,
+    however many windows it serves."""
     if stats is None:
         raise UnnormalizedInput("no normalization statistics to forecast with")
-    return stats.denormalize_targets(model.predict(stats.normalize_inputs(windows)))
+    windows = Windows(stats.normalize_inputs(delays), window_steps, starts)
+    return stats.denormalize_targets(model.predict(windows))
 
 
 def save_model(path, model: WindModel) -> None:

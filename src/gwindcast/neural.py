@@ -17,7 +17,15 @@ in place and returns its input's. A node's backward maps the gradient ``g``
 of its output to one gradient (or ``None``) per parent, in the order of the
 parents. It never refers to its own output, so a graph holds no reference
 cycle and is freed by reference counting as soon as the loss is dropped.
-The gradients it returns may be ``g`` itself or views of it;
+
+A graph lives from the forward that records it until its loss is dropped.
+``Tensor.backward()`` drops each interior node's gradient once that node's
+backward has used it, so only leaves (tensors with no backward) keep a
+``grad``, and parameter gradients live in ``Param.grad``. A training loop
+drops its loss right after ``backward()``: a graph still held while the
+next forward records another keeps two graphs alive at once (at batch 128
+the default model's graph holds 9.14 MiB after its forward).
+The gradients a backward returns may be ``g`` itself or views of it;
 ``Tensor.backward()`` stores them and adds later ones out of place, so no
 returned gradient is ever written to. Both paths do their elementwise steps
 (bias, tanh, softmax, batch-norm scale) in an array they made themselves,
@@ -54,7 +62,9 @@ class Tensor:
         return self.data.ndim
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph; every
+        interior node's ``grad`` is None afterwards, each leaf's holds its
+        gradient."""
         if self.data.size != 1:
             raise GraphNotRecorded("backward() must start from a scalar")
         if not self._parents:
@@ -80,7 +90,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
-            for p, g in zip(node._parents, node._backward(node.grad)):
+            g_out, node.grad = node.grad, None  # an interior gradient lives until used
+            for p, g in zip(node._parents, node._backward(g_out)):
                 if g is not None and p.requires_grad:
                     p.grad = g if p.grad is None else p.grad + g
 

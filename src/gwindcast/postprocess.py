@@ -195,12 +195,15 @@ def fit_cdf_map(model, samples, mode: str = "gaussian_affine", n_quantiles: int 
     """Fit a calibration map on the train split of ``samples``.
 
     Touches only train inputs and train targets; val/test rows never enter.
+    The train forecasts come from :func:`~gwindcast.model.forecast`, block by
+    block, so no copy of the train windows is made.
     """
     check_cdf_options(mode, n_quantiles)
     tr = samples.indices("train")
     if len(tr) == 0:
         raise EmptyTrain("calibration requires a non-empty train split")
-    preds = forecast(model, samples.norm_stats, samples.windows(tr))
+    preds = forecast(model, samples.norm_stats, samples.delays, samples.window_steps,
+                     samples.starts[tr])
     targets = samples.targets[tr]
     if mode == "gaussian_affine":
         arrays = dict(mu_src=preds.mean(axis=0), sigma_src=preds.std(axis=0),

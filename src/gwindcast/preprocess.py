@@ -197,11 +197,17 @@ def build_samples(
     labels = _assign_splits(n, split)
     train = labels == 0
     if train.any():
-        tr_in = gather_windows(ztd.values, window_steps, starts[train])
+        # np.std's own sequence over axes (0, 1), its deviation written into
+        # the gathered windows, which nothing else holds, not into a copy
+        dev = gather_windows(ztd.values, window_steps, starts[train])
+        count = dev.shape[0] * dev.shape[1]
+        mean = dev.mean(axis=(0, 1))
+        np.subtract(dev, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
         tr_tg = targets[train]
         stats = NormStats(
-            input_mean=tr_in.mean(axis=(0, 1)),
-            input_std=tr_in.std(axis=(0, 1)),
+            input_mean=mean,
+            input_std=np.sqrt(np.add.reduce(dev, axis=(0, 1)) / count),
             target_mean=tr_tg.mean(axis=0),
             target_std=tr_tg.std(axis=0),
         )

@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from gwindcast import fileio
-from gwindcast.core import HEIGHT_M, LEVEL_KINDS, LevelSpec, WindCube, ZtdPanel, format_iso8601
+from gwindcast.core import (HEIGHT_M, LEVEL_KINDS, LevelSpec, WindCube, ZtdPanel, format_iso8601,
+                            gather_windows)
 from gwindcast.errors import DataError, NegativeSpeed, NumericError
 from gwindcast.metrics import evaluate_series
 from gwindcast.preprocess import SplitConfig, build_samples, decompose_wind
@@ -380,6 +381,17 @@ def prior_predict(model, x, chunk=2048):
     return np.concatenate(outs, axis=0)
 
 
+def sample_windows(samples, idx):
+    """The input windows of samples ``idx`` of a SampleSet, gathered whole."""
+    return gather_windows(samples.delays, samples.window_steps, samples.starts[idx])
+
+
+def prior_forecast(model, stats, windows):
+    """model.forecast before it took delay rows: normalize the gathered
+    windows, predict them whole and denormalize."""
+    return stats.denormalize_targets(model.predict(stats.normalize_inputs(windows)))
+
+
 def prior_normalize(x, mean, std):
     return (x - mean) / np.where(std > 0, std, 1.0)
 
@@ -591,7 +603,7 @@ def oracle_linear_fit(
     tr = samples.indices("train")
     te = samples.time_ordered("test")
     n = len(samples.starts)
-    x = samples.windows(np.arange(n)).reshape(n, -1)
+    x = sample_windows(samples, np.arange(n)).reshape(n, -1)
     x = np.concatenate([x, np.ones((n, 1))], axis=1)
     gram = x[tr].T @ x[tr]
     rhs = x[tr].T @ samples.targets[tr]

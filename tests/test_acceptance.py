@@ -54,6 +54,8 @@ from reference_impls import (
     loop_pearson_cells,
     loop_rmse,
     loop_rmspe_cells,
+    prior_forecast,
+    sample_windows,
     scalar_adam_trace,
 )
 
@@ -351,14 +353,14 @@ def test_criterion_6_calibration_map_properties():
 
     class WarpModel:
         def predict(self, x):
-            base = x.mean(axis=(1, 2))
+            base = x[:].mean(axis=(1, 2))  # x[:] gathers a Windows source whole
             return np.stack([2.0 * base + 1.0, -base, base**3, base], axis=1)
 
     model = WarpModel()
     cdf = fit_cdf_map(model, samples, mode="gaussian_affine")
     tr = samples.indices("train")
     stats = samples.norm_stats
-    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.windows(tr))))
+    raw = prior_forecast(model, stats, sample_windows(samples, tr))
     calibrated = apply_cdf_map(cdf, raw)
     np.testing.assert_allclose(calibrated.mean(axis=0), samples.targets[tr].mean(axis=0), atol=1e-9)
     np.testing.assert_allclose(calibrated.std(axis=0), samples.targets[tr].std(axis=0), atol=1e-9)

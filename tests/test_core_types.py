@@ -16,7 +16,7 @@ from gwindcast.core import (
     format_iso8601,
     parse_iso8601,
 )
-from reference_impls import prior_denormalize, prior_normalize
+from reference_impls import prior_denormalize, prior_normalize, sample_windows
 
 
 def make_stations(n, prefix="S"):
@@ -218,7 +218,7 @@ def test_sample_set_checks_lengths_and_that_every_window_fits():
                 levels=LevelSpec("height_m", (100.0,)), target_stations=make_stations(1),
                 norm_stats=None)
     ss = SampleSet(**good)
-    assert ss.windows([2, 0]).tobytes() == np.stack([delays[3:5], delays[0:2]]).tobytes()
+    assert sample_windows(ss, [2, 0]).tobytes() == np.stack([delays[3:5], delays[0:2]]).tobytes()
     for change, message in (
             (dict(split_labels=[0, 1]), r"starts, targets, target_times and split_labels "
                                         r"differ in length: \[3, 3, 3, 2\]"),

@@ -738,6 +738,24 @@ def test_cli_every_config_value_ends_with_a_documented_exit_code(tmp_path, capsy
     capsys.readouterr()
 
 
+def test_staged_predict_on_a_model_of_another_window_names_the_field(tmp_path, capsys):
+    # a model trained on 4-step windows, asked for 6-step ones: exit 3, and
+    # the message names window_steps and both values
+    cfg_path = _write_config(tmp_path)
+    path = functools.partial(os.path.join, str(tmp_path))
+    lead = ["--config", cfg_path, "--data", path("prep"), "--lead", "5"]
+    for argv in (["synth", "--config", cfg_path, "--out", path("raw")],
+                 ["preprocess", "--config", cfg_path, "--data", path("raw"), "--out", path("prep")],
+                 ["train", *lead, "--out", path("trained")]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["predict", *lead, "--set", "window_steps=6", "--out", path("preds"),
+                     "--model", path("trained", "checkpoint.gwc")]) == 3
+    assert capsys.readouterr().err == (
+        "error: window_steps: the model takes 4, the input has 6\n")
+    assert not os.path.exists(path("preds"))
+
+
 def test_cli_malformed_artifacts_exit_3(tmp_path, capsys):
     # each command that reads an artifact ends a malformed one in a data error
     cfg_path = _write_config(tmp_path)

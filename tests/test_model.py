@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gwindcast import model as model_module
+from gwindcast.core import NormStats, gather_windows
 from gwindcast.errors import ConfigError, DataError, EmptySplit, ShapeMismatch, UnnormalizedInput
 from gwindcast.model import (
     ModelConfig,
@@ -16,7 +17,7 @@ from gwindcast.model import (
     load_model,
     save_model,
 )
-from reference_impls import expected_param_count, prior_predict
+from reference_impls import expected_param_count, prior_forecast, prior_predict
 
 
 def cfg(**kwargs):
@@ -368,12 +369,62 @@ def test_forecast_is_a_manual_pass_and_rejects_unnormalized_input():
     model = WindModel(cfg(output_dim=3), seed=0)
     stats = samples.norm_stats
     # denormalized, bit for bit, for many windows and for one
-    for windows in (inputs[20:], inputs[29:]):
-        manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(windows)))
-        np.testing.assert_array_equal(forecast(model, stats, windows), manual)
+    for idx in (np.arange(20, 30), np.arange(29, 30)):
+        manual = stats.denormalize_targets(model.predict(stats.normalize_inputs(inputs[idx])))
+        got = forecast(model, stats, samples.delays, samples.window_steps, samples.starts[idx])
+        np.testing.assert_array_equal(got, manual)
     bare = test_trainer._pack_samples(inputs, targets, split, with_stats=False)
     with pytest.raises(UnnormalizedInput):
-        forecast(model, bare.norm_stats, inputs)
+        forecast(model, bare.norm_stats, bare.delays, bare.window_steps, bare.starts)
+
+
+def _stats(rng, n_stations, output_dim=27):
+    return NormStats(input_mean=rng.normal(2.4, 0.1, n_stations),
+                     input_std=rng.uniform(0.01, 0.1, n_stations),
+                     target_mean=rng.normal(size=output_dim),
+                     target_std=rng.uniform(0.5, 2.0, output_dim))
+
+
+@pytest.mark.parametrize("arch", ["transformer", "mlp"])
+@pytest.mark.parametrize("window_steps", [6, 8, 24])
+def test_forecast_from_delay_rows_keeps_the_bits_of_gathered_windows(window_steps, arch):
+    # the rows forecast normalizes the delay rows once and each predict
+    # block gathers its own windows; every row equals, byte for byte, the
+    # forecast of the same windows gathered and normalized whole: one
+    # window, the smallest block that keeps the bits at width 60, two
+    # chunks and a lead's train split, its starts in sample order (not
+    # ascending)
+    model = _trained_looking(ModelConfig(arch=arch, window_steps=window_steps), seed=window_steps)
+    rng = np.random.default_rng(window_steps)
+    delays = rng.normal(2.4, 0.05, size=(3000, 60))
+    stats = _stats(rng, 60)
+    order = rng.permutation(3000 - window_steps + 1)
+    for rows in (1, 103, 2049, 2800):
+        starts = order[:rows]
+        got = forecast(model, stats, delays, window_steps, starts)
+        want = prior_forecast(model, stats, gather_windows(delays, window_steps, starts))
+        assert got.tobytes() == want.tobytes(), rows
+
+
+def test_forecast_names_a_mismatched_field_before_gathering_a_window(monkeypatch):
+    # a model of 4-step windows of 5 stations, given 6-step windows or 7
+    # stations: a ShapeMismatch that names the field and both values,
+    # raised before a predict block gathers anything
+    from gwindcast import core
+
+    def no_gather(*args):
+        raise AssertionError("a window was gathered")
+
+    model = WindModel(cfg(), seed=0)
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(core, "gather_windows", no_gather)
+    for delays, steps, want in (
+            (rng.normal(size=(20, 5)), 6, "window_steps: the model takes 4, the input has 6"),
+            (rng.normal(size=(20, 7)), 4, "n_stations: the model takes 5, the input has 7")):
+        with pytest.raises(ShapeMismatch, match=want):
+            forecast(model, _stats(rng, delays.shape[1], 9), delays, steps, np.arange(10))
+    with pytest.raises(ShapeMismatch, match="window_steps: the model takes 4, the input has 6"):
+        model.predict(np.zeros((3, 6, 5)))
 
 
 def test_predict_stage_orders_unfolds_and_rejects_an_empty_split(tmp_path):
@@ -406,7 +457,7 @@ def test_predict_stage_orders_unfolds_and_rejects_an_empty_split(tmp_path):
     np.testing.assert_array_equal(truth.times, pred.times)
     assert pred.mask.all() and truth.mask.all()
     np.testing.assert_array_equal(truth.values, targets[idx].reshape(5, 2, 2, 3))
-    manual = forecast(model, mixed.norm_stats, inputs[idx])
+    manual = prior_forecast(model, mixed.norm_stats, inputs[idx])
     np.testing.assert_array_equal(pred.values, manual.reshape(5, 2, 2, 3))
     with pytest.raises(EmptySplit):
         predict_stage(model, mixed, "val", None, tmp_path / "empty")

@@ -128,6 +128,41 @@ def test_a_layer_used_twice_receives_the_sum_of_both_gradients():
         check_grad(lambda: mse_loss(shared.forward(shared.forward(Tensor(x))), y), p)
 
 
+def test_backward_drops_interior_gradients_and_keeps_leaf_ones():
+    # once a node's backward has used its output's gradient, backward drops
+    # it, so a graph held after its backward carries no gradient array:
+    # every node with a backward (the loss, the layers, the sums and the
+    # flatten of the default model) ends with grad None, and a leaf keeps
+    # the gradient the graph gives it
+    mdl = WindModel(ModelConfig(n_stations=60), seed=0)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(16, mdl.config.window_steps, mdl.config.n_stations))
+    loss = mse_loss(mdl.forward_batch(x, training=True), rng.normal(size=(16, 27)))
+    loss.backward()
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    interior = [n for n in nodes.values() if n._backward is not None]
+    assert len(interior) > 10 and all(n.grad is None for n in interior)
+    assert all(p.grad.any() for p in mdl.params())
+    dense = Dense("d", 4, 3, rng, activation="tanh")
+    leaf = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+
+    def build():
+        hidden = dense.forward(leaf)
+        return mse_loss(neural.residual(hidden, hidden), np.zeros((5, 3)))
+
+    loss = build()
+    loss.backward()
+    total = loss._parents[0]
+    assert loss.grad is None and total.grad is None and total._parents[0].grad is None
+    assert leaf.grad.shape == leaf.data.shape and leaf.grad.any()
+    check_grad(build, leaf)
+
+
 def test_step_and_predict_leave_no_cyclic_garbage():
     # backward functions never refer to their own output, so reference
     # counting alone frees a training graph and an inference graph

@@ -15,7 +15,7 @@ from gwindcast.postprocess import (
     read_cdf_map,
     write_cdf_map,
 )
-from reference_impls import loop_quantiles, prior_apply_cdf_map
+from reference_impls import loop_quantiles, prior_apply_cdf_map, prior_forecast, sample_windows
 
 
 class _FixedModel:
@@ -27,7 +27,7 @@ class _FixedModel:
         self.offset = offset
 
     def predict(self, x):
-        base = x.mean(axis=(1, 2), keepdims=False)
+        base = x[:].mean(axis=(1, 2), keepdims=False)  # x[:] gathers a Windows source whole
         return self.gain * base[:, None] * np.ones(self.out_dim) + self.offset
 
 
@@ -51,7 +51,7 @@ def test_affine_fit_matches_train_target_moments():
     cdf = fit_cdf_map(model, samples, mode="gaussian_affine")
     tr = samples.indices("train")
     stats = samples.norm_stats
-    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.windows(tr))))
+    raw = prior_forecast(model, stats, sample_windows(samples, tr))
     calibrated = apply_cdf_map(cdf, raw)
     want_mean = samples.targets[tr].mean(axis=0)
     want_std = samples.targets[tr].std(axis=0)
@@ -81,7 +81,7 @@ def test_quantile_mode_matches_loop_oracle_on_train():
     cdf = fit_cdf_map(model, samples, mode="empirical_quantile", n_quantiles=n_q)
     tr = samples.indices("train")
     stats = samples.norm_stats
-    raw = stats.denormalize_targets(model.predict(stats.normalize_inputs(samples.windows(tr))))
+    raw = prior_forecast(model, stats, sample_windows(samples, tr))
     for c in range(3):
         want_src = loop_quantiles(raw[:, c], n_q)
         want_tgt = loop_quantiles(samples.targets[tr][:, c], n_q)
@@ -219,6 +219,33 @@ def test_a_map_too_large_for_the_one_pass_keeps_the_bits_within_its_memory_bound
     for rows in (1, ONE_PASS_MAX_ROWS):
         assert apply_cdf_map(cdf, raw[:rows]).tobytes() == prior_apply_cdf_map(
             cdf, raw[:rows]).tobytes()
+
+
+def test_fit_at_24_step_windows_holds_one_block_of_windows():
+    # 2800 train windows of 24 steps x 60 stations would take 30.76 MiB
+    # gathered; the fit forecasts them from the 1.34 MiB of delay rows, one
+    # 32-row predict block of windows at a time. tracemalloc peak measured
+    # at 4.05 MiB: the normalized rows, the forecasts with their
+    # denormalized copy (0.58 MiB each) and about four blocks of activation;
+    # at 63.86 MiB when the fit gathered every train window and normalized
+    # a copy of them
+    import test_trainer
+
+    from gwindcast import model as model_module
+    from gwindcast.model import ModelConfig, WindModel
+
+    samples = test_trainer._row_samples((2800, 50, 50), 24, seed=24)
+    model = WindModel(ModelConfig(window_steps=24), seed=0)
+    assert model._blocks(0, 2048)[0] == slice(0, 32)
+    fit_cdf_map(model, samples)  # a first fit imports what any fit needs
+    tracemalloc.start()
+    try:
+        fit_cdf_map(model, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (samples.delays.nbytes + 4 * samples.targets[:2800].nbytes
+                   + 6 * model_module.PREDICT_BLOCK_BYTES)
 
 
 def test_fit_never_reads_val_or_test_rows():

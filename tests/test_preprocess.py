@@ -29,7 +29,7 @@ from gwindcast.preprocess import (
     gap_report,
     height_to_pressure,
 )
-from reference_impls import loop_build_samples, loop_decompose, loop_pressure
+from reference_impls import loop_build_samples, loop_decompose, loop_pressure, sample_windows
 
 
 def make_panel(values, mask=None, start=0, step=300):
@@ -205,7 +205,7 @@ def test_build_samples_shapes_and_alignment():
     assert isinstance(ss, SampleSet)
     # windows end at index >= window-1; target at end + lead
     n_expect = 40 - (6 - 1) - 2
-    windows = ss.windows(np.arange(n_expect))
+    windows = sample_windows(ss, np.arange(n_expect))
     assert windows.shape == (n_expect, 6, 5)
     assert ss.targets.shape == (n_expect, 2 * 2 * 3)
     # first sample: window rows 0..5, target row 7
@@ -238,7 +238,7 @@ def test_build_samples_matches_loop_oracle_on_a_scene_with_gaps(wind_offset):
         n = len(got.starts)
         assert 0 < n < 40
         assert (np.diff(got.starts) > 1).any()  # the gaps drop windows between kept ones
-        windows = got.windows(np.arange(n))
+        windows = sample_windows(got, np.arange(n))
         assert windows.flags.c_contiguous
         for a, b in zip((windows, got.targets, got.target_times, got.split_labels), want):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -279,9 +279,10 @@ def test_sample_set_holds_its_delay_rows_once_whatever_the_window():
 
 def test_build_samples_peak_memory_is_bounded():
     # 1000 steps x 60 stations at window 24: 683 train windows of 7.50 MiB,
-    # gathered once for the norm stats, plus std's deviations of the same size.
-    # tracemalloc peak measured at 15.25 MiB; 29.21 MiB when the set held a
-    # copy of all 975 windows (10.71 MiB) and gathered the train ones from it
+    # gathered once for the norm stats, their deviations written in place.
+    # tracemalloc peak measured at 8.26 MiB; 15.25 MiB when std made a
+    # copy of the deviations, and 29.21 MiB when the set held a copy of all
+    # 975 windows (10.71 MiB) and gathered the train ones from it
     panel, cube = make_aligned_scene(n_t=1000, n_s=60)
     tracemalloc.start()
     try:
@@ -289,7 +290,22 @@ def test_build_samples_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("n_stations", [1, 2, 60])
+@pytest.mark.parametrize("window_steps", [1, 6, 24])
+def test_norm_stats_keep_the_bits_of_numpy_mean_and_std(window_steps, n_stations):
+    # build_samples takes the input std as np.std does, in the gathered
+    # train windows' own array: the same sums over the same array, so the
+    # same bits. The trap is one station: its windows are one contiguous
+    # column, which numpy sums pairwise, so a running sum over blocks of
+    # windows, which matched np.std at 2 to 60 stations, does not match it
+    panel, cube = make_aligned_scene(n_t=400, n_s=n_stations, seed=n_stations)
+    ss = build_samples(panel, cube, window_steps, 1, SplitConfig(seed=window_steps))
+    tr_in = sample_windows(ss, ss.indices("train"))
+    assert ss.norm_stats.input_mean.tobytes() == np.mean(tr_in, axis=(0, 1)).tobytes()
+    assert ss.norm_stats.input_std.tobytes() == np.std(tr_in, axis=(0, 1)).tobytes()
 
 
 def test_build_samples_split_sizes_largest_remainder():
@@ -311,7 +327,7 @@ def test_build_samples_norm_stats_come_from_train_only():
     ss = build_samples(panel, cube, 4, 1, SplitConfig(seed=2))
     tr = ss.indices("train")
     # the same C-ordered gather of the train windows: the same bits
-    tr_in = ss.windows(tr)
+    tr_in = sample_windows(ss, tr)
     assert ss.norm_stats.input_mean.tobytes() == tr_in.mean(axis=(0, 1)).tobytes()
     assert ss.norm_stats.input_std.tobytes() == tr_in.std(axis=(0, 1)).tobytes()
     want_tmean = ss.targets[tr].mean(axis=0)

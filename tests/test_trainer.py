@@ -17,7 +17,7 @@ from gwindcast.trainer import (
     train,
     write_history,
 )
-from reference_impls import per_param_adam, scalar_adam_trace
+from reference_impls import per_param_adam, sample_windows, scalar_adam_trace
 
 
 def test_train_config_defaults():
@@ -248,7 +248,28 @@ def _pack_samples(inputs, targets, split, with_stats=True):
 
 def _all_windows(samples):
     """Every window of a SampleSet, as a new writable array."""
-    return samples.windows(np.arange(len(samples.starts)))
+    return sample_windows(samples, np.arange(len(samples.starts)))
+
+
+def _row_samples(sizes, steps, seed=0):
+    """A SampleSet of sum(sizes) overlapping windows of ``steps`` rows of 60
+    random delay stations, 27 target channels (3 levels x 3 stations),
+    starts shuffled, split train, val and test by ``sizes``; its norm stats
+    are those of every row and target."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    delays = rng.normal(size=(n + steps - 1, 60))
+    targets = rng.normal(size=(n, 27))
+    return SampleSet(
+        delays=delays, starts=rng.permutation(n), window_steps=steps, targets=targets,
+        target_times=np.arange(n, dtype=np.int64) * 300,
+        split_labels=np.repeat(np.arange(3, dtype=np.uint8), sizes),
+        levels=LevelSpec("height_m", (100.0, 200.0, 300.0)),
+        target_stations=StationTable(ids=("W0", "W1", "W2"), lats=np.array([29.0, 29.1, 29.2]),
+                                     lons=np.array([120.0, 120.1, 120.2])),
+        norm_stats=NormStats(input_mean=delays.mean(axis=0), input_std=delays.std(axis=0),
+                             target_mean=targets.mean(axis=0), target_std=targets.std(axis=0)),
+    )
 
 
 def _toy_samples(n=60, window=4, n_stations=5, out_dim=6, seed=0):
@@ -292,7 +313,7 @@ def test_train_learns_and_reports_history():
     )
     # model is left holding the best state: its validation loss is the best
     stats, va = samples.norm_stats, samples.indices("val")
-    val_pred = model.predict(stats.normalize_inputs(samples.windows(va)))
+    val_pred = model.predict(stats.normalize_inputs(sample_windows(samples, va)))
     val_mse = float(np.mean((val_pred - stats.normalize_targets(samples.targets[va])) ** 2))
     assert val_mse == result.best_val
 
@@ -365,8 +386,9 @@ def test_train_peak_memory_holds_no_copy_of_the_train_windows():
     # 2000 overlapping 24-step windows of 60 stations, cut from 2023 delay
     # rows (0.93 MiB); their 1400 train windows would take 15.38 MiB. One
     # epoch of a one-block transformer at batch 32: tracemalloc peak measured
-    # at 16.75 MiB, against 31.17 MiB when train normalized a copy of every
-    # train window up front
+    # at 10.50 MiB; at 16.75 MiB when validation gathered its 300 windows
+    # whole and two step graphs were alive at once, and at 31.17 MiB when
+    # train also normalized a copy of every train window up front
     rng = np.random.default_rng(0)
     n, steps, n_stations = 2000, 24, 60
     delays = rng.normal(size=(n + steps - 1, n_stations))
@@ -390,7 +412,24 @@ def test_train_peak_memory_holds_no_copy_of_the_train_windows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 22 * 2**20
+    assert peak < 13 * 2**20
+
+
+def test_train_holds_one_step_graph_at_a_time():
+    # the default model (60 stations, two 4-head blocks, 27 outputs) at
+    # batch 128: a step's graph holds 9.14 MiB after the forward and its
+    # backward peaks 4.15 MiB above that. One epoch of four full batches
+    # peaked at 15.14 MiB (tracemalloc); at 23.49 MiB when the last step's
+    # loss, and so its graph, lived on through the next forward
+    samples = _row_samples((512, 44, 44), 6)
+    model = WindModel(ModelConfig(n_stations=60), seed=0)
+    tracemalloc.start()
+    try:
+        train(model, samples, TrainConfig(lr=1e-3, max_epochs=1, patience=1, batch_size=128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19 * 2**20
 
 
 def test_history_round_trip(tmp_path):

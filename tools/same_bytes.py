@@ -207,6 +207,12 @@ COMMANDS = [
     ("window24_predict", ["predict", *_WINDOW_24, *_WINDOW_24_RUN,
                           "--model", "window24/run/checkpoint.gwc",
                           "--cdf", "window24/run/cdf_map.json", "--out", "window24/run"]),
+    # every train row of the rows forecast at 24-step windows, 2780 rows in
+    # two chunks, byte for byte (the calibration shows them only through
+    # its quantiles)
+    ("window24_predict_train", ["predict", *_WINDOW_24, *_WINDOW_24_RUN,
+                                "--model", "window24/run/checkpoint.gwc", "--split", "train",
+                                "--out", "window24/train"]),
     ("compare_baseline", ["compare-baseline", "--baseline", "baseline.csv",
                           "--truth", "staged/raw/cube.gwcc", "--out", "staged/baseline.json"]),
 ]

@@ -143,8 +143,7 @@ def train(model, samples, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     is dropped once its backward has run, before the next batch's forward
     records a new one, and the backward drops each interior gradient once
     used. At batch 128 the default model's graph holds 9.14 MiB after the
-    forward, and its backward peaks 4.15 MiB above that (5.62 MiB when
-    every interior gradient lived to the end of the backward).
+    forward, and its backward peaks 4.15 MiB above that.
     The model is left holding the best-epoch state.
     For the transformer, leftover batches of a single sample are skipped
     (batch statistics need at least two rows).
